@@ -102,8 +102,7 @@ def main():
     print("\npermutation importance (tuned config, seed 0, test split)")
     params, _ = fit(prep.train, prep.val, tuned, model_config=model)
     predictor = Predictor(
-        params=params, schema=prep.schema, grid=prep.grid,
-        transform=prep.transform, condition_mode=prep.condition_mode,
+        params=params, schema=prep.schema, grid=prep.grid, transform=prep.transform,
     )
     _, _, test_ds = split_dataset(ds, args.split_seed)
     for feat, drop in permutation_importance(predictor.curves, test_ds, n_repeats=2):

@@ -54,20 +54,11 @@ from .metrics import (
 )
 from .model import (
     DySurvParams,
-    LatentSample,
     ModelConfig,
-    RiskEstimate,
     condition_matrix,
-    decode,
-    encode,
     init_dysurv_params,
-    interpolate_survival,
-    loss_survival_nll,
     loss_total,
-    loss_vae,
-    predict_risk,
     predict_risk_batch,
-    reparameterize,
 )
 from .pipeline import PreparedData, Predictor, dataset_to_arrays, prepare_splits
 from .training import (

@@ -289,19 +289,17 @@ class Tape:
 
         return self._push(out, (a.idx,), vjp, "clip")
 
-    def dropout(self, a, keep: float, mask: Array | None, training: bool) -> Tensor:
-        """Inverted dropout. Identity when ``training`` is false.
+    def dropout(self, a, keep: float, mask: Array | None) -> Tensor:
+        """Inverted dropout.
 
         ``mask`` is a caller-supplied 0/1 array from a seeded generator so
         that a forward pass is a deterministic function of its inputs.
         """
         a = self._wrap(a)
-        if not training:
-            return self._push(a.value, (a.idx,), lambda g: (g,), "dropout")
         if not (0.0 < keep <= 1.0):
             raise DomainError(f"dropout keep probability {keep} outside (0, 1]")
         if mask is None:
-            raise ContractError("training-mode dropout requires a mask")
+            raise ContractError("dropout requires a mask")
         if mask.shape != a.value.shape:
             raise ContractError(
                 f"dropout mask shape {mask.shape} != input shape {a.value.shape}"

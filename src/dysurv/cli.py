@@ -20,6 +20,8 @@ import numpy as np
 from .data import (
     SurvivalDataset,
     apply_quantile_transform,
+    build_time_grid,
+    fit_quantile_transform,
     generate_synthetic,
     load_csv,
     save_dataset_csv,
@@ -142,11 +144,12 @@ def cmd_synth(args) -> int:
 def cmd_prepare(args) -> int:
     out = _out_dir(args)
     ds = _load_dataset(args)
-    prep = prepare_splits(ds, args.seed, n_bins=args.n_bins)
     train_ds, val_ds, test_ds = split_dataset(ds, args.seed)
+    transform = fit_quantile_transform(train_ds)
+    grid = build_time_grid(train_ds.durations(), args.n_bins)
     artifacts: list[Path] = []
     for name, split in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
-        transformed = apply_quantile_transform(prep.transform, split)
+        transformed = apply_quantile_transform(transform, split)
         manifest_path = save_dataset_csv(transformed, out, stem=name)
         artifacts.append(manifest_path)
         artifacts.append(out / f"{name}_static.csv")
@@ -154,11 +157,11 @@ def cmd_prepare(args) -> int:
         if series.exists():
             artifacts.append(series)
     artifacts.append(_write_json(out / "grid.json", {
-        "n_bins": prep.grid.n_bins,
-        "t_max": prep.grid.t_max,
-        "boundaries": list(prep.grid.boundaries),
+        "n_bins": grid.n_bins,
+        "t_max": grid.t_max,
+        "boundaries": list(grid.boundaries),
     }))
-    artifacts.append(_write_json(out / "transform.json", prep.transform.canonical()))
+    artifacts.append(_write_json(out / "transform.json", transform.canonical()))
     config = {"seed": args.seed, "n_bins": args.n_bins,
               "sizes": {"train": len(train_ds), "val": len(val_ds), "test": len(test_ds)}}
     artifacts.append(_write_meta(out, "prepare", config, artifacts))
@@ -183,8 +186,7 @@ def cmd_train(args) -> int:
     ckpt_path = out / "checkpoint.bin"
     save_checkpoint(
         ckpt_path, params,
-        schema=prep.schema, grid=prep.grid, model_config=model_config,
-        train_config=config, transform=prep.transform,
+        schema=prep.schema, grid=prep.grid, train_config=config, transform=prep.transform,
         extra={"grid_search": grid_result.to_json_dict()} if grid_result else None,
     )
     artifacts.append(ckpt_path)
@@ -211,6 +213,7 @@ def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(_checkpoint_path(args, out), expected_schema=ds.schema)
     _, _, test_ds = split_dataset(ds, args.seed)
     artifacts: list[Path] = []
+    curves = None
     if args.seeds > 1:
         if ckpt.train_config is None:
             raise ConfigError("multi-seed evaluation needs a checkpoint with a train config")
@@ -225,15 +228,14 @@ def cmd_evaluate(args) -> int:
         payload = report.to_json_dict()
         summary = payload["mean"]
     else:
-        predictor = Predictor.from_checkpoint(ckpt)
-        curves = predictor.curves(test_ds)
+        curves = Predictor.from_checkpoint(ckpt).curves(test_ds)
         report = evaluate_all(curves, test_ds.durations(), test_ds.events())
         payload = report.to_json_dict()
         summary = payload
     artifacts.append(_write_json(out / "eval_report.json", payload))
     if args.horizon is not None:
-        predictor = Predictor.from_checkpoint(ckpt)
-        curves = predictor.curves(test_ds)
+        if curves is None:
+            curves = Predictor.from_checkpoint(ckpt).curves(test_ds)
         labels, include = horizon_labels(test_ds.durations(), test_ds.events(), args.horizon)
         risks = 1.0 - curves.at(args.horizon)
         horizon_report = horizon_binary_metrics(risks[include], labels, args.horizon)

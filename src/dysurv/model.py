@@ -22,13 +22,12 @@ total training loss is alpha * L_nll + (1 - alpha) * L_vae.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Param, Tape, Tensor
-from .data import SubjectRecord, TimeGrid, replicate_static
-from .errors import ContractError, DomainError, NumericalError
+from .errors import ContractError, DomainError
 from .nn import (
     DenseLayerParams,
     LSTMCellParams,
@@ -92,7 +91,8 @@ def condition_dim(mode: str, n_bins: int) -> int:
 
 @dataclass
 class DySurvParams:
-    """All trainable parameters plus the shape contract they were built for."""
+    """All trainable parameters, the data shape they were built for, and
+    the architecture that built them."""
 
     encoder: LSTMCellParams
     mu_head: DenseLayerParams
@@ -102,8 +102,15 @@ class DySurvParams:
     d_in: int
     seq_len: int
     n_bins: int
-    z_dim: int
-    condition_mode: str
+    config: ModelConfig
+
+    @property
+    def z_dim(self) -> int:
+        return self.config.z_dim
+
+    @property
+    def condition_mode(self) -> str:
+        return self.config.condition_mode
 
     @property
     def cond_dim(self) -> int:
@@ -156,8 +163,7 @@ def init_dysurv_params(
         d_in=d_in,
         seq_len=seq_len,
         n_bins=n_bins,
-        z_dim=config.z_dim,
-        condition_mode=config.condition_mode,
+        config=config,
     )
 
 
@@ -181,77 +187,6 @@ def condition_matrix(events: Array, bins: Array, n_bins: int, mode: str) -> Arra
         tim[np.arange(n), bins] = 1.0
         parts.append(tim)
     return np.concatenate(parts, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# estimates and curves
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RiskEstimate:
-    """Softmax bin masses and the curves derived from them.
-
-    ``probs`` has n_bins + 1 entries; ``cif``/``survival`` cover the K
-    interval bins, with survival[k] the probability of outliving bin k.
-    """
-
-    probs: Array
-    cif: Array = field(init=False)
-    survival: Array = field(init=False)
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1 or self.probs.size < 2:
-            raise ContractError("probs must be a 1-D array of n_bins + 1 masses")
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-9:
-            raise NumericalError("bin masses must be nonnegative and sum to one")
-        cum = np.cumsum(self.probs)
-        self.cif = cum[:-1]
-        self.survival = 1.0 - self.cif
-
-    @property
-    def n_bins(self) -> int:
-        return self.probs.size - 1
-
-
-@dataclass
-class LatentSample:
-    mu: Array
-    logvar: Array
-    eps: Array
-    z: Array
-
-    @property
-    def sigma(self) -> Array:
-        return np.exp(0.5 * self.logvar)
-
-
-def reparameterize(mu: Array, sigma: Array, eps: Array) -> Array:
-    """z = mu + eps * sigma with externally supplied standard-normal eps."""
-    mu, sigma, eps = (np.asarray(a, dtype=np.float64) for a in (mu, sigma, eps))
-    if mu.shape != sigma.shape or mu.shape != eps.shape:
-        raise ContractError("mu, sigma and eps must share a shape")
-    if np.any(sigma <= 0):
-        raise DomainError("sigma must be strictly positive")
-    return mu + eps * sigma
-
-
-def interpolate_survival(estimate: RiskEstimate, grid: TimeGrid, t):
-    """Piecewise-linear survival through the knots (0, 1) and
-    (boundary_{k+1}, survival_k). Defined on [0, t_max] only."""
-    if estimate.n_bins != grid.n_bins:
-        raise ContractError(
-            f"estimate has {estimate.n_bins} bins but grid has {grid.n_bins}"
-        )
-    arr = np.asarray(t, dtype=np.float64)
-    if np.any(arr < 0) or np.any(arr > grid.t_max):
-        raise DomainError(f"query time outside [0, {grid.t_max}]")
-    knots_y = np.concatenate([[1.0], estimate.survival])
-    out = np.interp(arr, grid.boundaries, knots_y)
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +231,7 @@ def forward_graph(
 
     h = lstm_forward(tape, params.encoder, x_steps)
     if dropping:
-        h = tape.dropout(h, keep, masks["enc"], True)
+        h = tape.dropout(h, keep, masks["enc"])
     mu = dense_forward(tape, params.mu_head, h)
     logvar = dense_forward(tape, params.logvar_head, h)
     if eps is None:
@@ -309,7 +244,7 @@ def forward_graph(
     for i, layer in enumerate(params.survival[:-1]):
         s = dense_forward(tape, layer, s)
         if dropping:
-            s = tape.dropout(s, keep, masks[f"sur{i}"], True)
+            s = tape.dropout(s, keep, masks[f"sur{i}"])
     a_hat = dense_forward(tape, params.survival[-1], s)
 
     x_recon = None
@@ -318,45 +253,9 @@ def forward_graph(
         for i, layer in enumerate(params.decoder[:-1]):
             d = dense_forward(tape, layer, d)
             if dropping:
-                d = tape.dropout(d, keep, masks[f"dec{i}"], True)
+                d = tape.dropout(d, keep, masks[f"dec{i}"])
         x_recon = dense_forward(tape, params.decoder[-1], d)
     return mu, logvar, z, a_hat, x_recon
-
-
-def _as_input_matrix(params: DySurvParams, record_or_matrix) -> Array:
-    if isinstance(record_or_matrix, SubjectRecord):
-        x = replicate_static(record_or_matrix)
-    else:
-        x = np.asarray(record_or_matrix, dtype=np.float64)
-    if x.ndim != 2 or x.shape != (params.seq_len, params.d_in):
-        raise ContractError(
-            f"model expects a ({params.seq_len}, {params.d_in}) input, got {x.shape}"
-        )
-    return x
-
-
-def encode(params: DySurvParams, record_or_matrix) -> tuple[Array, Array]:
-    """Posterior parameters for one subject: (mu, logvar), each (z_dim,)."""
-    x = _as_input_matrix(params, record_or_matrix)
-    tape = Tape()
-    mu, logvar, _, _, _ = forward_graph(tape, params, [x[j : j + 1] for j in range(x.shape[0])])
-    return mu.value[0].copy(), logvar.value[0].copy()
-
-
-def decode(params: DySurvParams, z: Array, cond: Array) -> Array:
-    """Reconstruction for one subject, reshaped to (seq_len, d_in)."""
-    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
-    cond = np.asarray(cond, dtype=np.float64).reshape(1, -1)
-    if z.shape[1] != params.z_dim:
-        raise ContractError(f"z has {z.shape[1]} dims, model wants {params.z_dim}")
-    if cond.shape[1] != params.cond_dim:
-        raise ContractError(f"cond has {cond.shape[1]} dims, model wants {params.cond_dim}")
-    tape = Tape()
-    d = tape.concat([tape.leaf(z), tape.leaf(cond)], axis=1)
-    for layer in params.decoder[:-1]:
-        d = dense_forward(tape, layer, d)
-    out = dense_forward(tape, params.decoder[-1], d)
-    return out.value[0].reshape(params.seq_len, params.d_in).copy()
 
 
 def predict_risk_batch(params: DySurvParams, x: Array) -> Array:
@@ -372,98 +271,9 @@ def predict_risk_batch(params: DySurvParams, x: Array) -> Array:
     return a_hat.value.copy()
 
 
-def predict_risk(params: DySurvParams, record_or_matrix) -> RiskEstimate:
-    """Inference-mode risk for one subject: deterministic latent, no decoder."""
-    x = _as_input_matrix(params, record_or_matrix)
-    probs = predict_risk_batch(params, x[None, :, :])[0]
-    return RiskEstimate(probs=probs)
-
-
 # ---------------------------------------------------------------------------
-# losses: numpy references
+# losses
 # ---------------------------------------------------------------------------
-
-
-def _suffix_sums(probs: Array) -> Array:
-    """suffix[i, k] = sum of probs[i, k:]; column K+1 would be zero."""
-    return np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
-
-
-def _validate_nll_inputs(probs, bins, events, last_obs_bins):
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] < 2:
-        raise ContractError("probs must be (n, n_bins + 1)")
-    n, kp1 = probs.shape
-    bins = np.asarray(bins, dtype=np.int64)
-    events = np.asarray(events, dtype=np.int64)
-    if last_obs_bins is None:
-        last_obs_bins = np.full(n, -1, dtype=np.int64)
-    else:
-        last_obs_bins = np.asarray(last_obs_bins, dtype=np.int64)
-    if not (bins.shape == events.shape == last_obs_bins.shape == (n,)):
-        raise ContractError("bins, events and last_obs_bins must all be (n,)")
-    if np.any(bins < 0) or np.any(bins > kp1 - 2):
-        raise DomainError("event/censor bins must lie in [0, n_bins - 1]")
-    if np.any((events != 0) & (events != 1)):
-        raise DomainError("events must be 0 or 1")
-    if np.any(last_obs_bins < -1) or np.any(last_obs_bins > bins):
-        raise DomainError(
-            "last observed bin must lie in [-1, bin]; -1 means no observation window"
-        )
-    return probs, bins, events, last_obs_bins
-
-
-def loss_survival_nll(probs, bins, events, last_obs_bins=None) -> float:
-    """Discrete-time negative log likelihood, summed over the batch.
-
-    Event subjects contribute -log(a_bin / sum_{n > l} a_n) with l the last
-    observed bin (l = -1 conditions on nothing); censored subjects
-    contribute -log(sum_{n > bin} a_n). Probabilities are clamped to
-    [1e-12, 1] before the log.
-    """
-    probs, bins, events, last_obs = _validate_nll_inputs(probs, bins, events, last_obs_bins)
-    n = probs.shape[0]
-    idx = np.arange(n)
-    suffix = _suffix_sums(probs)
-    pick = probs[idx, bins]
-    den_evt = suffix[idx, last_obs + 1]
-    den_cen = suffix[idx, bins + 1]
-    bad_evt = (events == 1) & (den_evt <= 0)
-    bad_cen = (events == 0) & (den_cen <= 0)
-    if bad_evt.any() or bad_cen.any():
-        offenders = np.where(bad_evt | bad_cen)[0][:8].tolist()
-        raise NumericalError(
-            f"nonpositive likelihood denominator for subjects {offenders}"
-        )
-    clamp = lambda v: np.clip(v, PROB_FLOOR, 1.0)
-    evt_terms = -(np.log(clamp(pick)) - np.log(clamp(den_evt)))
-    cen_terms = -np.log(clamp(den_cen))
-    return float(np.where(events == 1, evt_terms, cen_terms).sum())
-
-
-def loss_vae(x, x_recon, mu, sigma) -> float:
-    """Reconstruction MSE plus Gaussian KL, summed over the batch.
-
-    The MSE is the mean over each subject's input entries, so its scale
-    does not grow with the sequence length or feature count.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    x_recon = np.asarray(x_recon, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if mu.ndim == 1:
-        mu, sigma = mu[None, :], sigma[None, :]
-        x, x_recon = x[None, ...], x_recon[None, ...]
-    if x.shape != x_recon.shape:
-        raise ContractError(f"x {x.shape} and x_recon {x_recon.shape} differ")
-    if mu.shape != sigma.shape:
-        raise ContractError("mu and sigma must share a shape")
-    if np.any(sigma <= 0):
-        raise DomainError("sigma must be strictly positive")
-    n = mu.shape[0]
-    mse = ((x - x_recon) ** 2).reshape(n, -1).mean(axis=1)
-    kl = 0.5 * (mu**2 + sigma**2 - 1.0 - np.log(sigma**2)).sum(axis=1)
-    return float((mse + kl).sum())
 
 
 def loss_total(l1: float, l2: float, alpha: float) -> float:
@@ -471,11 +281,6 @@ def loss_total(l1: float, l2: float, alpha: float) -> float:
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha * l1 + (1.0 - alpha) * l2
-
-
-# ---------------------------------------------------------------------------
-# losses: tape graphs
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -511,7 +316,10 @@ class LossMasks:
 
 
 def nll_graph(tape: Tape, a_hat: Tensor, masks: LossMasks) -> Tensor:
-    """Tape twin of :func:`loss_survival_nll` (same clamping, same formula)."""
+    """Discrete-time NLL summed over the batch: event subjects contribute
+    -log(a_bin / sum_{n > l} a_n) with l the last observed bin (l = -1
+    conditions on nothing), censored subjects -log(sum_{n > bin} a_n).
+    Probabilities are clamped to [PROB_FLOOR, 1] before the log."""
     pick = tape.sum(tape.mul(a_hat, tape.leaf(masks.onehot)), axis=1)
     den_evt = tape.sum(tape.mul(a_hat, tape.leaf(masks.after_last)), axis=1)
     den_cen = tape.sum(tape.mul(a_hat, tape.leaf(masks.after_bin)), axis=1)
@@ -528,7 +336,9 @@ def nll_graph(tape: Tape, a_hat: Tensor, masks: LossMasks) -> Tensor:
 
 
 def vae_graph(tape: Tape, x_flat: Array, x_recon: Tensor, mu: Tensor, logvar: Tensor) -> Tensor:
-    """Tape twin of :func:`loss_vae`, parameterized by logvar."""
+    """Reconstruction MSE plus Gaussian KL, summed over the batch and
+    parameterized by logvar. The MSE is the mean over each subject's input
+    entries, so its scale does not grow with sequence length or width."""
     diff = tape.sub(x_recon, tape.leaf(x_flat))
     mse = tape.mean(tape.square(diff), axis=1)
     sig2 = tape.exp(logvar)

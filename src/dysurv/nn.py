@@ -159,11 +159,3 @@ def lstm_forward(tape: Tape, cell: LSTMCellParams, steps: list[Array]) -> Tensor
         h = tape.mul(o, tape.tanh(c))
     return h
 
-
-def lstm_sequence(tape: Tape, cell: LSTMCellParams, x: Array) -> Tensor:
-    """Single-subject convenience wrapper: x is (J, d_in), result (1, hidden)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ContractError(f"lstm_sequence expects a (J, d_in) matrix, got {x.shape}")
-    steps = [x[j : j + 1, :] for j in range(x.shape[0])]
-    return lstm_forward(tape, cell, steps)

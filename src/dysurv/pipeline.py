@@ -121,7 +121,6 @@ class Predictor:
     schema: FeatureSchema
     grid: TimeGrid
     transform: QuantileTransform
-    condition_mode: str = "both"
 
     @staticmethod
     def from_checkpoint(ckpt: Checkpoint) -> "Predictor":
@@ -135,7 +134,6 @@ class Predictor:
             schema=ckpt.schema,
             grid=ckpt.grid,
             transform=ckpt.transform,
-            condition_mode=ckpt.params.condition_mode,
         )
 
     def bin_probs(self, ds: SurvivalDataset) -> Array:
@@ -143,7 +141,7 @@ class Predictor:
             raise CheckpointIncompatibleError(
                 "dataset schema does not match the schema this model was trained on"
             )
-        arrays, _ = dataset_to_arrays(ds, self.transform, self.grid, self.condition_mode)
+        arrays, _ = dataset_to_arrays(ds, self.transform, self.grid)
         chunks = [
             predict_risk_batch(self.params, arrays.x[s : s + PREDICT_CHUNK])
             for s in range(0, len(arrays), PREDICT_CHUNK)

@@ -48,7 +48,7 @@ from .model import (
 Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"DYSURV1\x00"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 EVAL_CHUNK = 1024
 
 
@@ -61,7 +61,6 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 10
     seed: int = 0
-    clip_grad_norm: float | None = None
     deterministic_latent: bool = False
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class TrainConfig:
             raise DomainError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise DomainError(f"patience must be >= 1, got {self.patience}")
-        if self.clip_grad_norm is not None and self.clip_grad_norm <= 0:
-            raise DomainError("clip_grad_norm must be positive when set")
 
     def canonical(self) -> dict:
         return {
@@ -89,7 +86,6 @@ class TrainConfig:
             "max_epochs": self.max_epochs,
             "patience": self.patience,
             "seed": self.seed,
-            "clip_grad_norm": self.clip_grad_norm,
             "deterministic_latent": self.deterministic_latent,
         }
 
@@ -170,17 +166,12 @@ class History:
         return self.val_l2[self.best_epoch - 1]
 
     def to_csv(self, path) -> None:
+        columns = ("train_l1", "train_l2", "train_total", "val_l1", "val_l2", "val_total")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_l1", "train_l2", "train_total", "val_total"])
+            writer.writerow(["epoch", *columns])
             for i in range(self.n_epochs()):
-                writer.writerow([
-                    i + 1,
-                    repr(self.train_l1[i]),
-                    repr(self.train_l2[i]),
-                    repr(self.train_total[i]),
-                    repr(self.val_total[i]),
-                ])
+                writer.writerow([i + 1, *(repr(getattr(self, c)[i]) for c in columns)])
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +213,6 @@ def adam_step(state: AdamState, params: list[Param], grads: dict[str, Array], lr
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
         p.value = p.value - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-
-
-def _clip_gradients(grads: dict[str, Array], max_norm: float) -> dict[str, Array]:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return {k: g * scale for k, g in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +330,6 @@ def fit(
             epoch_l1 += float(l1.value)
             if l2 is not None:
                 epoch_l2 += float(l2.value)
-            if config.clip_grad_norm is not None:
-                grads = _clip_gradients(grads, config.clip_grad_norm)
             adam_step(adam, plist, grads, config.learning_rate)
 
         train_l1 = epoch_l1 / n
@@ -661,10 +642,13 @@ class Checkpoint:
     params: DySurvParams
     schema: FeatureSchema
     grid: TimeGrid
-    model_config: ModelConfig
     train_config: TrainConfig | None
     transform: QuantileTransform | None
     header: dict
+
+    @property
+    def model_config(self) -> ModelConfig:
+        return self.params.config
 
 
 def save_checkpoint(
@@ -673,7 +657,6 @@ def save_checkpoint(
     *,
     schema: FeatureSchema,
     grid: TimeGrid,
-    model_config: ModelConfig,
     train_config: TrainConfig | None = None,
     transform: QuantileTransform | None = None,
     extra: dict | None = None,
@@ -689,10 +672,8 @@ def save_checkpoint(
             "d_in": params.d_in,
             "seq_len": params.seq_len,
             "n_bins": params.n_bins,
-            "z_dim": params.z_dim,
-            "condition_mode": params.condition_mode,
         },
-        "model_config": model_config.canonical(),
+        "model_config": params.config.canonical(),
         "train_config": train_config.canonical() if train_config else None,
         "transform": transform.canonical() if transform else None,
         "shapes": [[p.name, list(p.value.shape)] for p in plist],
@@ -747,12 +728,10 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
         raise CheckpointIncompatibleError(
             "checkpoint was trained against a different feature schema"
         )
-    model_config = ModelConfig.from_canonical(header["model_config"])
     dims = header["dims"]
-    rng = np.random.default_rng(0)
     params = init_dysurv_params(
-        rng, dims["d_in"], dims["seq_len"], dims["n_bins"],
-        replace(model_config, condition_mode=dims["condition_mode"]),
+        np.random.default_rng(0), dims["d_in"], dims["seq_len"], dims["n_bins"],
+        ModelConfig.from_canonical(header["model_config"]),
     )
     plist = params.parameters()
     stored = [(name, tuple(shape)) for name, shape in header["shapes"]]
@@ -787,7 +766,6 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
         params=params,
         schema=schema,
         grid=grid,
-        model_config=model_config,
         train_config=train_config,
         transform=transform,
         header=header,

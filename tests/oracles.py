@@ -1,11 +1,14 @@
 """Slow brute-force metric implementations used as oracles by the metric
-tests and the acceptance gate. Kept deliberately naive: different
-formulation, same definition as the fast paths."""
+tests and the acceptance gate, and numpy references for the tape losses.
+Kept deliberately naive: different formulation, same definition as the
+fast paths."""
 
 import numpy as np
 
 from dysurv.data import TimeGrid
+from dysurv.errors import ContractError, DomainError, NumericalError
 from dysurv.metrics import SurvivalCurves
+from dysurv.model import PROB_FLOOR
 
 
 def naive_km_value(durations, events, t, strict=False):
@@ -74,3 +77,85 @@ def random_instance(rng, n, n_bins=8):
     probs = e / e.sum(axis=1, keepdims=True)
     grid = TimeGrid(n_bins=n_bins, t_max=10.0)
     return durations, events, SurvivalCurves.from_bin_probs(probs, grid)
+
+
+def _suffix_sums(probs):
+    """suffix[i, k] = sum of probs[i, k:]; column K+1 would be zero."""
+    return np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
+
+
+def _validate_nll_inputs(probs, bins, events, last_obs_bins):
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] < 2:
+        raise ContractError("probs must be (n, n_bins + 1)")
+    n, kp1 = probs.shape
+    bins = np.asarray(bins, dtype=np.int64)
+    events = np.asarray(events, dtype=np.int64)
+    if last_obs_bins is None:
+        last_obs_bins = np.full(n, -1, dtype=np.int64)
+    else:
+        last_obs_bins = np.asarray(last_obs_bins, dtype=np.int64)
+    if not (bins.shape == events.shape == last_obs_bins.shape == (n,)):
+        raise ContractError("bins, events and last_obs_bins must all be (n,)")
+    if np.any(bins < 0) or np.any(bins > kp1 - 2):
+        raise DomainError("event/censor bins must lie in [0, n_bins - 1]")
+    if np.any((events != 0) & (events != 1)):
+        raise DomainError("events must be 0 or 1")
+    if np.any(last_obs_bins < -1) or np.any(last_obs_bins > bins):
+        raise DomainError(
+            "last observed bin must lie in [-1, bin]; -1 means no observation window"
+        )
+    return probs, bins, events, last_obs_bins
+
+
+def loss_survival_nll(probs, bins, events, last_obs_bins=None) -> float:
+    """Discrete-time negative log likelihood, summed over the batch.
+
+    Event subjects contribute -log(a_bin / sum_{n > l} a_n) with l the last
+    observed bin (l = -1 conditions on nothing); censored subjects
+    contribute -log(sum_{n > bin} a_n). Probabilities are clamped to
+    [1e-12, 1] before the log.
+    """
+    probs, bins, events, last_obs = _validate_nll_inputs(probs, bins, events, last_obs_bins)
+    n = probs.shape[0]
+    idx = np.arange(n)
+    suffix = _suffix_sums(probs)
+    pick = probs[idx, bins]
+    den_evt = suffix[idx, last_obs + 1]
+    den_cen = suffix[idx, bins + 1]
+    bad_evt = (events == 1) & (den_evt <= 0)
+    bad_cen = (events == 0) & (den_cen <= 0)
+    if bad_evt.any() or bad_cen.any():
+        offenders = np.where(bad_evt | bad_cen)[0][:8].tolist()
+        raise NumericalError(
+            f"nonpositive likelihood denominator for subjects {offenders}"
+        )
+    clamp = lambda v: np.clip(v, PROB_FLOOR, 1.0)
+    evt_terms = -(np.log(clamp(pick)) - np.log(clamp(den_evt)))
+    cen_terms = -np.log(clamp(den_cen))
+    return float(np.where(events == 1, evt_terms, cen_terms).sum())
+
+
+def loss_vae(x, x_recon, mu, sigma) -> float:
+    """Reconstruction MSE plus Gaussian KL, summed over the batch.
+
+    The MSE is the mean over each subject's input entries, so its scale
+    does not grow with the sequence length or feature count.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    x_recon = np.asarray(x_recon, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if mu.ndim == 1:
+        mu, sigma = mu[None, :], sigma[None, :]
+        x, x_recon = x[None, ...], x_recon[None, ...]
+    if x.shape != x_recon.shape:
+        raise ContractError(f"x {x.shape} and x_recon {x_recon.shape} differ")
+    if mu.shape != sigma.shape:
+        raise ContractError("mu and sigma must share a shape")
+    if np.any(sigma <= 0):
+        raise DomainError("sigma must be strictly positive")
+    n = mu.shape[0]
+    mse = ((x - x_recon) ** 2).reshape(n, -1).mean(axis=1)
+    kl = 0.5 * (mu**2 + sigma**2 - 1.0 - np.log(sigma**2)).sum(axis=1)
+    return float((mse + kl).sum())

@@ -104,7 +104,7 @@ def test_each_primitive_matches_finite_differences(name):
             # inside the finite-difference stencil
             out = tape.clip(tape.mul(x, 0.1), -5.0, 5.0)
         elif name == "dropout":
-            out = tape.dropout(x, 0.7, mask, True)
+            out = tape.dropout(x, 0.7, mask)
         else:
             raise AssertionError(name)
         return tape, tape.sum(tape.square(out))
@@ -173,16 +173,9 @@ def test_error_contracts():
     with pytest.raises(ContractError):
         tape.backward(tape.leaf(np.ones(3)))
     with pytest.raises(ContractError):
-        tape.dropout(tape.leaf(np.ones((2, 2))), 0.5, None, True)
+        tape.dropout(tape.leaf(np.ones((2, 2))), 0.5, None)
     with pytest.raises(DomainError):
-        tape.dropout(tape.leaf(np.ones((2, 2))), 0.0, np.ones((2, 2)), True)
-
-
-def test_dropout_eval_mode_is_identity_without_mask():
-    tape = Tape()
-    x = rnd(6, 4, 4)
-    out = tape.dropout(tape.leaf(x), 0.5, None, False)
-    assert np.array_equal(out.value, x)
+        tape.dropout(tape.leaf(np.ones((2, 2))), 0.0, np.ones((2, 2)))
 
 
 def test_fd_checker_rejects_nondeterministic_builders():

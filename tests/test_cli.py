@@ -49,7 +49,7 @@ def test_prepare_exports_splits_and_grid(tmp_path):
 def test_train_writes_checkpoint_and_history(trained_dir):
     assert (trained_dir / "checkpoint.bin").exists()
     history = (trained_dir / "history.csv").read_text().strip().splitlines()
-    assert history[0] == "epoch,train_l1,train_l2,train_total,val_total"
+    assert history[0] == "epoch,train_l1,train_l2,train_total,val_l1,val_l2,val_total"
     assert len(history) == 4  # three epochs
     meta = json.loads((trained_dir / "run_meta_train.json").read_text())
     assert meta["config"]["train_config"]["max_epochs"] == 3

@@ -1,5 +1,6 @@
-"""Model-level contracts: the discrete-time likelihood, VAE loss, curve
-construction, conditioning layout, and the tape twins of the numpy losses."""
+"""Model-level contracts: the discrete-time likelihood and VAE loss (numpy
+references in oracles.py), curve construction, conditioning layout, and the
+tape losses checked against those references."""
 
 import numpy as np
 import pytest
@@ -9,25 +10,21 @@ from hypothesis import strategies as st
 from dysurv.autodiff import Tape
 from dysurv.data import TimeGrid
 from dysurv.errors import ContractError, DomainError, NumericalError
+from dysurv.metrics import SurvivalCurves
 from dysurv.model import (
     LossMasks,
     ModelConfig,
-    RiskEstimate,
     condition_dim,
     condition_matrix,
     forward_graph,
     init_dysurv_params,
-    interpolate_survival,
-    loss_survival_nll,
     loss_total,
-    loss_vae,
     nll_graph,
-    predict_risk,
     predict_risk_batch,
-    reparameterize,
     total_loss_graph,
     vae_graph,
 )
+from oracles import loss_survival_nll, loss_vae
 
 
 def softmax_rows(rng, n, k):
@@ -200,66 +197,37 @@ def test_total_loss_graph_contracts():
 
 def test_uniform_masses_give_linear_cif():
     k = 10
-    est = RiskEstimate(probs=np.full(k + 1, 1.0 / (k + 1)))
+    grid = TimeGrid(n_bins=k, t_max=10.0)
+    curves = SurvivalCurves.from_bin_probs(np.full((1, k + 1), 1.0 / (k + 1)), grid)
     for j in range(k):
-        assert est.survival[j] == pytest.approx(1.0 - (j + 1) / (k + 1), rel=1e-12)
-    assert np.all(np.diff(est.cif) > 0)
-
-
-def test_risk_estimate_invariants():
-    est = RiskEstimate(probs=np.array([0.1, 0.2, 0.3, 0.4]))
-    assert np.allclose(est.cif + est.survival, 1.0)
-    assert est.n_bins == 3
-    with pytest.raises(NumericalError):
-        RiskEstimate(probs=np.array([0.5, 0.6]))
-    with pytest.raises(NumericalError):
-        RiskEstimate(probs=np.array([1.2, -0.2]))
-    with pytest.raises(ContractError):
-        RiskEstimate(probs=np.array([[0.5, 0.5]]))
+        t_knot = grid.boundaries[j + 1]
+        assert curves.at(t_knot)[0] == pytest.approx(1.0 - (j + 1) / (k + 1), rel=1e-12)
+    assert np.all(np.diff(curves.values[0]) < 0)
 
 
 def test_interpolate_survival_contracts():
-    est = RiskEstimate(probs=np.array([0.1, 0.2, 0.3, 0.4]))
+    probs = np.array([[0.1, 0.2, 0.3, 0.4]])
     grid = TimeGrid(n_bins=3, t_max=9.0)
-    assert interpolate_survival(est, grid, 0.0) == 1.0
+    curves = SurvivalCurves.from_bin_probs(probs, grid)
+    survival = 1.0 - np.cumsum(probs[0, :-1])
+    assert curves.at(0.0)[0] == 1.0
     for j in range(3):
         t_knot = grid.boundaries[j + 1]
-        assert interpolate_survival(est, grid, t_knot) == pytest.approx(est.survival[j])
-    mid = interpolate_survival(est, grid, 1.5)
-    assert mid == pytest.approx((1.0 + est.survival[0]) / 2.0)
-    ts = np.linspace(0, 9, 50)
-    vals = interpolate_survival(est, grid, ts)
+        assert curves.at(t_knot)[0] == pytest.approx(survival[j])
+    mid = curves.at(1.5)[0]
+    assert mid == pytest.approx((1.0 + survival[0]) / 2.0)
+    vals = np.array([curves.at(t)[0] for t in np.linspace(0, 9, 50)])
     assert np.all(np.diff(vals) <= 1e-15)
-    with pytest.raises(DomainError):
-        interpolate_survival(est, grid, 9.1)
-    with pytest.raises(DomainError):
-        interpolate_survival(est, grid, -0.1)
     with pytest.raises(ContractError):
-        interpolate_survival(est, TimeGrid(n_bins=5, t_max=9.0), 1.0)
+        SurvivalCurves.from_bin_probs(probs, TimeGrid(n_bins=5, t_max=9.0))
 
 
 def test_midpoint_between_point_nine_and_point_seven_is_point_eight():
-    est = RiskEstimate(probs=np.array([0.1, 0.2, 0.3, 0.4]))
+    probs = np.array([[0.1, 0.2, 0.3, 0.4]])
     # survival knots 0.9, 0.7, 0.4; halfway between the first two
     grid = TimeGrid(n_bins=3, t_max=3.0)
-    assert interpolate_survival(est, grid, 1.5) == pytest.approx(0.8)
-
-
-def test_reparameterize():
-    mu = np.array([1.0, -2.0])
-    sigma = np.array([0.5, 2.0])
-    eps = np.array([2.0, -1.0])
-    assert np.array_equal(reparameterize(mu, sigma, eps), [2.0, -4.0])
-    with pytest.raises(ContractError):
-        reparameterize(mu, sigma, np.zeros(3))
-    with pytest.raises(DomainError):
-        reparameterize(mu, np.array([0.0, 1.0]), eps)
-    rng = np.random.default_rng(0)
-    draws = np.stack([
-        reparameterize(mu, sigma, rng.standard_normal(2)) for _ in range(20_000)
-    ])
-    assert np.allclose(draws.mean(axis=0), mu, atol=0.05)
-    assert np.allclose(draws.std(axis=0), sigma, atol=0.05)
+    curves = SurvivalCurves.from_bin_probs(probs, grid)
+    assert curves.at(1.5)[0] == pytest.approx(0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +273,12 @@ def small_params(seed=0, mode="both"):
 def test_predict_risk_is_a_distribution():
     params = small_params()
     rng = np.random.default_rng(1)
-    est = predict_risk(params, rng.standard_normal((3, 4)))
-    assert est.probs.shape == (7,)
-    assert est.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(est.probs > 0)
+    probs = predict_risk_batch(params, rng.standard_normal((1, 3, 4)))
+    assert probs.shape == (1, 7)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(probs > 0)
     with pytest.raises(ContractError):
-        predict_risk(params, rng.standard_normal((2, 4)))
+        predict_risk_batch(params, rng.standard_normal((1, 2, 4)))
 
 
 def test_predict_batch_matches_single():
@@ -319,7 +287,7 @@ def test_predict_batch_matches_single():
     x = rng.standard_normal((5, 3, 4))
     batch = predict_risk_batch(params, x)
     for i in range(5):
-        assert np.allclose(batch[i], predict_risk(params, x[i]).probs, atol=1e-12)
+        assert np.allclose(batch[i], predict_risk_batch(params, x[i : i + 1])[0], atol=1e-12)
 
 
 def test_forward_graph_modes():

@@ -12,7 +12,6 @@ from dysurv.nn import (
     init_dense,
     init_lstm,
     lstm_forward,
-    lstm_sequence,
 )
 
 
@@ -92,18 +91,6 @@ def test_single_step_keeps_forget_gate_out_of_the_graph():
     for name in ("enc.w_xf", "enc.w_hf", "enc.b_f"):
         assert np.array_equal(grads[name], np.zeros_like(grads[name]))
     assert finite_difference_check(build, cell.parameters()) < 1e-5
-
-
-def test_lstm_sequence_wraps_single_subject():
-    rng = np.random.default_rng(7)
-    cell = init_lstm(rng, 3, 4, "enc")
-    x = rng.standard_normal((5, 3))
-    tape = Tape()
-    h_seq = lstm_sequence(tape, cell, x)
-    tape2 = Tape()
-    h_steps = lstm_forward(tape2, cell, [x[j : j + 1] for j in range(5)])
-    assert h_seq.value.shape == (1, 4)
-    assert np.allclose(h_seq.value, h_steps.value, atol=1e-12)
 
 
 def test_lstm_step_shape_errors():

@@ -2,6 +2,8 @@
 and the checkpoint format."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from dysurv.training import (
     AdamState,
     GridSearchSpace,
     TrainConfig,
-    _clip_gradients,
     adam_step,
     fit,
     gradient_check,
@@ -75,16 +76,6 @@ def test_adam_rejects_non_finite_gradients():
     state = AdamState.init([p])
     with pytest.raises(NumericalError):
         adam_step(state, [p], {"w": np.array([np.nan])}, lr=0.1)
-
-
-def test_clip_gradients():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}  # norm 5
-    clipped = _clip_gradients(grads, 1.0)
-    norm = np.sqrt(sum(float((g**2).sum()) for g in clipped.values()))
-    assert norm == pytest.approx(1.0, rel=1e-12)
-    assert clipped["a"][0] == pytest.approx(0.6)
-    untouched = _clip_gradients(grads, 10.0)
-    assert untouched is grads
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +168,14 @@ def test_history_csv_layout(prepared, tmp_path):
     path = tmp_path / "history.csv"
     history.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,train_l1,train_l2,train_total,val_total"
+    assert lines[0] == "epoch,train_l1,train_l2,train_total,val_l1,val_l2,val_total"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[3]) == history.train_total[0]
+    assert float(first[4]) == history.val_l1[0]
+    assert float(first[5]) == history.val_l2[0]
+    assert float(first[6]) == history.val_total[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +280,7 @@ def test_checkpoint_round_trip(prepared, trained, tmp_path):
     path = tmp_path / "model.bin"
     cfg = quick_config(max_epochs=2)
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid,
-                    model_config=TINY_MODEL, train_config=cfg,
-                    transform=prepared.transform)
+                    train_config=cfg, transform=prepared.transform)
     ckpt = load_checkpoint(path, expected_schema=prepared.schema)
     before = predict_risk_batch(trained, prepared.test.x)
     after = predict_risk_batch(ckpt.params, prepared.test.x)
@@ -295,6 +288,7 @@ def test_checkpoint_round_trip(prepared, trained, tmp_path):
     assert ckpt.grid.n_bins == prepared.grid.n_bins
     assert ckpt.grid.t_max == prepared.grid.t_max
     assert ckpt.model_config == TINY_MODEL
+    assert set(ckpt.header["dims"]) == {"d_in", "seq_len", "n_bins"}
     assert ckpt.train_config == cfg
     assert ckpt.transform is not None
     vals = ckpt.transform.transform_values("x0", np.array([0.0, 1.0]))
@@ -303,8 +297,7 @@ def test_checkpoint_round_trip(prepared, trained, tmp_path):
 
 def test_checkpoint_error_contracts(prepared, trained, tmp_path):
     path = tmp_path / "model.bin"
-    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid,
-                    model_config=TINY_MODEL)
+    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
     with pytest.raises(NoCheckpointError):
         load_checkpoint(tmp_path / "missing.bin")
 
@@ -326,3 +319,32 @@ def test_checkpoint_error_contracts(prepared, trained, tmp_path):
     other = generate_synthetic(50, 2, 0.3, seed=1).schema
     with pytest.raises(CheckpointIncompatibleError):
         load_checkpoint(path, expected_schema=other)
+
+
+def test_checkpoint_rebuilds_the_stored_architecture(prepared, tmp_path):
+    config = dataclasses.replace(TINY_MODEL, z_dim=2, condition_mode="labels")
+    params = init_dysurv_params(np.random.default_rng(3), prepared.train.d_in,
+                                prepared.train.seq_len, prepared.grid.n_bins, config)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params, schema=prepared.schema, grid=prepared.grid)
+    ckpt = load_checkpoint(path)
+    assert ckpt.params.config == config
+    assert ckpt.params.cond_dim == 2
+    assert np.array_equal(predict_risk_batch(params, prepared.test.x),
+                          predict_risk_batch(ckpt.params, prepared.test.x))
+
+
+def test_checkpoint_refuses_version_one_header(prepared, trained, tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    header["version"] = 1
+    header["dims"].update(z_dim=TINY_MODEL.z_dim, condition_mode=TINY_MODEL.condition_mode)
+    new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+    old = tmp_path / "v1.bin"
+    old.write_bytes(blob[:8] + struct.pack("<Q", len(new_header)) + new_header
+                    + blob[16 + header_len :])
+    with pytest.raises(CheckpointIncompatibleError, match="version 1"):
+        load_checkpoint(old)
