@@ -305,7 +305,7 @@ def cmd_importance(args) -> int:
         predictor.curves(test_ds), test_ds.durations(), test_ds.events()
     )
     ranking = permutation_importance(
-        predictor.curves, test_ds, n_repeats=args.n_repeats, seed=args.seed
+        predictor.curves, test_ds, n_repeats=args.n_repeats, seed=args.seed, baseline=baseline
     )
     payload = {
         "baseline_c_td": baseline,

@@ -457,18 +457,25 @@ def _permute_feature(
 
 
 def permutation_importance(
-    predict, ds: SurvivalDataset, n_repeats: int = 5, seed: int = 0
+    predict,
+    ds: SurvivalDataset,
+    n_repeats: int = 5,
+    seed: int = 0,
+    baseline: float | None = None,
 ) -> list[tuple[str, float]]:
     """Concordance drop when one feature is shuffled across subjects.
 
     ``predict`` maps a SurvivalDataset to SurvivalCurves. Time-varying
-    features are shuffled as whole per-subject trajectories. Returns
-    (feature, mean drop) pairs sorted by decreasing importance.
+    features are shuffled as whole per-subject trajectories. ``baseline``
+    is the concordance on the unshuffled ``ds``; a caller that already
+    has it passes it in and saves one prediction. Returns (feature, mean
+    drop) pairs sorted by decreasing importance.
     """
     if n_repeats < 1:
         raise DomainError(f"n_repeats must be >= 1, got {n_repeats}")
     durations, events = ds.durations(), ds.events()
-    baseline = concordance_td(predict(ds), durations, events)
+    if baseline is None:
+        baseline = concordance_td(predict(ds), durations, events)
     rng = np.random.default_rng(seed)
     results = []
     for feature in ds.schema.feature_names():

@@ -48,7 +48,7 @@ from .model import (
 Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"DYSURV1\x00"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 EVAL_CHUNK = 1024
 
 

@@ -1,14 +1,17 @@
 """Slow brute-force metric implementations used as oracles by the metric
-tests and the acceptance gate, and numpy references for the tape losses.
-Kept deliberately naive: different formulation, same definition as the
-fast paths."""
+tests and the acceptance gate, numpy references for the tape losses, and
+the per-gate tape composition of the LSTM that the fused primitive
+replaces. Kept deliberately naive: different formulation, same definition
+as the fast paths."""
 
 import numpy as np
 
+from dysurv.autodiff import Param
 from dysurv.data import TimeGrid
 from dysurv.errors import ContractError, DomainError, NumericalError
 from dysurv.metrics import SurvivalCurves
 from dysurv.model import PROB_FLOOR
+from dysurv.nn import glorot_uniform
 
 
 def naive_km_value(durations, events, t, strict=False):
@@ -159,3 +162,77 @@ def loss_vae(x, x_recon, mu, sigma) -> float:
     mse = ((x - x_recon) ** 2).reshape(n, -1).mean(axis=1)
     kl = 0.5 * (mu**2 + sigma**2 - 1.0 - np.log(sigma**2)).sum(axis=1)
     return float((mse + kl).sum())
+
+
+# ---------------------------------------------------------------------------
+# LSTM as a composition of per-gate tape ops
+# ---------------------------------------------------------------------------
+
+LSTM_GATES = ("i", "f", "o", "g")
+
+
+def init_lstm_reference(rng, d_in, hidden, name):
+    """Twelve per-gate Params, drawn in the order the per-gate encoder drew
+    them: w_x then w_h for each gate i, f, o, g; biases zero except b_f."""
+
+    def w(tag, rows):
+        return Param(f"{name}.{tag}", glorot_uniform(rng, d_in + hidden, hidden, (rows, hidden)))
+
+    def b(tag, value):
+        return Param(f"{name}.{tag}", np.full(hidden, value))
+
+    return {
+        "w_xi": w("w_xi", d_in), "w_hi": w("w_hi", hidden), "b_i": b("b_i", 0.0),
+        "w_xf": w("w_xf", d_in), "w_hf": w("w_hf", hidden), "b_f": b("b_f", 1.0),
+        "w_xo": w("w_xo", d_in), "w_ho": w("w_ho", hidden), "b_o": b("b_o", 0.0),
+        "w_xg": w("w_xg", d_in), "w_hg": w("w_hg", hidden), "b_g": b("b_g", 0.0),
+    }
+
+
+def split_lstm_cell(cell, name="enc"):
+    """Per-gate copies of a stacked cell's weights, keyed like
+    ``init_lstm_reference``."""
+    h = cell.hidden
+    gates = {}
+    for k, gate in enumerate(LSTM_GATES):
+        cols = slice(k * h, (k + 1) * h)
+        gates[f"w_x{gate}"] = Param(f"{name}.w_x{gate}", cell.w_x.value[:, cols].copy())
+        gates[f"w_h{gate}"] = Param(f"{name}.w_h{gate}", cell.w_h.value[:, cols].copy())
+        gates[f"b_{gate}"] = Param(f"{name}.b_{gate}", cell.b.value[cols].copy())
+    return gates
+
+
+def stack_lstm_grads(grads, name="enc"):
+    """Per-gate gradients of ``lstm_forward_reference`` laid out like the
+    stacked (w_x, w_h, b)."""
+    return tuple(
+        np.concatenate([grads[f"{name}.{prefix}{gate}"] for gate in LSTM_GATES], axis=-1)
+        for prefix in ("w_x", "w_h", "b_")
+    )
+
+
+def _gate(tape, x, h, w_x, w_h, b):
+    z = tape.add(tape.matmul(x, tape.param(w_x)), tape.param(b))
+    if h is not None:
+        z = tape.add(z, tape.matmul(h, tape.param(w_h)))
+    return z
+
+
+def lstm_forward_reference(tape, gates, steps):
+    """The encoder as one tape node per matmul, add, activation and
+    product; h and c start at zero, so the first step has no forget gate."""
+    h = None
+    c = None
+    for x_step in steps:
+        x = tape.leaf(x_step)
+        i = tape.sigmoid(_gate(tape, x, h, gates["w_xi"], gates["w_hi"], gates["b_i"]))
+        o = tape.sigmoid(_gate(tape, x, h, gates["w_xo"], gates["w_ho"], gates["b_o"]))
+        g = tape.tanh(_gate(tape, x, h, gates["w_xg"], gates["w_hg"], gates["b_g"]))
+        gain = tape.mul(i, g)
+        if c is None:
+            c = gain
+        else:
+            f = tape.sigmoid(_gate(tape, x, h, gates["w_xf"], gates["w_hf"], gates["b_f"]))
+            c = tape.add(tape.mul(f, c), gain)
+        h = tape.mul(o, tape.tanh(c))
+    return h

@@ -40,6 +40,16 @@ def test_sigmoid_and_softmax_fixed_points():
     assert np.all(np.isfinite(tape.sigmoid(np.array([[1e4, -1e4]])).value))
 
 
+def test_sigmoid_matches_the_three_exp_formula_bit_for_bit():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 16001), [0.0, -0.0, 1e-300, -1e-300]])
+    x = x.reshape(1, -1)
+    e = lambda: np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0 / (1.0 + e()), e() / (1.0 + e()))
+    got = Tape().sigmoid(x).value
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _fd(build, params, eps=1e-5):
     return finite_difference_check(build, params, eps=eps)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dysurv.cli import main
+from dysurv.pipeline import Predictor
 
 SYNTH = "200,3,0.3"
 FAST = ["--hidden", "6", "--z-dim", "4", "--max-epochs", "3", "--n-bins", "6"]
@@ -120,6 +121,21 @@ def test_importance_command(trained_dir, tmp_path):
     assert sorted(names) == ["x0", "x1", "x2"]
     drops = [row["mean_c_td_drop"] for row in payload["ranking"]]
     assert drops == sorted(drops, reverse=True)
+
+
+def test_importance_predicts_the_unpermuted_split_once(trained_dir, tmp_path, monkeypatch):
+    calls = []
+    curves = Predictor.curves
+
+    def counted(self, ds):
+        calls.append(len(ds))
+        return curves(self, ds)
+
+    monkeypatch.setattr(Predictor, "curves", counted)
+    assert run("importance", "--synth", SYNTH, "--out", str(tmp_path),
+               "--checkpoint", str(trained_dir / "checkpoint.bin"),
+               "--n-repeats", "2") == 0
+    assert len(calls) == 1 + 3 * 2
 
 
 def test_gradcheck_command(tmp_path, capsys):

@@ -323,3 +323,21 @@ def test_permutation_importance_deterministic():
     a = permutation_importance(predict, ds, n_repeats=1, seed=42)
     b = permutation_importance(predict, ds, n_repeats=1, seed=42)
     assert a == b
+
+
+def test_permutation_importance_reuses_a_given_baseline():
+    ds = generate_synthetic(120, 3, 0.3, seed=12)
+    predict = truth_predictor(ds.truth.weights, float(ds.durations().max()))
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return predict(d)
+
+    computed = permutation_importance(counted, ds, n_repeats=2, seed=5)
+    assert len(calls) == 1 + 3 * 2
+    baseline = concordance_td(predict(ds), ds.durations(), ds.events())
+    calls.clear()
+    given = permutation_importance(counted, ds, n_repeats=2, seed=5, baseline=baseline)
+    assert len(calls) == 3 * 2
+    assert given == computed

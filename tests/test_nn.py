@@ -4,8 +4,8 @@ values on frozen inputs, and gradient agreement through time."""
 import numpy as np
 import pytest
 
-from dysurv.autodiff import Param, Tape, finite_difference_check
-from dysurv.errors import ContractError
+from dysurv.autodiff import Tape, finite_difference_check
+from dysurv.errors import ContractError, NumericalError
 from dysurv.nn import (
     dense_forward,
     glorot_uniform,
@@ -13,6 +13,18 @@ from dysurv.nn import (
     init_lstm,
     lstm_forward,
 )
+from oracles import (
+    LSTM_GATES,
+    init_lstm_reference,
+    lstm_forward_reference,
+    split_lstm_cell,
+    stack_lstm_grads,
+)
+
+
+def gate_block(hidden, gate):
+    k = LSTM_GATES.index(gate)
+    return slice(k * hidden, (k + 1) * hidden)
 
 
 def test_glorot_bounds_and_determinism():
@@ -35,9 +47,45 @@ def test_dense_init_shapes_and_zero_bias():
 
 def test_lstm_forget_bias_is_one_and_others_zero():
     cell = init_lstm(np.random.default_rng(2), 3, 5, "enc")
-    assert np.array_equal(cell.b_f.value, np.ones(5))
-    for b in (cell.b_i.value, cell.b_o.value, cell.b_g.value):
-        assert np.array_equal(b, np.zeros(5))
+    assert cell.b.value.shape == (20,)
+    for gate in LSTM_GATES:
+        want = np.ones(5) if gate == "f" else np.zeros(5)
+        assert np.array_equal(cell.b.value[gate_block(5, gate)], want)
+
+
+def test_init_lstm_stacks_the_per_gate_draws():
+    cell = init_lstm(np.random.default_rng(7), 3, 5, "enc")
+    ref = init_lstm_reference(np.random.default_rng(7), 3, 5, "enc")
+    assert [p.name for p in cell.parameters()] == ["enc.w_x", "enc.w_h", "enc.b"]
+    for gate in LSTM_GATES:
+        cols = gate_block(5, gate)
+        assert np.array_equal(cell.w_x.value[:, cols], ref[f"w_x{gate}"].value)
+        assert np.array_equal(cell.w_h.value[:, cols], ref[f"w_h{gate}"].value)
+        assert np.array_equal(cell.b.value[cols], ref[f"b_{gate}"].value)
+
+
+@pytest.mark.parametrize("batch,n_steps,d_in,hidden", [(1, 1, 3, 4), (4, 3, 2, 3), (128, 12, 8, 24)])
+def test_fused_lstm_matches_per_gate_reference(batch, n_steps, d_in, hidden):
+    rng = np.random.default_rng(batch + n_steps + d_in + hidden)
+    cell = init_lstm(rng, d_in, hidden, "enc")
+    cell.b.value = cell.b.value + 0.1 * rng.standard_normal(cell.b.value.shape)
+    steps = [rng.standard_normal((batch, d_in)) for _ in range(n_steps)]
+    weights = rng.standard_normal((batch, hidden))
+    gates = split_lstm_cell(cell)
+
+    tape = Tape()
+    h = lstm_forward(tape, cell, steps)
+    grads = tape.backward(tape.sum(tape.mul(h, weights)), cell.parameters())
+    ref_tape = Tape()
+    ref_h = lstm_forward_reference(ref_tape, gates, steps)
+    ref_grads = stack_lstm_grads(
+        ref_tape.backward(ref_tape.sum(ref_tape.mul(ref_h, weights)), list(gates.values()))
+    )
+
+    assert np.array_equal(h.value, ref_h.value)
+    for p, ref in zip(cell.parameters(), ref_grads, strict=True):
+        rel = np.max(np.abs(grads[p.name] - ref)) / max(1e-300, np.max(np.abs(ref)))
+        assert rel <= 1e-12, p.name
 
 
 def test_zeroed_lstm_produces_zero_hidden_state():
@@ -88,8 +136,10 @@ def test_single_step_keeps_forget_gate_out_of_the_graph():
 
     tape, loss = build()
     grads = tape.backward(loss, cell.parameters())
-    for name in ("enc.w_xf", "enc.w_hf", "enc.b_f"):
-        assert np.array_equal(grads[name], np.zeros_like(grads[name]))
+    forget = gate_block(3, "f")
+    for name in ("enc.w_x", "enc.w_h", "enc.b"):
+        block = grads[name][..., forget]
+        assert np.array_equal(block, np.zeros_like(block))
     assert finite_difference_check(build, cell.parameters()) < 1e-5
 
 
@@ -100,3 +150,18 @@ def test_lstm_step_shape_errors():
         lstm_forward(tape, cell, [])
     with pytest.raises(ContractError):
         lstm_forward(tape, cell, [np.ones((2, 5))])
+
+
+def test_lstm_non_finite_step_input_raises():
+    cell = init_lstm(np.random.default_rng(9), 3, 4, "enc")
+    x = np.ones((2, 3))
+    x[1, 2] = np.nan
+    with pytest.raises(NumericalError, match="lstm"):
+        lstm_forward(Tape(), cell, [np.ones((2, 3)), x])
+
+
+def test_lstm_pre_activation_overflow_raises():
+    cell = init_lstm(np.random.default_rng(10), 3, 4, "enc")
+    cell.w_x.value = np.full_like(cell.w_x.value, 1e308)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'lstm'"):
+        lstm_forward(Tape(), cell, [np.full((2, 3), 10.0)])

@@ -348,3 +348,25 @@ def test_checkpoint_refuses_version_one_header(prepared, trained, tmp_path):
                     + blob[16 + header_len :])
     with pytest.raises(CheckpointIncompatibleError, match="version 1"):
         load_checkpoint(old)
+
+
+def test_checkpoint_refuses_version_two_header(prepared, trained, tmp_path):
+    # version 2 stored the encoder as twelve per-gate arrays
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    header["version"] = 2
+    d_in, hidden = trained.d_in, trained.encoder.hidden
+    per_gate = [[f"enc.{prefix}{gate}", shape]
+                for gate in "ifog"
+                for prefix, shape in (("w_x", [d_in, hidden]), ("w_h", [hidden, hidden]),
+                                      ("b_", [hidden]))]
+    header["shapes"] = per_gate + [s for s in header["shapes"] if not s[0].startswith("enc.")]
+    new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+    old = tmp_path / "v2.bin"
+    old.write_bytes(blob[:8] + struct.pack("<Q", len(new_header)) + new_header
+                    + blob[16 + header_len :])
+    with pytest.raises(CheckpointIncompatibleError, match="version 2"):
+        load_checkpoint(old)
