@@ -15,7 +15,6 @@ from .data import (
     fit_quantile_transform,
     generate_synthetic,
     load_csv,
-    replicate_static,
     save_dataset_csv,
     split_dataset,
 )

@@ -4,8 +4,8 @@ Covers the whole path from CSV files to model-ready arrays: manifest-driven
 loading with one-hot encoding of categorical statics, a synthetic benchmark
 generator with known ground truth, stratified splitting, quantile
 normalization fitted on training data only, forward/backward filling of
-longitudinal gaps, replication padding of statics, and the discrete time
-grid shared by the model and the metrics.
+longitudinal gaps, and the discrete time grid shared by the model and the
+metrics.
 
 Datasets are described by a JSON manifest::
 
@@ -141,15 +141,6 @@ class SubjectRecord:
     @property
     def n_steps(self) -> int:
         return self.series.shape[0]
-
-    def last_observed_time(self) -> float | None:
-        """Latest timestamp with at least one observed measurement."""
-        if self.series_times is None:
-            return None
-        rows = self.series_mask.any(axis=1)
-        if not rows.any():
-            return None
-        return float(self.series_times[np.where(rows)[0][-1]])
 
 
 @dataclass
@@ -662,6 +653,17 @@ class QuantileTransform:
             return np.zeros_like(np.asarray(values, dtype=np.float64))
         return np.interp(values, refs, targets)
 
+    def apply(self, names: list[str], values: Array, mask: Array | None = None) -> None:
+        """Transform ``values`` in place, last-axis column k by the table of
+        ``names[k]``; with a mask only the observed cells change."""
+        for name in names:
+            if name not in self.tables:
+                raise SchemaError(f"quantile transform lacks a table for feature '{name}'")
+        for k, name in enumerate(names):
+            col = values[..., k]
+            obs = ... if mask is None else mask[..., k]
+            col[obs] = self.transform_values(name, col[obs])
+
     def canonical(self) -> dict:
         return {
             name: {"references": refs.tolist(), "targets": targets.tolist()}
@@ -709,52 +711,47 @@ def fit_quantile_transform(ds: SurvivalDataset) -> QuantileTransform:
 
 def apply_quantile_transform(qt: QuantileTransform, ds: SurvivalDataset) -> SurvivalDataset:
     """Return a transformed copy; inputs outside the fitted range clip to
-    the range endpoints (the targets saturate)."""
-    for name in ds.schema.numeric_static + ds.schema.time_varying:
-        if name not in qt.tables:
-            raise SchemaError(f"quantile transform lacks a table for feature '{name}'")
-    records = []
-    for r in ds.records:
-        statics = r.static_features.copy()
-        for j, name in enumerate(ds.schema.numeric_static):
-            statics[j] = qt.transform_values(name, statics[j])
-        series = r.series.copy()
-        for k, name in enumerate(ds.schema.time_varying):
-            obs = r.series_mask[:, k]
-            if obs.any():
-                series[obs, k] = qt.transform_values(name, series[obs, k])
-        records.append(replace(r, static_features=statics, series=series))
-    return SurvivalDataset(schema=ds.schema, records=records, truth=ds.truth)
+    the range endpoints (the targets saturate). Records may be ragged: the
+    series rows of all records are transformed as one block."""
+    if not ds.records:
+        return replace(ds, records=[])
+    schema = ds.schema
+    statics = np.stack([r.static_features for r in ds.records])
+    rows = np.concatenate([r.series for r in ds.records])
+    mask = np.concatenate([r.series_mask for r in ds.records])
+    qt.apply(schema.numeric_static, statics[:, : len(schema.numeric_static)])
+    qt.apply(schema.time_varying, rows, mask)
+    ends = np.cumsum([r.n_steps for r in ds.records])[:-1]
+    records = [
+        replace(r, static_features=s, series=x)
+        for r, s, x in zip(ds.records, statics, np.split(rows, ends))
+    ]
+    return SurvivalDataset(schema=schema, records=records, truth=ds.truth)
 
 
 # ---------------------------------------------------------------------------
-# missingness and padding
+# missingness
 # ---------------------------------------------------------------------------
+
+
+def fill_series(series: Array, mask: Array) -> Array:
+    """Fill the gaps of ``(..., J, M)`` series along the step axis into a
+    new array: forward fill each column, backfill a leading gap from the
+    first observation, and zero-fill columns with no observation (zero is
+    the standardized training mean after the quantile transform)."""
+    steps = np.arange(series.shape[-2])[:, None]
+    idx = np.where(mask, steps, -1)
+    np.maximum.accumulate(idx, axis=-2, out=idx)
+    first = np.argmax(mask, axis=-2)[..., None, :]
+    idx = np.where(idx < 0, first, idx)
+    filled = np.take_along_axis(series, idx, axis=-2)
+    return np.where(mask.any(axis=-2, keepdims=True), filled, 0.0)
 
 
 def fill_missing(record: SubjectRecord) -> SubjectRecord:
-    """Forward fill each series column, backfill a leading gap from the
-    first observation, and zero-fill columns with no observations at all
-    (zero is the standardized training mean after the quantile transform).
-    Idempotent; the result has a fully observed mask."""
-    j_steps, m = record.series.shape
-    if m == 0 or record.series_mask.all():
-        return replace(
-            record,
-            series=record.series.copy(),
-            series_mask=np.ones_like(record.series_mask),
-        )
-    series = record.series.copy()
-    for k in range(m):
-        obs = record.series_mask[:, k]
-        if not obs.any():
-            series[:, k] = 0.0
-            continue
-        idx = np.where(obs, np.arange(j_steps), -1)
-        np.maximum.accumulate(idx, out=idx)
-        first = np.where(obs)[0][0]
-        idx[idx < 0] = first
-        series[:, k] = series[idx, k]
+    """``fill_series`` on one record. Idempotent; the result has a fully
+    observed mask."""
+    series = fill_series(record.series, record.series_mask)
     return replace(record, series=series, series_mask=np.ones_like(record.series_mask))
 
 
@@ -762,11 +759,3 @@ def fill_dataset(ds: SurvivalDataset) -> SurvivalDataset:
     return SurvivalDataset(
         schema=ds.schema, records=[fill_missing(r) for r in ds.records], truth=ds.truth
     )
-
-
-def replicate_static(record: SubjectRecord) -> Array:
-    """Expand statics into the series by replication padding: every row of
-    the result is [static block | series row], shape (J, S + M)."""
-    j_steps = record.n_steps
-    tiled = np.tile(record.static_features, (j_steps, 1))
-    return np.concatenate([tiled, record.series], axis=1)

@@ -411,30 +411,19 @@ def _permute_feature(
     schema = ds.schema
     n = len(ds)
     records = list(ds.records)
-    if feature in schema.numeric_static:
-        col = schema.numeric_static.index(feature)
-        perm = rng.permutation(n)
-        new_records = []
-        for i, r in enumerate(records):
-            statics = r.static_features.copy()
-            statics[col] = records[perm[i]].static_features[col]
-            new_records.append(dc_replace(r, static_features=statics))
-        return SurvivalDataset(schema=schema, records=new_records)
-    if feature in schema.categorical_static:
-        offset = len(schema.numeric_static)
-        for name, cats in schema.categorical_static.items():
-            if name == feature:
-                width = len(cats)
-                break
-            offset += len(cats)
-        perm = rng.permutation(n)
-        new_records = []
-        for i, r in enumerate(records):
-            statics = r.static_features.copy()
-            donor = records[perm[i]].static_features
-            statics[offset : offset + width] = donor[offset : offset + width]
-            new_records.append(dc_replace(r, static_features=statics))
-        return SurvivalDataset(schema=schema, records=new_records)
+    blocks = [(name, 1) for name in schema.numeric_static]
+    blocks += [(name, len(cats)) for name, cats in schema.categorical_static.items()]
+    offset = 0
+    for name, width in blocks:
+        if name == feature:
+            statics = np.stack([r.static_features for r in records])
+            cols = slice(offset, offset + width)
+            statics[:, cols] = statics[rng.permutation(n), cols]
+            return SurvivalDataset(
+                schema=schema,
+                records=[dc_replace(r, static_features=s) for r, s in zip(records, statics)],
+            )
+        offset += width
     if feature in schema.time_varying:
         col = schema.time_varying.index(feature)
         # whole trajectories swap only between subjects with equal length

@@ -1,6 +1,10 @@
 """Glue between datasets and the model: split preparation, array
 stacking, and a checkpoint-backed predictor.
 
+A dataset is stacked once; the quantile transform, gap filling and static
+replication run on the whole stack. Every row of the inputs
+``(n, J, S + M)`` is [static block | series row].
+
 The observation-window bin for the likelihood's conditioning term comes
 from the latest observed series timestamp, clamped below the event bin
 (-1 when nothing was observed, which the loss reads as an empty window).
@@ -17,23 +21,44 @@ from .data import (
     QuantileTransform,
     SurvivalDataset,
     TimeGrid,
-    apply_quantile_transform,
     build_time_grid,
     discretize,
-    fill_dataset,
+    fill_series,
     fit_quantile_transform,
-    replicate_static,
     split_dataset,
 )
 from .errors import CheckpointIncompatibleError, ContractError
 from .metrics import SurvivalCurves
 from .model import DySurvParams, condition_matrix, predict_risk_batch
-from .training import Checkpoint, SplitArrays
+from .training import EVAL_CHUNK, Checkpoint, SplitArrays
 
 Array = np.ndarray
 
 DEFAULT_BINS = 10
-PREDICT_CHUNK = 8192
+
+
+def _stacked_inputs(ds: SurvivalDataset, transform: QuantileTransform) -> tuple[Array, Array]:
+    """Model inputs ``x (n, J, S + M)`` and the raw series mask ``(n, J, M)``.
+
+    All subjects must share a sequence length; resampling ragged series
+    into fixed windows is upstream preprocessing.
+    """
+    if not ds.records:
+        raise ContractError("dataset is empty; there are no subjects to stack")
+    lengths = {r.n_steps for r in ds.records}
+    if len(lengths) != 1:
+        raise ContractError(
+            f"subjects have mixed sequence lengths {sorted(lengths)}; batching "
+            "needs one shared length per dataset"
+        )
+    statics = np.stack([r.static_features for r in ds.records])
+    series = np.stack([r.series for r in ds.records])
+    mask = np.stack([r.series_mask for r in ds.records])
+    transform.apply(ds.schema.numeric_static, statics[:, : len(ds.schema.numeric_static)])
+    transform.apply(ds.schema.time_varying, series, mask)
+    n, j_steps, _ = series.shape
+    tiled = np.broadcast_to(statics[:, None, :], (n, j_steps, statics.shape[1]))
+    return np.concatenate([tiled, fill_series(series, mask)], axis=2), mask
 
 
 def dataset_to_arrays(
@@ -42,32 +67,20 @@ def dataset_to_arrays(
     grid: TimeGrid,
     condition_mode: str = "both",
 ) -> tuple[SplitArrays, list[str]]:
-    """Transform, fill, and stack one dataset into batchable arrays.
-
-    All subjects must share a sequence length; resampling ragged series
-    into fixed windows is upstream preprocessing.
-    """
-    transformed = apply_quantile_transform(transform, ds)
-    durations = transformed.durations()
-    events = transformed.events()
+    """Transform, fill, and stack one dataset into batchable arrays."""
+    x, mask = _stacked_inputs(ds, transform)
+    durations = ds.durations()
+    events = ds.events()
     bins = discretize(grid, durations)
-    last_obs = np.full(len(ds), -1, dtype=np.int64)
-    for i, record in enumerate(transformed.records):
-        t_last = record.last_observed_time()
-        if t_last is None:
-            continue
-        window = discretize(grid, max(t_last, 0.0))
-        cap = bins[i] - 1 if events[i] == 1 else bins[i]
-        last_obs[i] = min(window, cap)
-    filled = fill_dataset(transformed)
-    mats = [replicate_static(r) for r in filled.records]
-    lengths = {m.shape[0] for m in mats}
-    if len(lengths) != 1:
-        raise ContractError(
-            f"subjects have mixed sequence lengths {sorted(lengths)}; batching "
-            "needs one shared length per dataset"
-        )
-    x = np.stack(mats)
+    # last observed visit per subject; untimed records have no window
+    times = [r.series_times for r in ds.records]
+    seen = mask.any(axis=2) & np.array([t is not None for t in times])[:, None]
+    times = np.stack([np.zeros(seen.shape[1]) if t is None else t for t in times])
+    last = seen.shape[1] - 1 - np.argmax(seen[:, ::-1], axis=1)
+    t_last = times[np.arange(len(ds)), last]
+    window = discretize(grid, np.maximum(t_last, 0.0))
+    cap = np.where(events == 1, bins - 1, bins)
+    last_obs = np.where(seen.any(axis=1), np.minimum(window, cap), -1)
     cond = condition_matrix(events, bins, grid.n_bins, condition_mode)
     arrays = SplitArrays(
         x=x, bins=bins, events=events, last_obs=last_obs, cond=cond,
@@ -141,10 +154,10 @@ class Predictor:
             raise CheckpointIncompatibleError(
                 "dataset schema does not match the schema this model was trained on"
             )
-        arrays, _ = dataset_to_arrays(ds, self.transform, self.grid)
+        x = _stacked_inputs(ds, self.transform)[0]
         chunks = [
-            predict_risk_batch(self.params, arrays.x[s : s + PREDICT_CHUNK])
-            for s in range(0, len(arrays), PREDICT_CHUNK)
+            predict_risk_batch(self.params, x[s : s + EVAL_CHUNK])
+            for s in range(0, len(x), EVAL_CHUNK)
         ]
         return np.concatenate(chunks, axis=0)
 

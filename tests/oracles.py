@@ -1,17 +1,19 @@
 """Slow brute-force metric implementations used as oracles by the metric
-tests and the acceptance gate, numpy references for the tape losses, and
-the per-gate tape composition of the LSTM that the fused primitive
-replaces. Kept deliberately naive: different formulation, same definition
-as the fast paths."""
+tests and the acceptance gate, numpy references for the tape losses, the
+per-gate tape composition of the LSTM that the fused primitive replaces,
+and the record-by-record data preparation that the stacked one replaces.
+Kept deliberately naive: different formulation, same definition as the
+fast paths."""
 
 import numpy as np
 
 from dysurv.autodiff import Param
-from dysurv.data import TimeGrid
+from dysurv.data import TimeGrid, discretize
 from dysurv.errors import ContractError, DomainError, NumericalError
 from dysurv.metrics import SurvivalCurves
-from dysurv.model import PROB_FLOOR
+from dysurv.model import PROB_FLOOR, condition_matrix
 from dysurv.nn import glorot_uniform
+from dysurv.training import SplitArrays
 
 
 def naive_km_value(durations, events, t, strict=False):
@@ -236,3 +238,70 @@ def lstm_forward_reference(tape, gates, steps):
             c = tape.add(tape.mul(f, c), gain)
         h = tape.mul(o, tape.tanh(c))
     return h
+
+
+# ---------------------------------------------------------------------------
+# data preparation one record at a time
+# ---------------------------------------------------------------------------
+
+
+def _transform_record(qt, schema, record):
+    """Quantile-transform one record: one interp per numeric static value,
+    one per observed cell column."""
+    statics = record.static_features.copy()
+    for j, name in enumerate(schema.numeric_static):
+        statics[j] = qt.transform_values(name, statics[j])
+    series = record.series.copy()
+    for k, name in enumerate(schema.time_varying):
+        obs = record.series_mask[:, k]
+        if obs.any():
+            series[obs, k] = qt.transform_values(name, series[obs, k])
+    return statics, series
+
+
+def _fill_record(series, mask):
+    """Per column: forward fill, backfill a leading gap from the first
+    observation, zero-fill a column with no observations."""
+    series = series.copy()
+    for k in range(series.shape[1]):
+        obs = np.where(mask[:, k])[0]
+        if obs.size == 0:
+            series[:, k] = 0.0
+            continue
+        for j in range(series.shape[0]):
+            before = obs[obs <= j]
+            series[j, k] = series[before[-1] if before.size else obs[0], k]
+    return series
+
+
+def _last_observed_time(record):
+    """Latest timestamp with at least one observed cell, or None."""
+    if record.series_times is None:
+        return None
+    rows = np.where(record.series_mask.any(axis=1))[0]
+    if rows.size == 0:
+        return None
+    return float(record.series_times[rows[-1]])
+
+
+def dataset_to_arrays_reference(ds, qt, grid, condition_mode="both"):
+    """Transform, fill and replicate each record on its own, then stack."""
+    events = ds.events()
+    bins = discretize(grid, ds.durations())
+    last_obs = np.full(len(ds), -1, dtype=np.int64)
+    mats = []
+    for i, record in enumerate(ds.records):
+        t_last = _last_observed_time(record)
+        if t_last is not None:
+            window = discretize(grid, max(t_last, 0.0))
+            cap = bins[i] - 1 if events[i] == 1 else bins[i]
+            last_obs[i] = min(window, cap)
+        statics, series = _transform_record(qt, ds.schema, record)
+        filled = _fill_record(series, record.series_mask)
+        tiled = np.tile(statics, (record.n_steps, 1))
+        mats.append(np.concatenate([tiled, filled], axis=1))
+    return SplitArrays(
+        x=np.stack(mats), bins=bins, events=events, last_obs=last_obs,
+        cond=condition_matrix(events, bins, grid.n_bins, condition_mode),
+        durations=ds.durations(), n_bins=grid.n_bins,
+    )

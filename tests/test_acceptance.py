@@ -200,6 +200,7 @@ def heavy():
     )
 
 
+@pytest.mark.heavy
 def test_c4_synthetic_recovery(heavy):
     ok = (
         not heavy.report.incomplete
@@ -220,6 +221,7 @@ def test_c4_synthetic_recovery(heavy):
     )
 
 
+@pytest.mark.heavy
 def test_c5_ablation_direction(heavy):
     tuned_nll = heavy.report.mean_val_nll
     baseline_nll = heavy.baseline.mean_val_nll

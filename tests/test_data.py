@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dysurv.data import (
     FeatureSchema,
+    QuantileTransform,
     SubjectRecord,
     SurvivalDataset,
     TimeGrid,
@@ -20,11 +21,11 @@ from dysurv.data import (
     fit_quantile_transform,
     generate_synthetic,
     load_csv,
-    replicate_static,
     save_dataset_csv,
     split_dataset,
 )
 from dysurv.errors import DomainError, ParseError, ReferentialError, SchemaError
+from dysurv.pipeline import dataset_to_arrays
 
 
 def write(path, text):
@@ -233,6 +234,19 @@ def test_constant_feature_maps_to_zero():
     assert np.array_equal(qt.transform_values("x", np.array([4.2, -3.0, 99.0])), np.zeros(3))
 
 
+def test_quantile_apply_changes_observed_cells_in_place():
+    qt = fit_quantile_transform(generate_synthetic(200, 2, 0.3, seed=4))
+    values = np.array([[[0.5, -1.0], [2.0, 0.1]]])
+    mask = np.array([[[True, False], [False, True]]])
+    expect = values.copy()
+    expect[0, 0, 0] = qt.transform_values("x0", 0.5)
+    expect[0, 1, 1] = qt.transform_values("x1", 0.1)
+    qt.apply(["x0", "x1"], values, mask)
+    assert np.array_equal(values, expect)
+    with pytest.raises(SchemaError, match="lacks a table for feature 'nope'"):
+        qt.apply(["x0", "nope"], values)
+
+
 def record_with_series(series, mask, times=None):
     series = np.asarray(series, dtype=np.float64)
     return SubjectRecord(
@@ -268,18 +282,45 @@ def test_fill_missing_idempotent_and_preserves_observed(seed):
     assert np.array_equal(once.series[mask], series[mask])
 
 
+def identity_transform(names):
+    ends = np.array([-1e3, 1e3])
+    return QuantileTransform({name: (ends, ends) for name in names})
+
+
 def test_replicate_static_layout():
+    schema = FeatureSchema(["a", "b"], {}, ["x"], "duration", "event")
     r = SubjectRecord(
         "r", [1.0, 2.0], [[10.0], [20.0], [30.0]],
         np.ones((3, 1), dtype=bool), 5.0, 1,
     )
-    out = replicate_static(r)
+    grid = TimeGrid(n_bins=10, t_max=10.0)
+    arrays, _ = dataset_to_arrays(SurvivalDataset(schema, [r]),
+                                  identity_transform(["a", "b", "x"]), grid)
+    out = arrays.x[0]
     assert out.shape == (3, 3)
     assert np.array_equal(out[:, :2], np.tile([1.0, 2.0], (3, 1)))
     assert np.array_equal(out[:, 2], [10.0, 20.0, 30.0])
-    single = replicate_static(SubjectRecord(
-        "s", [1.0], np.zeros((1, 0)), np.zeros((1, 0), dtype=bool), 1.0, 0))
-    assert single.shape == (1, 1)
+    single = SubjectRecord(
+        "s", [1.0], np.zeros((1, 0)), np.zeros((1, 0), dtype=bool), 1.0, 0)
+    arrays, _ = dataset_to_arrays(
+        SurvivalDataset(FeatureSchema(["a"], {}, [], "duration", "event"), [single]),
+        identity_transform(["a"]), grid)
+    assert arrays.x.shape == (1, 1, 1)
+
+
+def test_last_observed_time():
+    schema = FeatureSchema(["s"], {}, ["x"], "duration", "event")
+    times = np.array([0.0, 4.0, 9.0])
+    grid = TimeGrid(n_bins=10, t_max=10.0)
+    r = SubjectRecord("r", [0.0], [[1.0], [2.0], [3.0]], [[True], [True], [False]],
+                      9.5, 0, series_times=times)
+    r2 = SubjectRecord("r2", [0.0], [[1.0]] * 3, [[False]] * 3,
+                       9.5, 0, series_times=times)
+    arrays, _ = dataset_to_arrays(SurvivalDataset(schema, [r, r2]),
+                                  identity_transform(["s", "x"]), grid)
+    # the window ends at the visit at t = 4, not at the unobserved one at t = 9
+    assert arrays.bins.tolist() == [9, 9]
+    assert arrays.last_obs.tolist() == [discretize(grid, 4.0), -1]
 
 
 def test_time_grid_and_discretize_contracts():
@@ -311,10 +352,3 @@ def test_discretize_surjective_when_durations_span_grid():
     bins = discretize(grid, np.linspace(0.0, 10.0, 200))
     assert set(bins.tolist()) == set(range(10))
 
-
-def test_last_observed_time():
-    r = record_with_series([[1.0], [2.0], [3.0]],
-                           [[True], [True], [False]], times=np.array([0.0, 4.0, 9.0]))
-    assert r.last_observed_time() == 4.0
-    r2 = record_with_series([[1.0]], [[False]], times=np.array([0.0]))
-    assert r2.last_observed_time() is None

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysurv.data import generate_synthetic
+from dysurv.data import FeatureSchema, SubjectRecord, SurvivalDataset, generate_synthetic
 from dysurv.errors import (
     ContractError,
     MetricUndefinedError,
@@ -27,6 +27,7 @@ from dysurv.metrics import (
     integrated_bll,
     integrated_brier,
     km_estimator,
+    _permute_feature,
     permutation_importance,
 )
 from oracles import naive_brier, naive_concordance, naive_km_value, random_instance
@@ -341,3 +342,30 @@ def test_permutation_importance_reuses_a_given_baseline():
     given = permutation_importance(counted, ds, n_repeats=2, seed=5, baseline=baseline)
     assert len(calls) == 3 * 2
     assert given == computed
+
+
+def test_permuting_a_static_moves_whole_blocks():
+    rng = np.random.default_rng(0)
+    schema = FeatureSchema(["age"], {"site": ["a", "b", "c"], "sex": ["f", "m"]},
+                           ["hr"], "duration", "event")
+    n = 30
+    records = [
+        SubjectRecord(
+            f"s{i}",
+            np.concatenate([[rng.normal()], np.eye(3)[rng.integers(3)], np.eye(2)[rng.integers(2)]]),
+            rng.standard_normal((2, 1)), np.ones((2, 1), dtype=bool), 1.0 + i, i % 2,
+        )
+        for i in range(n)
+    ]
+    ds = SurvivalDataset(schema, records)
+    before = np.stack([r.static_features for r in records])
+    perm = np.random.default_rng(7).permutation(n)
+    for feature, cols, rest in (("site", [1, 2, 3], [0, 4, 5]), ("age", [0], [1, 2, 3, 4, 5])):
+        out = _permute_feature(ds, feature, np.random.default_rng(7))
+        after = np.stack([r.static_features for r in out.records])
+        assert np.array_equal(after[:, cols], before[perm][:, cols])
+        assert np.array_equal(after[:, rest], before[:, rest])
+        assert np.all(after[:, 1:4].sum(axis=1) == 1) and np.all(after[:, 4:].sum(axis=1) == 1)
+        for r_in, r_out in zip(records, out.records):
+            assert r_out.id == r_in.id and r_out.series is r_in.series
+    assert np.array_equal(np.stack([r.static_features for r in records]), before)
