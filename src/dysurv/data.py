@@ -34,9 +34,9 @@ import json
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, ParseError, ReferentialError, SchemaError
 
@@ -165,6 +165,16 @@ class SurvivalDataset:
     records: list[SubjectRecord]
     truth: SyntheticTruth | None = None
 
+    def __post_init__(self):
+        n_static = len(self.schema.static_columns())
+        n_series = len(self.schema.time_varying)
+        for r in self.records:
+            if r.static_features.shape != (n_static,) or r.series.shape[1] != n_series:
+                raise SchemaError(
+                    f"record {r.id} has {r.static_features.size} static values and "
+                    f"{r.series.shape[1]} series columns; the schema has {n_static} and {n_series}"
+                )
+
     def __len__(self) -> int:
         return len(self.records)
 
@@ -282,8 +292,9 @@ def load_csv(manifest: str | Path | dict) -> SurvivalDataset:
     """Load a dataset described by a manifest (path or already-parsed dict).
 
     Categorical statics are one-hot encoded with categories discovered from
-    the file in sorted order. Subjects present in the static file but absent
-    from the series file get a single fully-missing series row.
+    the file in sorted order. Each distinct series time is a visit, even when
+    all its values are empty; a subject without series rows gets a single
+    fully-missing visit at time 0.
     """
     if not isinstance(manifest, dict):
         manifest = load_manifest(manifest)
@@ -365,10 +376,10 @@ def load_csv(manifest: str | Path | dict) -> SurvivalDataset:
             feat = row[s_index[manifest["feature_col"]]]
             raw_value = row[s_index[manifest["value_col"]]].strip()
             feats.add(feat)
-            if raw_value == "":
-                continue  # recorded but missing measurement
-            value = _parse_float(raw_value, f"{where} value")
             cell = series_by_id.setdefault(rid, {}).setdefault(t, {})
+            if raw_value == "":
+                continue  # the visit happened; this measurement is missing
+            value = _parse_float(raw_value, f"{where} value")
             if feat in cell:
                 raise SchemaError(f"{where}: duplicate measurement ({rid}, {t}, {feat})")
             cell[feat] = value
@@ -386,19 +397,14 @@ def load_csv(manifest: str | Path | dict) -> SurvivalDataset:
     feat_pos = {f: i for i, f in enumerate(feature_names)}
     records = []
     for rid, vec, dur, evt in zip(ids, statics, durations, events):
-        per_time = series_by_id.get(rid, {})
-        if per_time:
-            times = np.array(sorted(per_time), dtype=np.float64)
-            ser = np.full((len(times), m), np.nan)
-            mask = np.zeros((len(times), m), dtype=bool)
-            for j, t in enumerate(times):
-                for feat, value in per_time[t].items():
-                    ser[j, feat_pos[feat]] = value
-                    mask[j, feat_pos[feat]] = True
-        else:
-            times = np.zeros(1) if m else None
-            ser = np.full((1, m), np.nan)
-            mask = np.zeros((1, m), dtype=bool)
+        per_time = series_by_id.get(rid, {0.0: {}})
+        times = np.array(sorted(per_time), dtype=np.float64)
+        ser = np.full((len(times), m), np.nan)
+        mask = np.zeros((len(times), m), dtype=bool)
+        for j, t in enumerate(times):
+            for feat, value in per_time[t].items():
+                ser[j, feat_pos[feat]] = value
+                mask[j, feat_pos[feat]] = True
         records.append(
             SubjectRecord(
                 id=rid,
@@ -421,8 +427,9 @@ def save_dataset_csv(ds: SurvivalDataset, out_dir: str | Path, stem: str = "data
     """Write a dataset back to manifest + CSV form.
 
     Static columns are written under their encoded names (one-hot expanded),
-    so the emitted manifest has no categorical columns. Only observed series
-    cells are written. Returns the manifest path.
+    so the emitted manifest has no categorical columns. Observed series
+    cells are written, plus one empty-value row for each visit with none,
+    so every visit loads back. Returns the manifest path.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -450,16 +457,14 @@ def save_dataset_csv(ds: SurvivalDataset, out_dir: str | Path, stem: str = "data
             writer = csv.writer(fh)
             writer.writerow(["id", "time", "feature", "value"])
             for r in ds.records:
-                times = r.series_times
-                if times is None:
-                    times = np.arange(r.n_steps, dtype=np.float64)
+                times = np.arange(float(r.n_steps)) if r.series_times is None else r.series_times
                 for j in range(r.n_steps):
+                    t = _format_float(times[j])
+                    if not r.series_mask[j].any():
+                        writer.writerow([r.id, t, ds.schema.time_varying[0], ""])
                     for k, feat in enumerate(ds.schema.time_varying):
                         if r.series_mask[j, k]:
-                            writer.writerow(
-                                [r.id, _format_float(times[j]), feat,
-                                 _format_float(r.series[j, k])]
-                            )
+                            writer.writerow([r.id, t, feat, _format_float(r.series[j, k])])
         manifest.update(
             series_csv=series_path.name, time_col="time",
             feature_col="feature", value_col="value",
@@ -634,6 +639,7 @@ def split_dataset(
 
 _MAX_QUANTILES = 1000
 _PPF_CLIP = 1e-7
+_NORMAL = NormalDist()
 
 
 @dataclass
@@ -690,7 +696,7 @@ def _fit_table(values: Array) -> tuple[Array, Array]:
     n_q = min(_MAX_QUANTILES, values.size)
     probs = np.linspace(0.0, 1.0, n_q) if n_q > 1 else np.array([0.5])
     refs = np.quantile(values, probs)
-    targets = ndtri(np.clip(probs, _PPF_CLIP, 1.0 - _PPF_CLIP))
+    targets = np.array([_NORMAL.inv_cdf(p) for p in np.clip(probs, _PPF_CLIP, 1 - _PPF_CLIP)])
     return refs, targets
 
 

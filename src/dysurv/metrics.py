@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import SurvivalDataset, TimeGrid
 from .errors import (
@@ -357,9 +356,9 @@ def horizon_labels(durations, events, horizon: float) -> tuple[Array, Array]:
 
 
 def horizon_binary_metrics(risks, labels, horizon: float) -> HorizonReport:
-    """AUROC (rank statistic with tie correction), AUPRC (step integration
-    of the precision-recall curve), and sensitivity at the Youden-optimal
-    threshold."""
+    """AUROC (Mann-Whitney U with ties counted half), AUPRC (step
+    integration of the precision-recall curve), and sensitivity at the
+    Youden-optimal threshold, all from one sweep over distinct risks."""
     risks = np.asarray(risks, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if risks.shape != labels.shape or risks.ndim != 1:
@@ -370,9 +369,6 @@ def horizon_binary_metrics(risks, labels, horizon: float) -> HorizonReport:
         raise MetricUndefinedError(
             "horizon metrics need at least one positive and one negative"
         )
-    ranks = rankdata(risks, method="average")
-    u_stat = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    auroc = u_stat / (n_pos * n_neg)
 
     # sweep thresholds at distinct risk values, descending
     order = np.argsort(-risks, kind="stable")
@@ -381,18 +377,20 @@ def horizon_binary_metrics(risks, labels, horizon: float) -> HorizonReport:
     boundary = np.where(np.diff(sorted_risks) != 0)[0]
     cut = np.concatenate([boundary, [risks.size - 1]])  # last index per group
     tp = np.cumsum(sorted_labels)[cut]
-    taken = cut + 1
-    fp = taken - tp
-    precision = tp / taken
+    fp = cut + 1 - tp
+    prev_tp = np.concatenate([[0], tp[:-1]])
+    # trapezoids under the ROC steps (Hanley & McNeil 1982): each group's
+    # negatives rank below the positives of earlier groups and tie with
+    # its own; in integers, so the ratio is rounded once
+    u_twice = int((np.diff(fp, prepend=0) * (tp + prev_tp)).sum())
+    auroc = u_twice / 2 / (n_pos * n_neg)
+    precision = tp / (cut + 1)
     recall = tp / n_pos
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    auprc = float(((recall - prev_recall) * precision).sum())
+    auprc = float(((recall - prev_tp / n_pos) * precision).sum())
 
-    tpr = tp / n_pos
-    fpr = fp / n_neg
-    youden = tpr - fpr
+    youden = recall - fp / n_neg
     best = np.where(youden == youden.max())[0]
-    sensitivity = float(tpr[best].max())
+    sensitivity = float(recall[best].max())
     return HorizonReport(
         auroc=float(auroc), auprc=auprc, sensitivity=sensitivity, horizon=horizon
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Param, Tape
+from .autodiff import Param, Tape, finite_difference_check
 from .data import FeatureSchema, QuantileTransform, TimeGrid
 from .errors import (
     CheckpointCorruptError,
@@ -35,6 +35,7 @@ from .model import (
     DySurvParams,
     LossMasks,
     ModelConfig,
+    condition_matrix,
     draw_dropout_masks,
     forward_graph,
     init_dysurv_params,
@@ -597,11 +598,8 @@ def gradient_check(
     eps: float = 1e-5,
 ) -> float:
     """Worst relative error of analytic vs central-difference gradients on
-    the full blended loss over a small random model (latent noise fixed,
-    dropout off). Values below 1e-5 mean the backward pass is trustworthy."""
-    from .autodiff import finite_difference_check
-    from .model import condition_matrix
-
+    one training step's blended loss over a small random model (latent
+    noise fixed, dropout off). Below 1e-5 the backward pass is trustworthy."""
     rng = np.random.default_rng(seed)
     model_config = ModelConfig(
         hidden_size=4, z_dim=3, decoder_hidden=(4,), survival_hidden=(4,),
@@ -613,20 +611,17 @@ def gradient_check(
     events = rng.integers(0, 2, size=batch)
     events[0] = 1
     events[-1] = 0
-    last_obs = np.where(bins > 0, bins - 1, -1)
-    cond = condition_matrix(events, bins, n_bins, "both")
-    eps_latent = rng.standard_normal((batch, model_config.z_dim))
-    steps = [np.ascontiguousarray(x[:, j, :]) for j in range(seq_len)]
-    masks = LossMasks.build(bins, events, last_obs, n_bins)
+    data = SplitArrays(
+        x=x, bins=bins, events=events, last_obs=np.where(bins > 0, bins - 1, -1),
+        cond=condition_matrix(events, bins, n_bins, "both"),
+        durations=bins + 0.5, n_bins=n_bins,
+    )
+    config = TrainConfig(alpha=alpha, dropout_keep=1.0)
 
-    def build():
+    def build():  # a fresh generator per build draws the same latent noise
         tape = Tape()
-        mu, logvar, _, a_hat, x_recon = forward_graph(
-            tape, params, steps, cond=cond, eps=eps_latent
-        )
-        l1 = nll_graph(tape, a_hat, masks)
-        l2 = vae_graph(tape, x.reshape(batch, -1), x_recon, mu, logvar)
-        total = total_loss_graph(tape, l1, l2, alpha)
+        rng_eps = np.random.default_rng(seed)
+        total = _batch_graph(tape, params, data, np.arange(batch), config, rng_eps)[0]
         return tape, tape.mul(total, 1.0 / batch)
 
     return finite_difference_check(build, params.parameters(), eps=eps)

@@ -58,6 +58,20 @@ def naive_concordance(curves, durations, events):
     return concordant / comparable
 
 
+def naive_auroc(risks, labels):
+    """Pairwise count over positive x negative pairs, ties counted half."""
+    pos = [r for r, y in zip(risks, labels) if y == 1]
+    neg = [r for r, y in zip(risks, labels) if y == 0]
+    wins = 0.0
+    for p in pos:
+        for q in neg:
+            if p > q:
+                wins += 1.0
+            elif p == q:
+                wins += 0.5
+    return wins / (len(pos) * len(neg))
+
+
 def naive_brier(curves, durations, events, t):
     """Per-subject loop with a from-scratch censoring weight per term."""
     n = len(durations)

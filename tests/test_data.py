@@ -14,6 +14,7 @@ from dysurv.data import (
     SubjectRecord,
     SurvivalDataset,
     TimeGrid,
+    _fit_table,
     apply_quantile_transform,
     build_time_grid,
     discretize,
@@ -79,10 +80,10 @@ def test_load_csv_one_hot_and_series_pivot(tmp_path):
     assert a.series_mask.tolist() == [[True, False], [True, True]]
     assert a.series[1, 1] == 120.0
     assert np.array_equal(a.series_times, [0.0, 1.0])
-    # an empty value cell is dropped, so it creates no time step
+    # a visit whose only row has an empty value is an all-missing step
     b = ds.records[1]
-    assert np.array_equal(b.series_times, [2.0])
-    assert b.series_mask.tolist() == [[True, False]]
+    assert np.array_equal(b.series_times, [0.5, 2.0])
+    assert b.series_mask.tolist() == [[False, False], [True, False]]
     # subject c has no series rows: a single all-missing step
     c = ds.records[2]
     assert c.series.shape == (1, 2)
@@ -134,6 +135,44 @@ def test_csv_round_trip_preserves_everything(tmp_path):
         obs1 = r1.series[r1.series_mask]
         obs2 = r2.series[r2.series_mask]
         assert np.array_equal(np.sort(obs1), np.sort(obs2))
+
+
+def test_csv_round_trip_keeps_all_missing_visits(tmp_path):
+    schema = FeatureSchema(["age"], {}, ["hr", "sbp"], "duration", "event")
+    mask = np.array([[True, False], [False, False], [True, True]])
+    records = [
+        SubjectRecord(
+            f"s{i}", [50.0 + i], np.where(mask, 70.0 + i + np.arange(6).reshape(3, 2), np.nan),
+            mask, 3.0 + i, i % 2, series_times=np.array([0.0, 0.25 + i, 2.0 + i]),
+        )
+        for i in range(3)
+    ]
+    ds = SurvivalDataset(schema, records)
+    back = load_csv(save_dataset_csv(ds, tmp_path, stem="rt"))
+    assert back.schema.canonical() == schema.canonical()
+    for r1, r2 in zip(ds.records, back.records, strict=True):
+        assert r1.id == r2.id
+        assert np.array_equal(r1.static_features, r2.static_features)
+        assert np.array_equal(r1.series_times, r2.series_times)
+        assert np.array_equal(r1.series_mask, r2.series_mask)
+        assert np.array_equal(r1.series[r1.series_mask], r2.series[r2.series_mask])
+        assert (r1.duration, r1.event) == (r2.duration, r2.event)
+
+
+def test_record_width_is_checked_against_the_schema():
+    schema = FeatureSchema(["age"], {"sex": ["f", "m"]}, ["hr"], "duration", "event")
+    series, mask = np.zeros((2, 1)), np.ones((2, 1), dtype=bool)
+    ok = SubjectRecord("ok", [60.0, 1.0, 0.0], series, mask, 1.0, 1)
+    short = SubjectRecord("short", [60.0], series, mask, 1.0, 1)
+    with pytest.raises(SchemaError, match="record short has 1 static values and 1 series"):
+        SurvivalDataset(schema, [ok, short])
+
+
+def test_record_series_width_is_checked_against_the_schema():
+    schema = FeatureSchema(["age"], {}, ["hr"], "duration", "event")
+    wide = SubjectRecord("wide", [60.0], np.zeros((2, 2)), np.ones((2, 2), dtype=bool), 1.0, 1)
+    with pytest.raises(SchemaError, match="record wide has 1 static values and 2 series columns"):
+        SurvivalDataset(schema, [wide])
 
 
 def test_synthetic_censoring_fraction_and_determinism():
@@ -222,6 +261,21 @@ def test_quantile_transform_is_monotone(seed):
     qt = fit_quantile_transform(SurvivalDataset(schema, records))
     out = qt.transform_values("x", values)
     assert np.all(np.diff(out) >= 0)
+
+
+def test_quantile_targets_match_the_normal_quantile_function():
+    # scipy.special.ndtri at the clipped ends and at three interior grid
+    # points of a 201-point table
+    probs = [1e-7, 0.025, 0.5, 0.975, 1 - 1e-7]
+    ndtri = [
+        -5.1993375821928165, -1.9599639845400545, 0.0,
+        1.959963984540054, 5.199337582290661,
+    ]
+    at = [0, 5, 100, 195, 200]
+    grid = np.clip(np.linspace(0.0, 1.0, 201), 1e-7, 1 - 1e-7)
+    assert grid[at].tolist() == probs
+    _, targets = _fit_table(np.arange(201.0))
+    assert np.abs(targets[at] - ndtri).max() <= 2e-15
 
 
 def test_constant_feature_maps_to_zero():
