@@ -13,6 +13,20 @@ time. It computes the same values, in the same summation order, as the
 per-gate composition of ``matmul``/``add``/``sigmoid``/``tanh``/``mul``
 nodes it replaces, with one node instead of about 37 per step.
 
+Two more methods cut the rest of a training batch to a few nodes:
+
+- :meth:`Tape.dense` records ``act(x @ w + b)`` as one node. It checks the
+  pre-activation as well as the output, so an overflow that ``tanh`` or
+  ``softmax`` would saturate away still raises, and its vector-Jacobian
+  product runs the activation → add → matmul chain in that order.
+- :meth:`Tape.record` pushes a caller-computed value with a caller-given
+  vector-Jacobian product. The survival likelihood and the VAE loss in
+  ``model.py`` are one such node each, with the formulas kept there.
+
+Every node's value is checked for NaN and ±inf as it is recorded. The
+check sums the array first and scans it entry by entry only when the sum
+is not finite, which an overflowing sum of finite entries also makes.
+
 Shapes are restricted to what the model uses: 2-D matmul, elementwise ops
 on equal shapes, row-broadcast bias add, reductions over all entries or
 one axis. General numpy broadcasting is out of scope on purpose.
@@ -20,7 +34,8 @@ one axis. General numpy broadcasting is out of scope on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,8 +79,15 @@ class _Node:
         self.param = param
 
 
+def all_finite(value: Array) -> bool:
+    """True when no entry is NaN or ±inf. Any such entry makes the sum
+    non-finite; a sum of finite entries is non-finite only on overflow,
+    which the entrywise scan then clears."""
+    return math.isfinite(value.sum()) or bool(np.isfinite(value).all())
+
+
 def _check_finite(value: Array, op: str) -> None:
-    if not np.all(np.isfinite(value)):
+    if not all_finite(value):
         raise NumericalError(f"non-finite value produced by op '{op}'")
 
 
@@ -74,6 +96,19 @@ def _sigmoid(x: Array) -> Array:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def _softmax(x: Array) -> Array:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# name -> (forward, vjp from the output and the upstream gradient)
+_ACTIVATIONS = {
+    "sigmoid": (_sigmoid, lambda out, g: g * out * (1.0 - out)),
+    "tanh": (np.tanh, lambda out, g: g * (1.0 - out * out)),
+    "softmax": (_softmax, lambda out, g: out * (g - (g * out).sum(axis=-1, keepdims=True))),
+}
 
 
 class Tape:
@@ -112,6 +147,26 @@ class Tape:
         self._nodes.append(_Node(parents, vjp, None))
         return Tensor(value, len(self._nodes) - 1)
 
+    def record(
+        self,
+        op: str,
+        value: Array,
+        parents: Sequence[Tensor],
+        vjp,
+        intermediates: Sequence[Array] = (),
+    ) -> Tensor:
+        """Record a caller-computed ``value`` as one node over ``parents``.
+
+        ``vjp`` maps the upstream gradient to one gradient per parent, in
+        order. ``value`` is checked like every primitive's output; pass as
+        ``intermediates`` any value on the way to it whose overflow the
+        result could hide (a clip, a saturating activation), and a
+        non-finite one raises ``NumericalError`` naming ``op`` as well.
+        """
+        for inner in intermediates:
+            _check_finite(inner, op)
+        return self._push(value, tuple(p.idx for p in parents), vjp, op)
+
     # -- primitives -----------------------------------------------------
 
     def matmul(self, a, b) -> Tensor:
@@ -129,6 +184,41 @@ class Tape:
             return g @ bv.T, av.T @ g
 
         return self._push(out, (a.idx, b.idx), vjp, "matmul")
+
+    def dense(self, x, w, b, activation: str) -> Tensor:
+        """``act(x @ w + b)`` as one node, with ``w`` (d_in, d_out), ``b``
+        (d_out,) and ``activation`` one of identity, sigmoid, tanh or a
+        row-wise softmax.
+
+        The pre-activation is checked as well as the output, so an
+        overflow that a saturating activation would hide still raises.
+        The vector-Jacobian product runs the activation, the bias add and
+        the matmul in the order separate nodes would.
+        """
+        x, w, b = self._wrap(x), self._wrap(w), self._wrap(b)
+        xv, wv, bv = x.value, w.value, b.value
+        if xv.ndim != 2 or wv.ndim != 2:
+            raise ContractError(
+                f"dense expects 2-D operands, got {xv.shape} @ {wv.shape}"
+            )
+        if xv.shape[1] != wv.shape[0]:
+            raise ContractError(f"dense shape mismatch: {xv.shape} @ {wv.shape}")
+        if bv.shape != (wv.shape[1],):
+            raise ContractError(f"dense bias {bv.shape} does not fit {wv.shape[1]} outputs")
+        if activation != "identity" and activation not in _ACTIVATIONS:
+            raise ContractError(f"unknown dense activation '{activation}'")
+        fwd, act_vjp = _ACTIVATIONS.get(activation, (None, None))
+        z = xv @ wv
+        z += bv
+        out = z if fwd is None else fwd(z)
+
+        def vjp(g):
+            if act_vjp is not None:
+                g = act_vjp(out, g)
+            return g @ wv.T, xv.T @ g, g.sum(axis=0)
+
+        return self.record("dense", out, (x, w, b), vjp,
+                           intermediates=() if out is z else (z,))
 
     def _binary(self, a, b, fwd, vjp_ab, vjp_scalar, op: str) -> Tensor:
         """Shared plumbing for add/sub/mul with scalar and bias broadcast."""
@@ -189,23 +279,17 @@ class Tape:
 
         return self._binary(a, b, lambda x, y: x * y, vjp_ab, vjp_scalar, "mul")
 
-    def sigmoid(self, a) -> Tensor:
+    def _activation(self, a, name: str) -> Tensor:
         a = self._wrap(a)
-        out = _sigmoid(a.value)
+        fwd, act_vjp = _ACTIVATIONS[name]
+        out = fwd(a.value)
+        return self._push(out, (a.idx,), lambda g: (act_vjp(out, g),), name)
 
-        def vjp(g):
-            return (g * out * (1.0 - out),)
-
-        return self._push(out, (a.idx,), vjp, "sigmoid")
+    def sigmoid(self, a) -> Tensor:
+        return self._activation(a, "sigmoid")
 
     def tanh(self, a) -> Tensor:
-        a = self._wrap(a)
-        out = np.tanh(a.value)
-
-        def vjp(g):
-            return (g * (1.0 - out * out),)
-
-        return self._push(out, (a.idx,), vjp, "tanh")
+        return self._activation(a, "tanh")
 
     def exp(self, a) -> Tensor:
         a = self._wrap(a)
@@ -239,17 +323,7 @@ class Tape:
 
     def softmax(self, a) -> Tensor:
         """Row-wise softmax over the last axis; stable under shift."""
-        a = self._wrap(a)
-        x = a.value
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=-1, keepdims=True)
-
-        def vjp(g):
-            dot = (g * out).sum(axis=-1, keepdims=True)
-            return (out * (g - dot),)
-
-        return self._push(out, (a.idx,), vjp, "softmax")
+        return self._activation(a, "softmax")
 
     def sum(self, a, axis: int | None = None) -> Tensor:
         a = self._wrap(a)
@@ -368,8 +442,11 @@ class Tape:
             if t:
                 z += h @ wh
             _check_finite(z, "lstm")
-            for blk in (gi, gf, go) if t else (gi, go):
-                z[:, blk] = _sigmoid(z[:, blk])
+            if t:  # i, f and o are one contiguous column block
+                z[:, : 3 * hid] = _sigmoid(z[:, : 3 * hid])
+            else:
+                for blk in (gi, go):
+                    z[:, blk] = _sigmoid(z[:, blk])
             np.tanh(z[:, gg], out=z[:, gg])
             if t:
                 np.add(z[:, gf] * cells[t - 1], z[:, gi] * z[:, gg], out=cells[t])

@@ -429,7 +429,8 @@ def save_dataset_csv(ds: SurvivalDataset, out_dir: str | Path, stem: str = "data
     Static columns are written under their encoded names (one-hot expanded),
     so the emitted manifest has no categorical columns. Observed series
     cells are written, plus one empty-value row for each visit with none,
-    so every visit loads back. Returns the manifest path.
+    so every visit loads back, and one under each feature observed nowhere,
+    so every feature loads back. Returns the manifest path.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -456,10 +457,16 @@ def save_dataset_csv(ds: SurvivalDataset, out_dir: str | Path, stem: str = "data
         with open(series_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "time", "feature", "value"])
+            observed = np.zeros(len(ds.schema.time_varying), dtype=bool)
             for r in ds.records:
+                observed |= r.series_mask.any(axis=0)
+            for i, r in enumerate(ds.records):
                 times = np.arange(float(r.n_steps)) if r.series_times is None else r.series_times
                 for j in range(r.n_steps):
                     t = _format_float(times[j])
+                    if i == 0 and j == 0:
+                        for k in np.flatnonzero(~observed):
+                            writer.writerow([r.id, t, ds.schema.time_varying[k], ""])
                     if not r.series_mask[j].any():
                         writer.writerow([r.id, t, ds.schema.time_varying[0], ""])
                     for k, feat in enumerate(ds.schema.time_varying):

@@ -316,35 +316,71 @@ class LossMasks:
 
 
 def nll_graph(tape: Tape, a_hat: Tensor, masks: LossMasks) -> Tensor:
-    """Discrete-time NLL summed over the batch: event subjects contribute
-    -log(a_bin / sum_{n > l} a_n) with l the last observed bin (l = -1
-    conditions on nothing), censored subjects -log(sum_{n > bin} a_n).
-    Probabilities are clamped to [PROB_FLOOR, 1] before the log."""
-    pick = tape.sum(tape.mul(a_hat, tape.leaf(masks.onehot)), axis=1)
-    den_evt = tape.sum(tape.mul(a_hat, tape.leaf(masks.after_last)), axis=1)
-    den_cen = tape.sum(tape.mul(a_hat, tape.leaf(masks.after_bin)), axis=1)
-    log_pick = tape.log(tape.clip(pick, PROB_FLOOR, 1.0))
-    log_den_evt = tape.log(tape.clip(den_evt, PROB_FLOOR, 1.0))
-    log_den_cen = tape.log(tape.clip(den_cen, PROB_FLOOR, 1.0))
-    evt_terms = tape.sub(log_den_evt, log_pick)
-    cen_terms = tape.mul(log_den_cen, -1.0)
-    per_subject = tape.add(
-        tape.mul(evt_terms, tape.leaf(masks.is_event)),
-        tape.mul(cen_terms, tape.leaf(masks.is_censored)),
-    )
-    return tape.sum(per_subject)
+    """Discrete-time NLL summed over the batch, as one tape node: event
+    subjects contribute -log(a_bin / sum_{n > l} a_n) with l the last
+    observed bin (l = -1 conditions on nothing), censored subjects
+    -log(sum_{n > bin} a_n). Probabilities are clamped to [PROB_FLOOR, 1]
+    before the log.
+
+    Every product, sum and clamp is taken as the composition of
+    ``mul``/``sum``/``clip``/``log`` nodes took it, and the gradient of
+    ``a_hat`` sums the censored, event-window and picked-bin terms in that
+    order. The three masked sums are checked, since the clamp would hide
+    their overflow.
+    """
+    a = a_hat.value
+    if a.shape != masks.onehot.shape:
+        raise ContractError(f"nll shape mismatch: {a.shape} vs {masks.onehot.shape}")
+    sums = [(a * m).sum(axis=1) for m in (masks.onehot, masks.after_last, masks.after_bin)]
+    inside = [(v >= PROB_FLOOR) & (v <= 1.0) for v in sums]
+    pick, den_evt, den_cen = (np.clip(v, PROB_FLOOR, 1.0) for v in sums)
+    evt_terms = np.log(den_evt) - np.log(pick)
+    cen_terms = np.log(den_cen) * -1.0
+    per_subject = evt_terms * masks.is_event + cen_terms * masks.is_censored
+
+    def vjp(g):
+        g_evt = g * masks.is_event
+        d_cen = (g * masks.is_censored) * -1.0 / den_cen * inside[2]
+        d_evt = g_evt / den_evt * inside[1]
+        d_pick = -g_evt / pick * inside[0]
+        d_a = d_cen[:, None] * masks.after_bin
+        d_a = d_a + d_evt[:, None] * masks.after_last
+        return (d_a + d_pick[:, None] * masks.onehot,)
+
+    return tape.record("nll", np.asarray(per_subject.sum()), (a_hat,), vjp,
+                       intermediates=sums)
 
 
 def vae_graph(tape: Tape, x_flat: Array, x_recon: Tensor, mu: Tensor, logvar: Tensor) -> Tensor:
     """Reconstruction MSE plus Gaussian KL, summed over the batch and
-    parameterized by logvar. The MSE is the mean over each subject's input
-    entries, so its scale does not grow with sequence length or width."""
-    diff = tape.sub(x_recon, tape.leaf(x_flat))
-    mse = tape.mean(tape.square(diff), axis=1)
-    sig2 = tape.exp(logvar)
-    inner = tape.sub(tape.sub(tape.add(tape.square(mu), sig2), 1.0), logvar)
-    kl = tape.mul(tape.sum(inner, axis=1), 0.5)
-    return tape.sum(tape.add(mse, kl))
+    parameterized by logvar, as one tape node. The MSE is the mean over
+    each subject's input entries, so its scale does not grow with
+    sequence length or width.
+
+    Values and gradients follow the order of the composed ``sub``/
+    ``square``/``mean``/``exp``/``sum`` nodes; d logvar is (-g) + g * sigma^2.
+    Checking the result suffices: every term is nonnegative up to
+    rounding, so a non-finite one, such as an overflowing exp(logvar),
+    makes the sum +inf or NaN.
+    """
+    xr, m, lv = x_recon.value, mu.value, logvar.value
+    x_flat = np.asarray(x_flat, dtype=np.float64)
+    if xr.shape != x_flat.shape or m.shape != lv.shape or xr.ndim != 2 or m.ndim != 2:
+        raise ContractError(
+            f"vae shapes disagree: x {x_flat.shape}, x_recon {xr.shape}, "
+            f"mu {m.shape}, logvar {lv.shape}"
+        )
+    diff = xr - x_flat
+    mse = (diff * diff).mean(axis=1)
+    sig2 = np.exp(lv)
+    inner = m * m + sig2 - 1.0 - lv
+    per_subject = mse + inner.sum(axis=1) * 0.5
+
+    def vjp(g):  # g is the scalar upstream gradient, the same for every row
+        g_inner = g * 0.5
+        return 2.0 * diff * (g / diff.shape[1]), 2.0 * m * g_inner, (-g_inner) + g_inner * sig2
+
+    return tape.record("vae", np.asarray(per_subject.sum()), (x_recon, mu, logvar), vjp)
 
 
 def total_loss_graph(tape: Tape, l1: Tensor, l2: Tensor | None, alpha: float) -> Tensor:

@@ -1,7 +1,7 @@
 """LSTM and dense layers expressed through the autodiff tape.
 
-A dense layer is composed from tape primitives; the LSTM encoder runs as
-the tape's one fused ``lstm`` primitive over stacked gate weights.
+A dense layer runs as the tape's fused ``dense`` node and the LSTM encoder
+as its fused ``lstm`` node over stacked gate weights.
 Weights initialize from uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out));
 biases start at zero except the LSTM forget gate, which starts at one so
 early training does not erase the cell state.
@@ -63,14 +63,8 @@ def init_dense(
 
 
 def dense_forward(tape: Tape, layer: DenseLayerParams, x: Tensor) -> Tensor:
-    z = tape.add(tape.matmul(x, tape.param(layer.weight)), tape.param(layer.bias))
-    if layer.activation == "identity":
-        return z
-    if layer.activation == "sigmoid":
-        return tape.sigmoid(z)
-    if layer.activation == "tanh":
-        return tape.tanh(z)
-    return tape.softmax(z)
+    """act(x W + b), recorded as one fused tape node."""
+    return tape.dense(x, tape.param(layer.weight), tape.param(layer.bias), layer.activation)
 
 
 @dataclass

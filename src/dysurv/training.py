@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Param, Tape, finite_difference_check
+from .autodiff import Param, Tape, all_finite, finite_difference_check
 from .data import FeatureSchema, QuantileTransform, TimeGrid
 from .errors import (
     CheckpointCorruptError,
@@ -182,8 +182,11 @@ class History:
 
 @dataclass
 class AdamState:
-    m: dict[str, Array]
-    v: dict[str, Array]
+    """First and second moments as one flat vector each, laid out as the
+    parameters' raveled values concatenated in list order."""
+
+    m: Array
+    v: Array
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -191,29 +194,32 @@ class AdamState:
 
     @staticmethod
     def init(params: list[Param]) -> "AdamState":
-        return AdamState(
-            m={p.name: np.zeros_like(p.value) for p in params},
-            v={p.name: np.zeros_like(p.value) for p in params},
-        )
+        size = sum(p.value.size for p in params)
+        return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(state: AdamState, params: list[Param], grads: dict[str, Array], lr: float) -> None:
-    """One in-place bias-corrected Adam update over all parameters."""
+    """One bias-corrected Adam update over all parameters as one flat
+    vector, written back into each parameter's array in place."""
+    g = np.concatenate([grads[p.name].ravel() for p in params])
+    if not all_finite(g):
+        bad = next(p for p in params if not np.isfinite(grads[p.name]).all())
+        raise NumericalError(f"non-finite gradient for parameter '{bad.name}'")
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    update = lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    pos = 0
     for p in params:
-        g = grads[p.name]
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter '{p.name}'")
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.value = p.value - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        size = p.value.size
+        p.value -= update[pos : pos + size].reshape(p.value.shape)
+        pos += size
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Slow brute-force metric implementations used as oracles by the metric
 tests and the acceptance gate, numpy references for the tape losses, the
-per-gate tape composition of the LSTM that the fused primitive replaces,
-and the record-by-record data preparation that the stacked one replaces.
-Kept deliberately naive: different formulation, same definition as the
-fast paths."""
+tape compositions that the fused LSTM, dense and loss nodes replace, the
+per-parameter Adam loop that the flat update replaces, and the
+record-by-record data preparation that the stacked one replaces. Kept
+deliberately naive: different formulation, same definition as the fast
+paths."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,6 +17,11 @@ from dysurv.metrics import SurvivalCurves
 from dysurv.model import PROB_FLOOR, condition_matrix
 from dysurv.nn import glorot_uniform
 from dysurv.training import SplitArrays
+
+
+def max_rel_diff(got, want):
+    """Largest absolute difference relative to the largest reference entry."""
+    return float(np.max(np.abs(got - want)) / max(1e-300, np.max(np.abs(want))))
 
 
 def naive_km_value(durations, events, t, strict=False):
@@ -252,6 +260,88 @@ def lstm_forward_reference(tape, gates, steps):
             c = tape.add(tape.mul(f, c), gain)
         h = tape.mul(o, tape.tanh(c))
     return h
+
+
+# ---------------------------------------------------------------------------
+# dense layers, losses and Adam as one tape node per primitive
+# ---------------------------------------------------------------------------
+
+
+def dense_forward_reference(tape, layer, x):
+    """act(x W + b) as a matmul node, a bias add node and an activation node."""
+    z = tape.add(tape.matmul(x, tape.param(layer.weight)), tape.param(layer.bias))
+    if layer.activation == "identity":
+        return z
+    if layer.activation == "sigmoid":
+        return tape.sigmoid(z)
+    if layer.activation == "tanh":
+        return tape.tanh(z)
+    return tape.softmax(z)
+
+
+def nll_graph_reference(tape, a_hat, masks):
+    """The survival likelihood composed from mask products, sums, clips and logs."""
+    pick = tape.sum(tape.mul(a_hat, tape.leaf(masks.onehot)), axis=1)
+    den_evt = tape.sum(tape.mul(a_hat, tape.leaf(masks.after_last)), axis=1)
+    den_cen = tape.sum(tape.mul(a_hat, tape.leaf(masks.after_bin)), axis=1)
+    log_pick = tape.log(tape.clip(pick, PROB_FLOOR, 1.0))
+    log_den_evt = tape.log(tape.clip(den_evt, PROB_FLOOR, 1.0))
+    log_den_cen = tape.log(tape.clip(den_cen, PROB_FLOOR, 1.0))
+    evt_terms = tape.sub(log_den_evt, log_pick)
+    cen_terms = tape.mul(log_den_cen, -1.0)
+    per_subject = tape.add(
+        tape.mul(evt_terms, tape.leaf(masks.is_event)),
+        tape.mul(cen_terms, tape.leaf(masks.is_censored)),
+    )
+    return tape.sum(per_subject)
+
+
+def vae_graph_reference(tape, x_flat, x_recon, mu, logvar):
+    """Reconstruction MSE plus Gaussian KL composed from elementwise nodes."""
+    diff = tape.sub(x_recon, tape.leaf(x_flat))
+    mse = tape.mean(tape.square(diff), axis=1)
+    sig2 = tape.exp(logvar)
+    inner = tape.sub(tape.sub(tape.add(tape.square(mu), sig2), 1.0), logvar)
+    kl = tape.mul(tape.sum(inner, axis=1), 0.5)
+    return tape.sum(tape.add(mse, kl))
+
+
+@dataclass
+class AdamStateReference:
+    """Adam moments kept per parameter name."""
+
+    m: dict
+    v: dict
+    step: int = 0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+    @staticmethod
+    def init(params):
+        return AdamStateReference(
+            m={p.name: np.zeros_like(p.value) for p in params},
+            v={p.name: np.zeros_like(p.value) for p in params},
+        )
+
+
+def adam_step_reference(state, params, grads, lr):
+    """One bias-corrected Adam update, one parameter at a time."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for p in params:
+        g = grads[p.name]
+        if not np.all(np.isfinite(g)):
+            raise NumericalError(f"non-finite gradient for parameter '{p.name}'")
+        m = state.m[p.name]
+        v = state.v[p.name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p.value = p.value - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dysurv.autodiff import Param, Tape, finite_difference_check
+from dysurv.autodiff import Param, Tape, _check_finite, finite_difference_check
 from dysurv.errors import (
     ContractError,
     DomainError,
@@ -59,7 +59,7 @@ def _fd(build, params, eps=1e-5):
     ["matmul", "add", "add_bias", "add_scalar", "sub", "mul", "mul_bias",
      "sigmoid", "tanh", "exp", "log", "square", "softmax", "sum_all",
      "sum_axis0", "sum_axis1", "mean_all", "mean_axis1", "concat", "clip",
-     "dropout"],
+     "dropout", "dense_identity", "dense_sigmoid", "dense_tanh", "dense_softmax"],
 )
 def test_each_primitive_matches_finite_differences(name):
     rng = np.random.default_rng(17)
@@ -67,6 +67,7 @@ def test_each_primitive_matches_finite_differences(name):
     q = Param("q", rng.standard_normal((3, 5)))
     b = Param("b", rng.standard_normal(3))
     mask = (rng.random((4, 3)) < 0.7).astype(np.float64)
+    c = Param("c", rng.standard_normal(5))
 
     def build():
         tape = Tape()
@@ -115,13 +116,15 @@ def test_each_primitive_matches_finite_differences(name):
             out = tape.clip(tape.mul(x, 0.1), -5.0, 5.0)
         elif name == "dropout":
             out = tape.dropout(x, 0.7, mask)
+        elif name.startswith("dense_"):
+            out = tape.dense(x, tape.param(q), tape.param(c), name[len("dense_"):])
         else:
             raise AssertionError(name)
         return tape, tape.sum(tape.square(out))
 
     params = [p] + ([q] if name == "matmul" else []) + (
         [b] if name in ("add_bias", "mul_bias") else []
-    )
+    ) + ([q, c] if name.startswith("dense_") else [])
     assert _fd(build, params) < 1e-5
 
 
@@ -186,6 +189,26 @@ def test_error_contracts():
         tape.dropout(tape.leaf(np.ones((2, 2))), 0.5, None)
     with pytest.raises(DomainError):
         tape.dropout(tape.leaf(np.ones((2, 2))), 0.0, np.ones((2, 2)))
+
+
+def test_check_finite_is_exact_when_the_sum_overflows():
+    with np.errstate(over="ignore"):  # the sum overflows, no entry does
+        _check_finite(np.array([1e308, 1e308]), "op")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericalError, match="'op'"):
+            _check_finite(np.array([1.0, bad, 2.0]), "op")
+
+
+def test_record_uses_the_given_vjp_and_checks_values():
+    p = Param("p", np.ones(2))
+    tape = Tape()
+    a = tape.param(p)
+    out = tape.record("twice", 2.0 * a.value, (a,), lambda g: (2.0 * g,))
+    assert np.array_equal(tape.backward(tape.sum(out), [p])["p"], np.full(2, 2.0))
+    with pytest.raises(NumericalError, match="'twice'"):
+        tape.record("twice", np.array([np.nan]), (a,), None)
+    with pytest.raises(NumericalError, match="'hidden'"):
+        tape.record("hidden", np.ones(2), (a,), None, intermediates=(np.array([np.inf]),))
 
 
 def test_fd_checker_rejects_nondeterministic_builders():

@@ -159,6 +159,23 @@ def test_csv_round_trip_keeps_all_missing_visits(tmp_path):
         assert (r1.duration, r1.event) == (r2.duration, r2.event)
 
 
+def test_csv_round_trip_keeps_a_feature_observed_nowhere(tmp_path):
+    schema = FeatureSchema(["age"], {}, ["hr", "sbp"], "duration", "event")
+    mask = np.array([[True, False], [False, False]])
+    records = [
+        SubjectRecord(f"s{i}", [50.0 + i], np.where(mask, 70.0 + i, np.nan), mask, 3.0 + i, i % 2,
+                      series_times=np.array([0.0, 1.0]))
+        for i in range(2)
+    ]
+    back = load_csv(save_dataset_csv(SurvivalDataset(schema, records), tmp_path, stem="rt"))
+    assert back.schema.time_varying == ["hr", "sbp"]
+    for r1, r2 in zip(records, back.records, strict=True):
+        assert r2.series.shape == (2, 2)
+        assert np.array_equal(r2.series_mask, mask)
+        assert not r2.series_mask[:, 1].any()
+        assert np.array_equal(r1.series[mask], r2.series[mask])
+
+
 def test_record_width_is_checked_against_the_schema():
     schema = FeatureSchema(["age"], {"sex": ["f", "m"]}, ["hr"], "duration", "event")
     series, mask = np.zeros((2, 1)), np.ones((2, 1), dtype=bool)

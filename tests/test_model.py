@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dysurv.autodiff import Tape
+from dysurv.autodiff import Param, Tape
 from dysurv.data import TimeGrid
 from dysurv.errors import ContractError, DomainError, NumericalError
 from dysurv.metrics import SurvivalCurves
@@ -24,7 +24,13 @@ from dysurv.model import (
     total_loss_graph,
     vae_graph,
 )
-from oracles import loss_survival_nll, loss_vae
+from oracles import (
+    loss_survival_nll,
+    loss_vae,
+    max_rel_diff,
+    nll_graph_reference,
+    vae_graph_reference,
+)
 
 
 def softmax_rows(rng, n, k):
@@ -178,6 +184,64 @@ def test_vae_graph_matches_numpy_reference(seed):
     tape = Tape()
     out = vae_graph(tape, x, tape.leaf(recon), tape.leaf(mu), tape.leaf(logvar))
     assert out.value == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("batch,event", [(1, 0), (1, 1), (256, None)])
+def test_fused_nll_matches_composed_reference(batch, event):
+    rng = np.random.default_rng(batch)
+    kp1 = 9
+    probs = softmax_rows(rng, batch, kp1)
+    bins = rng.integers(1, kp1 - 1, size=batch)
+    events = rng.integers(0, 2, size=batch) if event is None else np.full(batch, event)
+    last = rng.integers(0, bins + 1)
+    if batch > 1:
+        last[:8] = -1
+        probs[0] = np.eye(kp1)[(bins[0] + 1) % kp1]  # a zero pick hits the clamp
+    a = Param("a", probs)
+
+    def run(loss):
+        tape = Tape()
+        out = loss(tape, tape.param(a), LossMasks.build(bins, events, last, kp1 - 1))
+        return out.value, tape.backward(tape.mul(out, 0.37), [a])["a"]
+
+    value, grad = run(nll_graph)
+    ref_value, ref_grad = run(nll_graph_reference)
+    assert np.array_equal(value, ref_value)
+    assert max_rel_diff(grad, ref_grad) <= 1e-12
+
+
+@pytest.mark.parametrize("batch", [1, 256])
+def test_fused_vae_matches_composed_reference(batch):
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 6))
+    params = [Param(name, rng.standard_normal(shape)) for name, shape in
+              (("recon", (batch, 6)), ("mu", (batch, 3)), ("logvar", (batch, 3)))]
+
+    def run(loss):
+        tape = Tape()
+        recon, mu, logvar = (tape.param(p) for p in params)
+        # mu and logvar also feed an earlier consumer, as in the model
+        other = tape.sum(tape.mul(mu, logvar))
+        out = tape.add(loss(tape, x, recon, mu, logvar), other)
+        return out.value, tape.backward(tape.mul(out, 0.37), params)
+
+    value, grads = run(vae_graph)
+    ref_value, ref_grads = run(vae_graph_reference)
+    assert np.array_equal(value, ref_value)
+    for p in params:
+        assert max_rel_diff(grads[p.name], ref_grads[p.name]) <= 1e-12, p.name
+
+
+def test_loss_node_overflows_raise():
+    tape = Tape()
+    logvar = np.full((2, 3), 800.0)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'vae'"):
+        vae_graph(tape, np.zeros((2, 4)), tape.leaf(np.zeros((2, 4))),
+                  tape.leaf(np.zeros((2, 3))), tape.leaf(logvar))
+    # a masked sum that overflows is caught before the clamp hides it
+    masks = LossMasks.build([0, 1], [1, 0], None, 2)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'nll'"):
+        nll_graph(tape, tape.leaf(np.full((2, 3), 1e308)), masks)
 
 
 def test_total_loss_graph_contracts():

@@ -4,9 +4,10 @@ values on frozen inputs, and gradient agreement through time."""
 import numpy as np
 import pytest
 
-from dysurv.autodiff import Tape, finite_difference_check
+from dysurv.autodiff import Param, Tape, finite_difference_check
 from dysurv.errors import ContractError, NumericalError
 from dysurv.nn import (
+    ACTIVATIONS,
     dense_forward,
     glorot_uniform,
     init_dense,
@@ -15,8 +16,10 @@ from dysurv.nn import (
 )
 from oracles import (
     LSTM_GATES,
+    dense_forward_reference,
     init_lstm_reference,
     lstm_forward_reference,
+    max_rel_diff,
     split_lstm_cell,
     stack_lstm_grads,
 )
@@ -106,6 +109,52 @@ def test_dense_forward_identity_matches_affine():
     tape = Tape()
     out = dense_forward(tape, layer, tape.leaf(x))
     assert np.allclose(out.value, x @ layer.weight.value + layer.bias.value)
+
+
+@pytest.mark.parametrize("batch", [1, 256])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_fused_dense_matches_composed_reference(activation, batch):
+    rng = np.random.default_rng(batch + len(activation))
+    layer = init_dense(rng, 6, 5, activation, "layer")
+    layer.bias.value = 0.1 * rng.standard_normal(5)
+    x = Param("x", rng.standard_normal((batch, 6)))
+    weights = rng.standard_normal((batch, 5))
+    params = [x, *layer.parameters()]
+
+    def run(forward):
+        tape = Tape()
+        out = forward(tape, layer, tape.param(x))
+        return out.value, tape.backward(tape.sum(tape.mul(out, weights)), params)
+
+    out, grads = run(dense_forward)
+    ref_out, ref_grads = run(dense_forward_reference)
+    assert np.array_equal(out, ref_out)
+    for p in params:
+        assert max_rel_diff(grads[p.name], ref_grads[p.name]) <= 1e-12, p.name
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+def test_dense_pre_activation_overflow_raises_though_saturated(activation):
+    layer = init_dense(np.random.default_rng(11), 2, 3, activation, "head")
+    layer.weight.value = np.full((2, 3), 1e200)
+    x = np.full((1, 2), 1e200)
+    saturate = {"sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)), "tanh": np.tanh}[activation]
+    with np.errstate(over="ignore"):
+        z = x @ layer.weight.value
+    # the activation saturates the overflow, so a check on the output alone would pass
+    assert np.isinf(z).all() and np.isfinite(saturate(z)).all()
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'dense'"):
+        dense_forward(Tape(), layer, Tape().leaf(x))
+
+
+def test_dense_contracts():
+    tape = Tape()
+    with pytest.raises(ContractError):
+        tape.dense(np.ones((2, 3)), np.ones((2, 3)), np.zeros(3), "identity")
+    with pytest.raises(ContractError):
+        tape.dense(np.ones((2, 3)), np.ones((3, 2)), np.zeros(3), "identity")
+    with pytest.raises(ContractError):
+        tape.dense(np.ones((2, 3)), np.ones((3, 2)), np.zeros(2), "relu")
 
 
 def test_lstm_three_step_gradients_match_fd():

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from dysurv.autodiff import Param
+from dysurv.autodiff import Param, Tape
 from dysurv.data import generate_synthetic
 from dysurv.errors import (
     CheckpointCorruptError,
@@ -24,6 +24,7 @@ from dysurv.training import (
     AdamState,
     GridSearchSpace,
     TrainConfig,
+    _batch_graph,
     adam_step,
     fit,
     gradient_check,
@@ -32,6 +33,7 @@ from dysurv.training import (
     multi_seed_report,
     save_checkpoint,
 )
+from oracles import AdamStateReference, adam_step_reference
 
 TINY_MODEL = ModelConfig(hidden_size=6, z_dim=4, decoder_hidden=(6,),
                          survival_hidden=(6,), condition_mode="both")
@@ -72,10 +74,39 @@ def test_adam_zero_gradient_is_a_no_op():
 
 
 def test_adam_rejects_non_finite_gradients():
-    p = Param("w", np.array([1.0]))
-    state = AdamState.init([p])
-    with pytest.raises(NumericalError):
-        adam_step(state, [p], {"w": np.array([np.nan])}, lr=0.1)
+    params = [Param("w", np.ones(3)), Param("b", np.ones(2))]
+    state = AdamState.init(params)
+    with pytest.raises(NumericalError, match="parameter 'b'"):
+        adam_step(state, params, {"w": np.ones(3), "b": np.array([1.0, np.nan])}, lr=0.1)
+
+
+def test_flat_adam_matches_the_per_parameter_loop():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 3), "b": (3,), "v": (2, 5)}
+    params = [Param(n, rng.standard_normal(s)) for n, s in shapes.items()]
+    ref_params = [Param(p.name, p.value.copy()) for p in params]
+    state, ref_state = AdamState.init(params), AdamStateReference.init(ref_params)
+    for _ in range(5):
+        grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        adam_step(state, params, grads, lr=0.01)
+        adam_step_reference(ref_state, ref_params, grads, lr=0.01)
+        for p, ref in zip(params, ref_params, strict=True):
+            assert np.array_equal(p.value, ref.value), p.name
+    assert state.step == ref_state.step == 5
+
+
+def test_training_batch_records_few_tape_nodes(prepared):
+    # the benchmark's shape: one hidden layer per head, dropout and the VAE on
+    model = ModelConfig(hidden_size=24, z_dim=8, decoder_hidden=(24,), survival_hidden=(24,))
+    data = prepared.train
+    params = init_dysurv_params(np.random.default_rng(0), data.d_in, data.seq_len,
+                                data.n_bins, model)
+    tape = Tape()
+    total, _, _ = _batch_graph(tape, params, data, np.arange(64),
+                               quick_config(alpha=0.8, dropout_keep=0.9),
+                               np.random.default_rng(0))
+    tape.mul(total, 1.0 / 64)
+    assert len(tape) <= 40
 
 
 # ---------------------------------------------------------------------------
