@@ -9,6 +9,7 @@ a single ``E_CODE: message`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -263,10 +264,12 @@ def cmd_predict(args) -> int:
     columns = np.stack([curves.at(t) for t in times], axis=1)
     path = out / "curves.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("id,time,survival\n")
-        for i, record in enumerate(ds.records):
-            for j, t in enumerate(times):
-                fh.write(f"{record.id},{float(t)!r},{float(columns[i, j])!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "time", "survival"])
+        for record, row in zip(ds.records, columns):
+            writer.writerows(
+                [record.id, repr(float(t)), repr(float(s))] for t, s in zip(times, row)
+            )
     config = {"subjects": len(ds), "points": CURVE_POINTS, "t_max": ckpt.grid.t_max}
     _write_meta(out, "predict", config, [path])
     print(f"wrote {len(ds)} curves ({CURVE_POINTS} points each) to {path}")

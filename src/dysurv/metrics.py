@@ -1,16 +1,17 @@
 """Censoring-aware evaluation for discrete-time survival predictions.
 
 Implements the Kaplan-Meier product-limit estimator, time-dependent
-concordance over comparable pairs, inverse-probability-of-censoring
-weighted Brier score and binomial log likelihood with their integrated
-forms, fixed-horizon binary classification metrics, and permutation
-feature importance. Curves are piecewise linear on shared knots and are
-queried with constant extension outside the knot range.
+concordance over comparable pairs (counted once per distinct event time),
+the inverse-probability-of-censoring weighted (IPCW) Brier score and
+binomial log likelihood with their integrated forms (one sweep over the
+evaluation times yields both), fixed-horizon binary classification
+metrics, and permutation feature importance. Curves are piecewise linear
+on shared knots and extend as constants outside the knot range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,9 +27,11 @@ Array = np.ndarray
 
 EVAL_TIMES = 100
 LOG_CLAMP = 1e-12
+# most (event subject, other) pairs that concordance compares in one array
+CONCORDANCE_BLOCK = 1 << 20
 
 
-def _validate_outcomes(durations, events) -> tuple[Array, Array]:
+def _validate_outcomes(durations, events, curves=None) -> tuple[Array, Array]:
     durations = np.asarray(durations, dtype=np.float64)
     events = np.asarray(events, dtype=np.int64)
     if durations.ndim != 1 or durations.shape != events.shape:
@@ -39,6 +42,8 @@ def _validate_outcomes(durations, events) -> tuple[Array, Array]:
         raise DomainError("durations must be finite and nonnegative")
     if np.any((events != 0) & (events != 1)):
         raise DomainError("events must be 0 or 1")
+    if curves is not None and len(curves) != durations.size:
+        raise ContractError("one curve per subject is required")
     return durations, events
 
 
@@ -55,21 +60,17 @@ class StepFunction:
             raise ContractError("step times must be strictly increasing")
 
     def _lookup(self, t, side: str):
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.times, t, side=side) - 1
-        padded = np.concatenate([[1.0], self.values])
-        out = padded[idx + 1]
-        return out
+        idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side=side)
+        out = np.concatenate([[1.0], self.values])[idx]
+        return float(out) if np.ndim(t) == 0 else out
 
     def at(self, t):
-        """Value at t (right-continuous)."""
-        out = self._lookup(t, "right")
-        return float(out) if np.ndim(t) == 0 else out
+        """Value at t (right-continuous); a float for scalar t."""
+        return self._lookup(t, "right")
 
     def left(self, t):
         """Left limit: the value just before t."""
-        out = self._lookup(t, "left")
-        return float(out) if np.ndim(t) == 0 else out
+        return self._lookup(t, "left")
 
 
 def km_estimator(durations, events) -> StepFunction:
@@ -80,12 +81,11 @@ def km_estimator(durations, events) -> StepFunction:
     """
     durations, events = _validate_outcomes(durations, events)
     order = np.argsort(durations, kind="stable")
-    sorted_t = durations[order]
-    sorted_e = events[order]
-    unique_t, start_idx, counts = np.unique(sorted_t, return_index=True, return_counts=True)
-    n = durations.size
-    at_risk = n - np.concatenate([[0], np.cumsum(counts)[:-1]])
-    d = np.add.reduceat(sorted_e, start_idx)
+    unique_t, start_idx, counts = np.unique(
+        durations[order], return_index=True, return_counts=True
+    )
+    at_risk = durations.size - np.concatenate([[0], np.cumsum(counts)[:-1]])
+    d = np.add.reduceat(events[order], start_idx)
     has_event = d > 0
     factors = 1.0 - d[has_event] / at_risk[has_event]
     return StepFunction(unique_t[has_event], np.cumprod(factors))
@@ -128,14 +128,9 @@ class SurvivalCurves:
         left = self.values[:, k]
         return left + w * (self.values[:, k + 1] - left)
 
-    def single(self, i: int) -> "SurvivalCurves":
-        return SurvivalCurves(self.times, self.values[i : i + 1, :])
-
     @staticmethod
     def constant(value: float, n: int, t_max: float) -> "SurvivalCurves":
-        return SurvivalCurves(
-            np.array([0.0, t_max]), np.full((n, 2), float(value))
-        )
+        return SurvivalCurves(np.array([0.0, t_max]), np.full((n, 2), float(value)))
 
     @staticmethod
     def from_bin_probs(probs: Array, grid: TimeGrid) -> "SurvivalCurves":
@@ -155,6 +150,29 @@ class SurvivalCurves:
 # ---------------------------------------------------------------------------
 
 
+def _concordance(curves: SurvivalCurves, durations: Array, events: Array) -> float:
+    is_event = events == 1
+    concordant = tied = comparable = 0
+    # every event subject at time t reads the same curve column and the same
+    # comparable set, so the pairs are counted once per distinct event time
+    for t in np.unique(durations[is_event]):
+        row = curves.at(t)
+        same = durations == t
+        own = row[same & is_event]
+        others = row[(durations > t) | (same & ~is_event)]
+        if others.size == 0:
+            continue
+        comparable += own.size * others.size
+        step = max(1, CONCORDANCE_BLOCK // others.size)
+        for lo in range(0, own.size, step):
+            block = own[lo : lo + step, None]
+            concordant += int((block < others).sum())
+            tied += int((block == others).sum())
+    if comparable == 0:
+        raise MetricUndefinedError("no comparable pairs; concordance is undefined")
+    return (concordant + 0.5 * tied) / comparable
+
+
 def concordance_td(curves: SurvivalCurves, durations, events) -> float:
     """Time-dependent concordance over comparable pairs.
 
@@ -163,27 +181,7 @@ def concordance_td(curves: SurvivalCurves, durations, events) -> float:
     when the event subject's own curve is lower at T_i than the other
     subject's; equal predictions count half.
     """
-    durations, events = _validate_outcomes(durations, events)
-    if len(curves) != durations.size:
-        raise ContractError("one curve per subject is required")
-    concordant = 0
-    tied = 0
-    comparable = 0
-    for i in np.where(events == 1)[0]:
-        t_i = durations[i]
-        row = curves.at(t_i)
-        mask = (durations > t_i) | ((durations == t_i) & (events == 0))
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        comparable += count
-        s_own = row[i]
-        others = row[mask]
-        concordant += int((s_own < others).sum())
-        tied += int((s_own == others).sum())
-    if comparable == 0:
-        raise MetricUndefinedError("no comparable pairs; concordance is undefined")
-    return (concordant + 0.5 * tied) / comparable
+    return _concordance(curves, *_validate_outcomes(durations, events, curves))
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +189,32 @@ def concordance_td(curves: SurvivalCurves, durations, events) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ipcw_terms(curves, durations, events, t: float, censor_sf: StepFunction):
-    """Shared scaffolding: survival at t, the two indicator groups, and
-    their censoring weights. Raises if a needed weight degenerates to 0."""
-    s_t = curves.at(t)
-    had_event = (durations <= t) & (events == 1)
-    still_alive = durations > t
-    g_event = censor_sf.left(durations[had_event])
-    g_alive = censor_sf.at(t)
-    if np.any(g_event <= 0.0) or (still_alive.any() and g_alive <= 0.0):
-        raise WeightDegeneracyError(
-            f"censoring weight is zero at evaluation time {t}"
-        )
-    return s_t, had_event, still_alive, g_event, g_alive
+def _ipcw_scores(curves, durations, events, times, censor_sf: StepFunction | None):
+    """Brier scores and binomial log likelihoods at each of ``times``; the
+    censoring curve G (Kaplan-Meier unless given) is read once per subject
+    at T- and once per time. Raises if a needed weight degenerates to 0."""
+    if censor_sf is None:
+        censor_sf = km_estimator(durations, 1 - events)
+    g_own = censor_sf.left(durations)
+    g_times = censor_sf.at(np.asarray(times, dtype=np.float64))
+    is_event = events == 1
+    brier, loglik = np.empty((2, len(times)))
+    for k, t in enumerate(times):
+        s_t = curves.at(t)
+        had_event = (durations <= t) & is_event
+        still_alive = durations > t
+        g_event = g_own[had_event]
+        g_alive = g_times[k]
+        if np.any(g_event <= 0.0) or (still_alive.any() and g_alive <= 0.0):
+            raise WeightDegeneracyError(f"censoring weight is zero at evaluation time {t}")
+        total = (s_t[had_event] ** 2 / g_event).sum()
+        total += ((1.0 - s_t[still_alive]) ** 2 / g_alive).sum()
+        brier[k] = total / durations.size
+        s_t = np.clip(s_t, LOG_CLAMP, 1.0 - LOG_CLAMP)
+        total = (np.log(1.0 - s_t[had_event]) / g_event).sum()
+        total += (np.log(s_t[still_alive]) / g_alive).sum()
+        loglik[k] = total / durations.size
+    return brier, loglik
 
 
 def brier_ipcw(
@@ -216,17 +227,8 @@ def brier_ipcw(
     (1 - S(t))^2 / G(t); censored-before-t subjects contribute nothing but
     stay in the denominator n.
     """
-    durations, events = _validate_outcomes(durations, events)
-    if len(curves) != durations.size:
-        raise ContractError("one curve per subject is required")
-    if censor_sf is None:
-        censor_sf = km_estimator(durations, 1 - events)
-    s_t, had_event, still_alive, g_event, g_alive = _ipcw_terms(
-        curves, durations, events, t, censor_sf
-    )
-    total = (s_t[had_event] ** 2 / g_event).sum()
-    total += ((1.0 - s_t[still_alive]) ** 2 / g_alive).sum()
-    return float(total / durations.size)
+    durations, events = _validate_outcomes(durations, events, curves)
+    return float(_ipcw_scores(curves, durations, events, [t], censor_sf)[0][0])
 
 
 def binomial_ll(
@@ -238,27 +240,24 @@ def binomial_ll(
     Same weighting scheme as the Brier score; survival probabilities are
     clamped to [1e-12, 1 - 1e-12] before the logs.
     """
-    durations, events = _validate_outcomes(durations, events)
-    if len(curves) != durations.size:
-        raise ContractError("one curve per subject is required")
-    if censor_sf is None:
-        censor_sf = km_estimator(durations, 1 - events)
-    s_t, had_event, still_alive, g_event, g_alive = _ipcw_terms(
-        curves, durations, events, t, censor_sf
-    )
-    s_t = np.clip(s_t, LOG_CLAMP, 1.0 - LOG_CLAMP)
-    total = (np.log(1.0 - s_t[had_event]) / g_event).sum()
-    total += (np.log(s_t[still_alive]) / g_alive).sum()
-    return float(total / durations.size)
+    durations, events = _validate_outcomes(durations, events, curves)
+    return float(_ipcw_scores(curves, durations, events, [t], censor_sf)[1][0])
 
 
-def _integration_times(durations: Array, n_times: int) -> Array:
+def _ipcw_integrals(curves, durations, events, n_times: int) -> tuple[float, float]:
+    """(IBS, INBLL): trapezoidal averages of the Brier score and of the
+    negated binomial log likelihood over ``n_times`` equally spaced times
+    in (0, max duration], from one fit of the censoring distribution."""
     if n_times < 2:
         raise DomainError(f"need at least 2 integration times, got {n_times}")
     t_max = float(durations.max())
     if t_max <= 0:
         raise DomainError("integration needs a positive maximum duration")
-    return np.linspace(t_max / n_times, t_max, n_times)
+    times = np.linspace(t_max / n_times, t_max, n_times)
+    brier, loglik = _ipcw_scores(curves, durations, events, times, None)
+    span = times[-1] - times[0]
+    return (float(np.trapezoid(brier, times) / span),
+            float(-np.trapezoid(loglik, times) / span))
 
 
 def integrated_brier(
@@ -266,13 +265,7 @@ def integrated_brier(
 ) -> float:
     """Trapezoidal average of the IPCW Brier score over ``n_times`` equally
     spaced times in (0, max duration]."""
-    durations, events = _validate_outcomes(durations, events)
-    times = _integration_times(durations, n_times)
-    censor_sf = km_estimator(durations, 1 - events)
-    scores = np.array(
-        [brier_ipcw(curves, durations, events, t, censor_sf) for t in times]
-    )
-    return float(np.trapezoid(scores, times) / (times[-1] - times[0]))
+    return _ipcw_integrals(curves, *_validate_outcomes(durations, events, curves), n_times)[0]
 
 
 def integrated_bll(
@@ -280,13 +273,7 @@ def integrated_bll(
 ) -> float:
     """Negated trapezoidal average of the IPCW binomial log likelihood
     (INBLL, lower is better) over the same grid as the Brier integral."""
-    durations, events = _validate_outcomes(durations, events)
-    times = _integration_times(durations, n_times)
-    censor_sf = km_estimator(durations, 1 - events)
-    lls = np.array(
-        [binomial_ll(curves, durations, events, t, censor_sf) for t in times]
-    )
-    return float(-np.trapezoid(lls, times) / (times[-1] - times[0]))
+    return _ipcw_integrals(curves, *_validate_outcomes(durations, events, curves), n_times)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +289,7 @@ class EvalReport:
     n_eval_times: int = EVAL_TIMES
 
     def to_json_dict(self) -> dict:
-        return {
-            "c_td": self.c_td,
-            "ibs": self.ibs,
-            "inbll": self.inbll,
-            "n_eval_times": self.n_eval_times,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -318,24 +300,17 @@ class HorizonReport:
     horizon: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-            "sensitivity": self.sensitivity,
-            "horizon": self.horizon,
-        }
+        return asdict(self)
 
 
 def evaluate_all(
     curves: SurvivalCurves, durations, events, n_times: int = EVAL_TIMES
 ) -> EvalReport:
-    """Concordance plus integrated Brier and negated binomial likelihood."""
-    return EvalReport(
-        c_td=concordance_td(curves, durations, events),
-        ibs=integrated_brier(curves, durations, events, n_times),
-        inbll=integrated_bll(curves, durations, events, n_times),
-        n_eval_times=n_times,
-    )
+    """Concordance plus integrated Brier and negated binomial likelihood,
+    from one check of the outcomes and one censoring fit."""
+    durations, events = _validate_outcomes(durations, events, curves)
+    c_td = _concordance(curves, durations, events)
+    return EvalReport(c_td, *_ipcw_integrals(curves, durations, events, n_times), n_times)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +323,8 @@ def horizon_labels(durations, events, horizon: float) -> tuple[Array, Array]:
     before it. Subjects censored strictly before the horizon are excluded;
     returns (labels, include_mask)."""
     durations, events = _validate_outcomes(durations, events)
-    if horizon <= 0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < np.inf:
+        raise DomainError(f"horizon must be finite and positive, got {horizon}")
     include = ~((events == 0) & (durations < horizon))
     labels = (events == 1) & (durations <= horizon)
     return labels[include].astype(np.int64), include
@@ -404,8 +379,6 @@ def horizon_binary_metrics(risks, labels, horizon: float) -> HorizonReport:
 def _permute_feature(
     ds: SurvivalDataset, feature: str, rng: np.random.Generator
 ) -> SurvivalDataset:
-    from dataclasses import replace as dc_replace
-
     schema = ds.schema
     n = len(ds)
     records = list(ds.records)
@@ -419,7 +392,7 @@ def _permute_feature(
             statics[:, cols] = statics[rng.permutation(n), cols]
             return SurvivalDataset(
                 schema=schema,
-                records=[dc_replace(r, static_features=s) for r, s in zip(records, statics)],
+                records=[replace(r, static_features=s) for r, s in zip(records, statics)],
             )
         offset += width
     if feature in schema.time_varying:
@@ -438,7 +411,7 @@ def _permute_feature(
                 mask = r.series_mask.copy()
                 series[:, col] = records[j].series[:, col]
                 mask[:, col] = records[j].series_mask[:, col]
-                new_records[i] = dc_replace(r, series=series, series_mask=mask)
+                new_records[i] = replace(r, series=series, series_mask=mask)
         return SurvivalDataset(schema=schema, records=new_records)
     raise ContractError(f"unknown feature '{feature}'")
 

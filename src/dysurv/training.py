@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -79,16 +79,7 @@ class TrainConfig:
             raise DomainError(f"patience must be >= 1, got {self.patience}")
 
     def canonical(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "alpha": self.alpha,
-            "dropout_keep": self.dropout_keep,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-            "deterministic_latent": self.deterministic_latent,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_canonical(d: dict) -> "TrainConfig":

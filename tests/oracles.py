@@ -1,10 +1,11 @@
 """Slow brute-force metric implementations used as oracles by the metric
-tests and the acceptance gate, numpy references for the tape losses, the
-tape compositions that the fused LSTM, dense and loss nodes replace, the
-per-parameter Adam loop that the flat update replaces, and the
-record-by-record data preparation that the stacked one replaces. Kept
-deliberately naive: different formulation, same definition as the fast
-paths."""
+tests and the acceptance gate, the per-event-subject concordance and
+per-time IPCW scores that the batched metrics replace, numpy references
+for the tape losses, the tape compositions that the fused LSTM, dense and
+loss nodes replace, the per-parameter Adam loop that the flat update
+replaces, and the record-by-record data preparation that the stacked one
+replaces. Kept deliberately naive: different formulation, same definition
+as the fast paths."""
 
 from dataclasses import dataclass
 
@@ -12,8 +13,22 @@ import numpy as np
 
 from dysurv.autodiff import Param
 from dysurv.data import TimeGrid, discretize
-from dysurv.errors import ContractError, DomainError, NumericalError
-from dysurv.metrics import SurvivalCurves
+from dysurv.errors import (
+    ContractError,
+    DomainError,
+    MetricUndefinedError,
+    NumericalError,
+    WeightDegeneracyError,
+)
+from dysurv.metrics import (
+    EVAL_TIMES,
+    LOG_CLAMP,
+    Array,
+    StepFunction,
+    SurvivalCurves,
+    _validate_outcomes,
+    km_estimator,
+)
 from dysurv.model import PROB_FLOOR, condition_matrix
 from dysurv.nn import glorot_uniform
 from dysurv.training import SplitArrays
@@ -85,7 +100,7 @@ def naive_brier(curves, durations, events, t):
     n = len(durations)
     total = 0.0
     for i in range(n):
-        s = float(curves.single(i).at(t)[0])
+        s = float(SurvivalCurves(curves.times, curves.values[i : i + 1]).at(t)[0])
         if durations[i] <= t and events[i] == 1:
             g = naive_km_value(durations, 1 - np.asarray(events), durations[i], strict=True)
             total += (0.0 - s) ** 2 / g
@@ -93,6 +108,141 @@ def naive_brier(curves, durations, events, t):
             g = naive_km_value(durations, 1 - np.asarray(events), t)
             total += (1.0 - s) ** 2 / g
     return total / n
+
+
+# The per-event-subject concordance and the per-time IPCW functions that
+# the metrics module replaced with one pass per distinct event time and one
+# sweep over the evaluation times, kept verbatim; the fast paths must match
+# them bit for bit, errors included.
+
+
+def concordance_td_reference(curves: SurvivalCurves, durations, events) -> float:
+    """Time-dependent concordance over comparable pairs.
+
+    Pair (i, j) is comparable when T_i < T_j and subject i has an event,
+    or T_i = T_j with i an event and j censored. It counts as concordant
+    when the event subject's own curve is lower at T_i than the other
+    subject's; equal predictions count half.
+    """
+    durations, events = _validate_outcomes(durations, events)
+    if len(curves) != durations.size:
+        raise ContractError("one curve per subject is required")
+    concordant = 0
+    tied = 0
+    comparable = 0
+    for i in np.where(events == 1)[0]:
+        t_i = durations[i]
+        row = curves.at(t_i)
+        mask = (durations > t_i) | ((durations == t_i) & (events == 0))
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        comparable += count
+        s_own = row[i]
+        others = row[mask]
+        concordant += int((s_own < others).sum())
+        tied += int((s_own == others).sum())
+    if comparable == 0:
+        raise MetricUndefinedError("no comparable pairs; concordance is undefined")
+    return (concordant + 0.5 * tied) / comparable
+
+
+def _ipcw_terms_reference(curves, durations, events, t: float, censor_sf: StepFunction):
+    """Shared scaffolding: survival at t, the two indicator groups, and
+    their censoring weights. Raises if a needed weight degenerates to 0."""
+    s_t = curves.at(t)
+    had_event = (durations <= t) & (events == 1)
+    still_alive = durations > t
+    g_event = censor_sf.left(durations[had_event])
+    g_alive = censor_sf.at(t)
+    if np.any(g_event <= 0.0) or (still_alive.any() and g_alive <= 0.0):
+        raise WeightDegeneracyError(
+            f"censoring weight is zero at evaluation time {t}"
+        )
+    return s_t, had_event, still_alive, g_event, g_alive
+
+
+def brier_ipcw_reference(
+    curves: SurvivalCurves, durations, events, t: float,
+    censor_sf: StepFunction | None = None,
+) -> float:
+    """IPCW Brier score at time t.
+
+    Past events contribute S(t)^2 / G(T-), the still-at-risk contribute
+    (1 - S(t))^2 / G(t); censored-before-t subjects contribute nothing but
+    stay in the denominator n.
+    """
+    durations, events = _validate_outcomes(durations, events)
+    if len(curves) != durations.size:
+        raise ContractError("one curve per subject is required")
+    if censor_sf is None:
+        censor_sf = km_estimator(durations, 1 - events)
+    s_t, had_event, still_alive, g_event, g_alive = _ipcw_terms_reference(
+        curves, durations, events, t, censor_sf
+    )
+    total = (s_t[had_event] ** 2 / g_event).sum()
+    total += ((1.0 - s_t[still_alive]) ** 2 / g_alive).sum()
+    return float(total / durations.size)
+
+
+def binomial_ll_reference(
+    curves: SurvivalCurves, durations, events, t: float,
+    censor_sf: StepFunction | None = None,
+) -> float:
+    """IPCW binomial log likelihood at time t (higher is better).
+
+    Same weighting scheme as the Brier score; survival probabilities are
+    clamped to [1e-12, 1 - 1e-12] before the logs.
+    """
+    durations, events = _validate_outcomes(durations, events)
+    if len(curves) != durations.size:
+        raise ContractError("one curve per subject is required")
+    if censor_sf is None:
+        censor_sf = km_estimator(durations, 1 - events)
+    s_t, had_event, still_alive, g_event, g_alive = _ipcw_terms_reference(
+        curves, durations, events, t, censor_sf
+    )
+    s_t = np.clip(s_t, LOG_CLAMP, 1.0 - LOG_CLAMP)
+    total = (np.log(1.0 - s_t[had_event]) / g_event).sum()
+    total += (np.log(s_t[still_alive]) / g_alive).sum()
+    return float(total / durations.size)
+
+
+def _integration_times_reference(durations: Array, n_times: int) -> Array:
+    if n_times < 2:
+        raise DomainError(f"need at least 2 integration times, got {n_times}")
+    t_max = float(durations.max())
+    if t_max <= 0:
+        raise DomainError("integration needs a positive maximum duration")
+    return np.linspace(t_max / n_times, t_max, n_times)
+
+
+def integrated_brier_reference(
+    curves: SurvivalCurves, durations, events, n_times: int = EVAL_TIMES
+) -> float:
+    """Trapezoidal average of the IPCW Brier score over ``n_times`` equally
+    spaced times in (0, max duration]."""
+    durations, events = _validate_outcomes(durations, events)
+    times = _integration_times_reference(durations, n_times)
+    censor_sf = km_estimator(durations, 1 - events)
+    scores = np.array(
+        [brier_ipcw_reference(curves, durations, events, t, censor_sf) for t in times]
+    )
+    return float(np.trapezoid(scores, times) / (times[-1] - times[0]))
+
+
+def integrated_bll_reference(
+    curves: SurvivalCurves, durations, events, n_times: int = EVAL_TIMES
+) -> float:
+    """Negated trapezoidal average of the IPCW binomial log likelihood
+    (INBLL, lower is better) over the same grid as the Brier integral."""
+    durations, events = _validate_outcomes(durations, events)
+    times = _integration_times_reference(durations, n_times)
+    censor_sf = km_estimator(durations, 1 - events)
+    lls = np.array(
+        [binomial_ll_reference(curves, durations, events, t, censor_sf) for t in times]
+    )
+    return float(-np.trapezoid(lls, times) / (times[-1] - times[0]))
 
 
 def random_instance(rng, n, n_bins=8):

@@ -1,11 +1,14 @@
 """End-to-end command line flows on tiny synthetic problems."""
 
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dysurv.cli import main
+from dysurv.data import SurvivalDataset, generate_synthetic, save_dataset_csv
 from dysurv.pipeline import Predictor
 
 SYNTH = "200,3,0.3"
@@ -112,6 +115,22 @@ def test_predict_curves_shape(trained_dir, tmp_path):
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def test_predict_quotes_an_id_with_a_comma(trained_dir, tmp_path):
+    ds = generate_synthetic(5, 3, 0.3, seed=0)
+    ds = SurvivalDataset(ds.schema, [replace(r, id=f"{r.id},q") for r in ds.records])
+    manifest = save_dataset_csv(ds, tmp_path / "data", stem="commas")
+    out = tmp_path / "out"
+    assert run("predict", "--manifest", str(manifest), "--out", str(out),
+               "--checkpoint", str(trained_dir / "checkpoint.bin")) == 0
+    with open(out / "curves.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["id", "time", "survival"]
+    assert len(rows) == 1 + 5 * 101
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows[1::101]] == [r.id for r in ds.records]
+    assert all(float(row[1]) == 0.0 and float(row[2]) == 1.0 for row in rows[1::101])
+
+
 def test_importance_command(trained_dir, tmp_path):
     assert run("importance", "--synth", SYNTH, "--out", str(tmp_path),
                "--checkpoint", str(trained_dir / "checkpoint.bin"),
@@ -160,3 +179,13 @@ def test_config_errors(tmp_path, capsys):
     assert run("train", "--synth", SYNTH, "--manifest", "x.json",
                "--out", str(tmp_path)) == 1
     assert "E_CONFIG" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "0"])
+def test_unusable_horizon_is_a_domain_error(trained_dir, tmp_path, capsys, horizon):
+    code = run("evaluate", "--synth", "400,3,0.3", "--out", str(tmp_path),
+               "--checkpoint", str(trained_dir / "checkpoint.bin"), "--horizon", horizon)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_DOMAIN: horizon must be finite and positive")
+    assert err.count("\n") == 1

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dysurv import metrics
 from dysurv.data import FeatureSchema, SubjectRecord, SurvivalDataset, generate_synthetic
 from dysurv.errors import (
     ContractError,
+    DomainError,
+    DySurvError,
     MetricUndefinedError,
     WeightDegeneracyError,
 )
@@ -31,6 +34,11 @@ from dysurv.metrics import (
     permutation_importance,
 )
 from oracles import (
+    binomial_ll_reference,
+    brier_ipcw_reference,
+    concordance_td_reference,
+    integrated_bll_reference,
+    integrated_brier_reference,
     naive_auroc,
     naive_brier,
     naive_concordance,
@@ -246,6 +254,104 @@ def test_evaluate_all_bundles_the_three_metrics():
 
 
 # ---------------------------------------------------------------------------
+# batched metrics against the per-subject and per-time references
+# ---------------------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """The value, or the error's type and message."""
+    try:
+        return fn(*args)
+    except DySurvError as exc:
+        return type(exc), exc.message
+
+
+def assert_same_as_references(curves, durations, events, censor_sf=None):
+    for fast, ref in ((concordance_td, concordance_td_reference),
+                      (integrated_brier, integrated_brier_reference),
+                      (integrated_bll, integrated_bll_reference)):
+        assert outcome(fast, curves, durations, events) == outcome(ref, curves, durations, events)
+    for t in (0.2, 1.0, 2.0, 3.5, 7.5, float(np.max(durations))):
+        for fast, ref in ((brier_ipcw, brier_ipcw_reference),
+                          (binomial_ll, binomial_ll_reference)):
+            args = (curves, durations, events, t, censor_sf)
+            assert outcome(fast, *args) == outcome(ref, *args)
+    want = [outcome(ref, curves, durations, events) for ref in
+            (concordance_td_reference, integrated_brier_reference, integrated_bll_reference)]
+    errors = [w for w in want if isinstance(w, tuple)]
+    got = outcome(evaluate_all, curves, durations, events)
+    if errors:
+        assert got == errors[0]
+    else:
+        assert got.to_json_dict() == dict(zip(("c_td", "ibs", "inbll"), want), n_eval_times=100)
+
+
+@pytest.mark.parametrize("ties", ["integer durations", "all distinct"])
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_batched_metrics_equal_the_references(ties, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 150))
+    durations, events, curves = random_instance(rng, n, n_bins=int(rng.integers(2, 12)))
+    if ties == "integer durations":
+        durations = rng.integers(1, int(rng.integers(2, 12)), size=n).astype(np.float64)
+    else:
+        assert np.unique(durations).size == n
+    assert_same_as_references(curves, durations, events)
+
+
+def test_batched_metrics_equal_the_references_on_edge_cases():
+    curves = SurvivalCurves.constant(0.5, 3, 5.0)
+    # no comparable pairs: nobody has an event, or the only event comes last
+    assert_same_as_references(curves, np.array([1.0, 2.0, 3.0]), np.array([0, 0, 0]))
+    assert_same_as_references(curves, np.array([1.0, 2.0, 3.0]), np.array([0, 0, 1]))
+    # degenerate censoring weights, at T- for past events and at t for the at-risk
+    dead_weight = StepFunction(np.array([1.0]), np.array([0.0]))
+    two = SurvivalCurves.constant(0.5, 2, 5.0)
+    for durations in ([0.5, 4.0], [2.0, 4.0]):
+        assert_same_as_references(two, np.array(durations), np.array([1, 0]), dead_weight)
+    with pytest.raises(WeightDegeneracyError, match="at evaluation time 3.0"):
+        brier_ipcw(two, [2.0, 4.0], [1, 0], t=3.0, censor_sf=dead_weight)
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_concordance_blocks_do_not_change_the_count(monkeypatch, cap):
+    rng = np.random.default_rng(13)
+    _, _, curves = random_instance(rng, 300)
+    instances = [(curves, rng.integers(1, 6, size=300).astype(np.float64),
+                  rng.integers(0, 2, size=300))]
+    # ten events at t = 1 against three censored there: blocks of 7 // 3 = 2 rows
+    _, _, small = random_instance(rng, 13)
+    instances.append((small, np.array([1.0] * 13), np.array([1] * 10 + [0] * 3)))
+    want = [concordance_td(*inst) for inst in instances]
+    monkeypatch.setattr(metrics, "CONCORDANCE_BLOCK", cap)
+    for inst, w in zip(instances, want):
+        assert concordance_td(*inst) == w == concordance_td_reference(*inst)
+
+
+def test_evaluate_all_checks_and_fits_once(monkeypatch):
+    rng = np.random.default_rng(14)
+    durations, events, curves = random_instance(rng, 60)
+    events[0] = 1
+    calls = {"km": 0, "check": 0}
+    km, check = metrics.km_estimator, metrics._validate_outcomes
+
+    def counted_km(*args):
+        calls["km"] += 1
+        return km(*args)
+
+    def counted_check(*args):
+        calls["check"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(metrics, "km_estimator", counted_km)
+    monkeypatch.setattr(metrics, "_validate_outcomes", counted_check)
+    evaluate_all(curves, durations, events)
+    # the outcomes once, and the censoring indicators once inside the KM fit
+    assert calls == {"km": 1, "check": 2}
+
+
+# ---------------------------------------------------------------------------
 # fixed-horizon binary metrics
 # ---------------------------------------------------------------------------
 
@@ -258,6 +364,12 @@ def test_horizon_labels_exclude_early_censoring():
     labels, include = horizon_labels([2.5, 2.5], [1, 0], 2.5)
     assert include.tolist() == [True, True]
     assert labels.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_horizon_must_be_finite_and_positive(horizon):
+    with pytest.raises(DomainError, match="finite and positive"):
+        horizon_labels([1.0, 2.0], [1, 0], horizon)
 
 
 def test_auroc_frozen_value():
