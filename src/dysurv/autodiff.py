@@ -1,35 +1,42 @@
-"""Tape-based reverse-mode automatic differentiation on float64 numpy arrays.
+"""Tape-based reverse-mode automatic differentiation on float64 numpy arrays,
+and the forward kernels that the tape and tape-free inference share.
 
 A ``Tape`` records every primitive applied to ``Tensor`` values. Calling
 ``Tape.backward`` on a scalar loss replays the records in reverse and
 accumulates vector-Jacobian products into a gradient store keyed by
-parameter name. The op set is deliberately small: exactly what an LSTM
-encoder, dense heads, softmax likelihoods and a Gaussian VAE need.
+parameter name. The op set is deliberately small: exactly what a training
+batch of the model records (``add``, ``mul``, ``exp``, ``concat``,
+``dropout`` and the fused nodes below).
 
-The LSTM encoder is one fused primitive, :meth:`Tape.lstm`: its forward
-runs every timestep over stacked gate weights and records a single node
-whose vector-Jacobian product is hand-written backpropagation through
-time. It computes the same values, in the same summation order, as the
-per-gate composition of ``matmul``/``add``/``sigmoid``/``tanh``/``mul``
-nodes it replaces, with one node instead of about 37 per step.
+Two module functions compute the model's layers, and each is the one copy
+of its formula:
 
-Two more methods cut the rest of a training batch to a few nodes:
-
-- :meth:`Tape.dense` records ``act(x @ w + b)`` as one node. It checks the
+- :func:`lstm_values` runs a single-layer LSTM over stacked gate weights.
+  :meth:`Tape.lstm` calls it with ``keep=True`` and records one node whose
+  vector-Jacobian product is hand-written backpropagation through time
+  over the gate, cell and tanh-cell buffers it keeps. It computes the same
+  values, in the same summation order, as the per-gate composition of
+  matmul, add, sigmoid, tanh and mul nodes it replaces.
+- :func:`dense_values` computes ``act(x @ w + b)`` and checks the
   pre-activation as well as the output, so an overflow that ``tanh`` or
-  ``softmax`` would saturate away still raises, and its vector-Jacobian
-  product runs the activation → add → matmul chain in that order.
-- :meth:`Tape.record` pushes a caller-computed value with a caller-given
-  vector-Jacobian product. The survival likelihood and the VAE loss in
-  ``model.py`` are one such node each, with the formulas kept there.
+  ``softmax`` would saturate away still raises. :meth:`Tape.dense` records
+  its output as one node whose vector-Jacobian product runs the
+  activation → add → matmul chain in that order.
 
-Every node's value is checked for NaN and ±inf as it is recorded. The
-check sums the array first and scans it entry by entry only when the sum
-is not finite, which an overflowing sum of finite entries also makes.
+Inference calls the two kernels directly and records nothing: a tape is
+kept only where a reverse sweep will read it. :meth:`Tape.record` pushes a
+caller-computed value with a caller-given vector-Jacobian product; the
+survival likelihood and the VAE loss in ``model.py`` are one such node
+each, with the formulas kept there.
+
+Every value is checked for NaN and ±inf once, where it is computed: by a
+kernel or as a node is recorded. The check sums the array first and scans
+it entry by entry only when the sum is not finite, which an overflowing
+sum of finite entries also makes.
 
 Shapes are restricted to what the model uses: 2-D matmul, elementwise ops
-on equal shapes, row-broadcast bias add, reductions over all entries or
-one axis. General numpy broadcasting is out of scope on purpose.
+on equal shapes, row-broadcast bias add. General numpy broadcasting is out
+of scope on purpose.
 """
 
 from __future__ import annotations
@@ -111,6 +118,97 @@ _ACTIVATIONS = {
 }
 
 
+def dense_values(x: Array, w: Array, b: Array, activation: str) -> Array:
+    """``act(x @ w + b)`` with ``w`` (d_in, d_out), ``b`` (d_out,) and
+    ``activation`` one of identity, sigmoid, tanh or a row-wise softmax;
+    the forward of :meth:`Tape.dense` and of tape-free inference.
+
+    The pre-activation is checked as well as the output, so an overflow
+    that a saturating activation would hide still raises
+    ``NumericalError`` naming ``'dense'``.
+    """
+    if x.ndim != 2 or w.ndim != 2:
+        raise ContractError(f"dense expects 2-D operands, got {x.shape} @ {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ContractError(f"dense shape mismatch: {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ContractError(f"dense bias {b.shape} does not fit {w.shape[1]} outputs")
+    if activation != "identity" and activation not in _ACTIVATIONS:
+        raise ContractError(f"unknown dense activation '{activation}'")
+    z = x @ w
+    z += b
+    _check_finite(z, "dense")
+    if activation == "identity":
+        return z
+    out = _ACTIVATIONS[activation][0](z)
+    _check_finite(out, "dense")
+    return out
+
+
+def lstm_values(xs: Sequence[Array], wx: Array, wh: Array, b: Array, keep: bool = False):
+    """Single-layer LSTM over float64 (batch, d_in) steps; the forward of
+    :meth:`Tape.lstm` and of tape-free inference.
+
+    Gate weights are stacked in the order i, f, o, g: ``wx`` is (d_in, 4
+    hidden), ``wh`` (hidden, 4 hidden) and ``b`` (4 hidden). h and c start
+    at zero, so the first step has no recurrent term and its forget gate
+    multiplies nothing. Every step input, every step's pre-activation and
+    the final h are checked, and a non-finite one raises
+    ``NumericalError`` naming ``'lstm'``.
+
+    Returns the final hidden state (batch, hidden). With ``keep`` it
+    returns ``(h, gates, cells, tanh_cells)``, what backpropagation through
+    time reads: the gate activations, written over their pre-activations
+    in one (T, batch, 4 hidden) buffer (step 0 leaves its unused forget
+    block as it is), and c_t and tanh(c_t) as (T, batch, hidden).
+    Without it every step reuses one step's buffers.
+    """
+    hid = wh.shape[0]
+    if wx.ndim != 2 or wx.shape[1] != 4 * hid or wh.shape != (hid, 4 * hid) \
+            or b.shape != (4 * hid,):
+        raise ContractError(
+            f"lstm weights {wx.shape}, {wh.shape}, {b.shape} are not stacked "
+            f"(d_in, 4h), (h, 4h), (4h,)"
+        )
+    if not xs or any(x.ndim != 2 or x.shape != (xs[0].shape[0], wx.shape[0]) for x in xs):
+        raise ContractError(
+            f"lstm needs one or more (batch, {wx.shape[0]}) steps, "
+            f"got shapes {[x.shape for x in xs]}"
+        )
+    for x in xs:
+        _check_finite(x, "lstm")
+    batch = xs[0].shape[0]
+    gi, gf, go, gg = (slice(k * hid, (k + 1) * hid) for k in range(4))
+    n = len(xs) if keep else 1
+    gates = np.empty((n, batch, 4 * hid))
+    cells = np.empty((n, batch, hid))
+    tanh_cells = np.empty((n, batch, hid))
+    h = c_prev = None
+    for t, x in enumerate(xs):
+        k = t if keep else 0
+        z, c, tc = gates[k], cells[k], tanh_cells[k]
+        np.matmul(x, wx, out=z)
+        z += b
+        if t:
+            z += h @ wh
+        _check_finite(z, "lstm")
+        if t:  # i, f and o are one contiguous column block
+            z[:, : 3 * hid] = _sigmoid(z[:, : 3 * hid])
+        else:
+            for blk in (gi, go):
+                z[:, blk] = _sigmoid(z[:, blk])
+        np.tanh(z[:, gg], out=z[:, gg])
+        if t:
+            np.add(z[:, gf] * c_prev, z[:, gi] * z[:, gg], out=c)
+        else:
+            np.multiply(z[:, gi], z[:, gg], out=c)
+        np.tanh(c, out=tc)
+        h = z[:, go] * tc
+        c_prev = c
+    _check_finite(h, "lstm")
+    return (h, gates, cells, tanh_cells) if keep else h
+
+
 class Tape:
     """Wengert list of primitive applications.
 
@@ -144,6 +242,10 @@ class Tape:
 
     def _push(self, value: Array, parents: tuple, vjp, op: str) -> Tensor:
         _check_finite(value, op)
+        return self._append(value, parents, vjp)
+
+    def _append(self, value: Array, parents: tuple, vjp) -> Tensor:
+        """Record a node whose value a forward kernel has already checked."""
         self._nodes.append(_Node(parents, vjp, None))
         return Tensor(value, len(self._nodes) - 1)
 
@@ -169,56 +271,23 @@ class Tape:
 
     # -- primitives -----------------------------------------------------
 
-    def matmul(self, a, b) -> Tensor:
-        a, b = self._wrap(a), self._wrap(b)
-        av, bv = a.value, b.value
-        if av.ndim != 2 or bv.ndim != 2:
-            raise ContractError(
-                f"matmul expects 2-D operands, got {av.shape} @ {bv.shape}"
-            )
-        if av.shape[1] != bv.shape[0]:
-            raise ContractError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-        out = av @ bv
-
-        def vjp(g):
-            return g @ bv.T, av.T @ g
-
-        return self._push(out, (a.idx, b.idx), vjp, "matmul")
-
     def dense(self, x, w, b, activation: str) -> Tensor:
-        """``act(x @ w + b)`` as one node, with ``w`` (d_in, d_out), ``b``
-        (d_out,) and ``activation`` one of identity, sigmoid, tanh or a
-        row-wise softmax.
+        """``act(x @ w + b)`` as one node, computed by :func:`dense_values`.
 
-        The pre-activation is checked as well as the output, so an
-        overflow that a saturating activation would hide still raises.
         The vector-Jacobian product runs the activation, the bias add and
         the matmul in the order separate nodes would.
         """
         x, w, b = self._wrap(x), self._wrap(w), self._wrap(b)
-        xv, wv, bv = x.value, w.value, b.value
-        if xv.ndim != 2 or wv.ndim != 2:
-            raise ContractError(
-                f"dense expects 2-D operands, got {xv.shape} @ {wv.shape}"
-            )
-        if xv.shape[1] != wv.shape[0]:
-            raise ContractError(f"dense shape mismatch: {xv.shape} @ {wv.shape}")
-        if bv.shape != (wv.shape[1],):
-            raise ContractError(f"dense bias {bv.shape} does not fit {wv.shape[1]} outputs")
-        if activation != "identity" and activation not in _ACTIVATIONS:
-            raise ContractError(f"unknown dense activation '{activation}'")
-        fwd, act_vjp = _ACTIVATIONS.get(activation, (None, None))
-        z = xv @ wv
-        z += bv
-        out = z if fwd is None else fwd(z)
+        xv, wv = x.value, w.value
+        out = dense_values(xv, wv, b.value, activation)
+        act_vjp = _ACTIVATIONS[activation][1] if activation != "identity" else None
 
         def vjp(g):
             if act_vjp is not None:
                 g = act_vjp(out, g)
             return g @ wv.T, xv.T @ g, g.sum(axis=0)
 
-        return self.record("dense", out, (x, w, b), vjp,
-                           intermediates=() if out is z else (z,))
+        return self._append(out, (x.idx, w.idx, b.idx), vjp)
 
     def _binary(self, a, b, fwd, vjp_ab, vjp_scalar, op: str) -> Tensor:
         """Shared plumbing for add/sub/mul with scalar and bias broadcast."""
@@ -247,19 +316,6 @@ class Tape:
 
         return self._binary(a, b, lambda x, y: x + y, vjp_ab, vjp_scalar, "add")
 
-    def sub(self, a, b) -> Tensor:
-        def vjp_ab(av, bv, row_bias):
-            def vjp(g):
-                gb = -(g.sum(axis=0)) if row_bias else -g
-                return g, gb
-
-            return vjp
-
-        def vjp_scalar(av, s):
-            return lambda g: (g,)
-
-        return self._binary(a, b, lambda x, y: x - y, vjp_ab, vjp_scalar, "sub")
-
     def mul(self, a, b) -> Tensor:
         def vjp_ab(av, bv, row_bias):
             if row_bias:
@@ -279,18 +335,6 @@ class Tape:
 
         return self._binary(a, b, lambda x, y: x * y, vjp_ab, vjp_scalar, "mul")
 
-    def _activation(self, a, name: str) -> Tensor:
-        a = self._wrap(a)
-        fwd, act_vjp = _ACTIVATIONS[name]
-        out = fwd(a.value)
-        return self._push(out, (a.idx,), lambda g: (act_vjp(out, g),), name)
-
-    def sigmoid(self, a) -> Tensor:
-        return self._activation(a, "sigmoid")
-
-    def tanh(self, a) -> Tensor:
-        return self._activation(a, "tanh")
-
     def exp(self, a) -> Tensor:
         a = self._wrap(a)
         out = np.exp(a.value)
@@ -299,56 +343,6 @@ class Tape:
             return (g * out,)
 
         return self._push(out, (a.idx,), vjp, "exp")
-
-    def log(self, a) -> Tensor:
-        a = self._wrap(a)
-        av = a.value
-        if np.any(av <= 0.0):
-            raise DomainError("log of nonpositive value; clamp probabilities first")
-        out = np.log(av)
-
-        def vjp(g):
-            return (g / av,)
-
-        return self._push(out, (a.idx,), vjp, "log")
-
-    def square(self, a) -> Tensor:
-        a = self._wrap(a)
-        av = a.value
-
-        def vjp(g):
-            return (2.0 * av * g,)
-
-        return self._push(av * av, (a.idx,), vjp, "square")
-
-    def softmax(self, a) -> Tensor:
-        """Row-wise softmax over the last axis; stable under shift."""
-        return self._activation(a, "softmax")
-
-    def sum(self, a, axis: int | None = None) -> Tensor:
-        a = self._wrap(a)
-        av = a.value
-        out = av.sum(axis=axis)
-
-        def vjp(g):
-            if axis is None:
-                return (np.broadcast_to(g, av.shape).copy(),)
-            return (np.expand_dims(g, axis).repeat(av.shape[axis], axis=axis),)
-
-        return self._push(np.asarray(out), (a.idx,), vjp, "sum")
-
-    def mean(self, a, axis: int | None = None) -> Tensor:
-        a = self._wrap(a)
-        av = a.value
-        count = av.size if axis is None else av.shape[axis]
-        out = av.mean(axis=axis)
-
-        def vjp(g):
-            if axis is None:
-                return (np.broadcast_to(g / count, av.shape).copy(),)
-            return (np.expand_dims(g / count, axis).repeat(count, axis=axis),)
-
-        return self._push(np.asarray(out), (a.idx,), vjp, "mean")
 
     def concat(self, parts: Sequence, axis: int = 1) -> Tensor:
         parts = [self._wrap(p) for p in parts]
@@ -361,18 +355,6 @@ class Tape:
             return tuple(np.split(g, splits, axis=axis))
 
         return self._push(out, tuple(p.idx for p in parts), vjp, "concat")
-
-    def clip(self, a, lo: float, hi: float) -> Tensor:
-        """Clamp values; gradient passes through the unclipped region."""
-        a = self._wrap(a)
-        av = a.value
-        out = np.clip(av, lo, hi)
-        inside = (av >= lo) & (av <= hi)
-
-        def vjp(g):
-            return (g * inside,)
-
-        return self._push(out, (a.idx,), vjp, "clip")
 
     def dropout(self, a, keep: float, mask: Array | None) -> Tensor:
         """Inverted dropout.
@@ -399,61 +381,18 @@ class Tape:
 
     def lstm(self, steps: Sequence[Array], w_x, w_h, b) -> Tensor:
         """Single-layer LSTM over (batch, d_in) steps; returns the final
-        hidden state (batch, hidden) as one node.
+        hidden state (batch, hidden) as one node, computed by
+        :func:`lstm_values`, whose docstring gives the weight layout.
 
-        Gate weights are stacked in the order i, f, o, g: ``w_x`` is
-        (d_in, 4 hidden), ``w_h`` (hidden, 4 hidden) and ``b`` (4 hidden).
-        h and c start at zero, so the first step has no recurrent term and
-        its forget gate multiplies nothing. The steps are constants: the
-        node's parents are the three weights and backward computes no
-        input gradient. The forward keeps only what backward needs: the
-        gate activations, written over their pre-activations in one
-        (T, batch, 4 hidden) buffer (step 0 leaves its unused forget block
-        as it is), and c_t and tanh(c_t).
+        The steps are constants: the node's parents are the three weights
+        and backward computes no input gradient.
         """
         w_x, w_h, b = self._wrap(w_x), self._wrap(w_h), self._wrap(b)
-        wx, wh, bv = w_x.value, w_h.value, b.value
-        hid = wh.shape[0]
-        if wx.ndim != 2 or wx.shape[1] != 4 * hid or wh.shape != (hid, 4 * hid) \
-                or bv.shape != (4 * hid,):
-            raise ContractError(
-                f"lstm weights {wx.shape}, {wh.shape}, {bv.shape} are not stacked "
-                f"(d_in, 4h), (h, 4h), (4h,)"
-            )
+        wh = w_h.value
         xs = [np.asarray(x, dtype=np.float64) for x in steps]
-        if not xs or any(x.ndim != 2 or x.shape != (xs[0].shape[0], wx.shape[0]) for x in xs):
-            raise ContractError(
-                f"lstm needs one or more (batch, {wx.shape[0]}) steps, "
-                f"got shapes {[x.shape for x in xs]}"
-            )
-        for x in xs:
-            _check_finite(x, "lstm")
-        batch = xs[0].shape[0]
+        h, gates, cells, tanh_cells = lstm_values(xs, w_x.value, wh, b.value, keep=True)
+        hid, n = wh.shape[0], len(xs)
         gi, gf, go, gg = (slice(k * hid, (k + 1) * hid) for k in range(4))
-        n = len(xs)
-        gates = np.empty((n, batch, 4 * hid))
-        cells = np.empty((n, batch, hid))
-        tanh_cells = np.empty((n, batch, hid))
-        h = None
-        for t, x in enumerate(xs):
-            z = gates[t]
-            np.matmul(x, wx, out=z)
-            z += bv
-            if t:
-                z += h @ wh
-            _check_finite(z, "lstm")
-            if t:  # i, f and o are one contiguous column block
-                z[:, : 3 * hid] = _sigmoid(z[:, : 3 * hid])
-            else:
-                for blk in (gi, go):
-                    z[:, blk] = _sigmoid(z[:, blk])
-            np.tanh(z[:, gg], out=z[:, gg])
-            if t:
-                np.add(z[:, gf] * cells[t - 1], z[:, gi] * z[:, gg], out=cells[t])
-            else:
-                np.multiply(z[:, gi], z[:, gg], out=cells[t])
-            np.tanh(cells[t], out=tanh_cells[t])
-            h = z[:, go] * tanh_cells[t]
 
         def vjp(g):
             # every product and sum is taken in the order the per-gate
@@ -488,7 +427,7 @@ class Tape:
                 d_wh = d_wh + h_prev.T @ dz[t]
             return d_wx, d_wh, d_b
 
-        return self._push(h, (w_x.idx, w_h.idx, b.idx), vjp, "lstm")
+        return self._append(h, (w_x.idx, w_h.idx, b.idx), vjp)
 
     # -- reverse pass ----------------------------------------------------
 

@@ -213,6 +213,8 @@ def cmd_evaluate(args) -> int:
     ds = _load_dataset(args)
     ckpt = load_checkpoint(_checkpoint_path(args, out), expected_schema=ds.schema)
     _, _, test_ds = split_dataset(ds, args.seed)
+    if args.horizon is not None:  # a bad horizon fails before any file is written
+        labels, include = horizon_labels(test_ds.durations(), test_ds.events(), args.horizon)
     artifacts: list[Path] = []
     curves = None
     if args.seeds > 1:
@@ -237,7 +239,6 @@ def cmd_evaluate(args) -> int:
     if args.horizon is not None:
         if curves is None:
             curves = Predictor.from_checkpoint(ckpt).curves(test_ds)
-        labels, include = horizon_labels(test_ds.durations(), test_ds.events(), args.horizon)
         risks = 1.0 - curves.at(args.horizon)
         horizon_report = horizon_binary_metrics(risks[include], labels, args.horizon)
         artifacts.append(_write_json(out / "horizon_report.json", horizon_report.to_json_dict()))

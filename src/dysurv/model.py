@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Param, Tape, Tensor
+from .autodiff import Param, Tape, Tensor, dense_values, lstm_values
 from .errors import ContractError, DomainError
 from .nn import (
     DenseLayerParams,
@@ -259,16 +259,23 @@ def forward_graph(
 
 
 def predict_risk_batch(params: DySurvParams, x: Array) -> Array:
-    """Bin masses for a (batch, seq_len, d_in) stack with z = mu."""
+    """Bin masses for a (batch, seq_len, d_in) stack with z = mu.
+
+    Runs the encoder, the mu head and the survival layers through the
+    kernels the tape nodes use, and records no tape. The logvar head and
+    the decoder are skipped: the bin masses read neither.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (params.seq_len, params.d_in):
         raise ContractError(
             f"expected (batch, {params.seq_len}, {params.d_in}) inputs, got {x.shape}"
         )
-    tape = Tape()
+    enc = params.encoder
     steps = [x[:, j, :] for j in range(params.seq_len)]
-    _, _, _, a_hat, _ = forward_graph(tape, params, steps)
-    return a_hat.value.copy()
+    s = lstm_values(steps, enc.w_x.value, enc.w_h.value, enc.b.value)
+    for layer in (params.mu_head, *params.survival):
+        s = dense_values(s, layer.weight.value, layer.bias.value, layer.activation)
+    return s
 
 
 # ---------------------------------------------------------------------------

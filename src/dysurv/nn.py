@@ -1,7 +1,9 @@
-"""LSTM and dense layers expressed through the autodiff tape.
+"""LSTM and dense layers: parameters, initializers and their tape nodes.
 
-A dense layer runs as the tape's fused ``dense`` node and the LSTM encoder
-as its fused ``lstm`` node over stacked gate weights.
+For training, a dense layer runs as the tape's fused ``dense`` node and the
+LSTM encoder as its fused ``lstm`` node over stacked gate weights.
+Inference calls the same forward kernels, ``dense_values`` and
+``lstm_values`` in ``autodiff.py``, without recording a tape.
 Weights initialize from uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out));
 biases start at zero except the LSTM forget gate, which starts at one so
 early training does not erase the cell state.

@@ -150,7 +150,7 @@ class Predictor:
         )
 
     def bin_probs(self, ds: SurvivalDataset) -> Array:
-        if ds.schema.hash() != self.schema.hash():
+        if ds.schema.canonical() != self.schema.canonical():
             raise CheckpointIncompatibleError(
                 "dataset schema does not match the schema this model was trained on"
             )

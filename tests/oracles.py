@@ -1,8 +1,9 @@
 """Slow brute-force metric implementations used as oracles by the metric
 tests and the acceptance gate, the per-event-subject concordance and
 per-time IPCW scores that the batched metrics replace, numpy references
-for the tape losses, the tape compositions that the fused LSTM, dense and
-loss nodes replace, the per-parameter Adam loop that the flat update
+for the tape losses, the tape primitives and compositions that the fused
+LSTM, dense and loss nodes replace, the tape-recording inference that the
+forward-only one replaces, the per-parameter Adam loop that the flat update
 replaces, and the record-by-record data preparation that the stacked one
 replaces. Kept deliberately naive: different formulation, same definition
 as the fast paths."""
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dysurv.autodiff import Param
+from dysurv.autodiff import _ACTIVATIONS, Param, Tape, Tensor
 from dysurv.data import TimeGrid, discretize
 from dysurv.errors import (
     ContractError,
@@ -29,7 +30,7 @@ from dysurv.metrics import (
     _validate_outcomes,
     km_estimator,
 )
-from dysurv.model import PROB_FLOOR, condition_matrix
+from dysurv.model import PROB_FLOOR, condition_matrix, forward_graph
 from dysurv.nn import glorot_uniform
 from dysurv.training import SplitArrays
 
@@ -339,6 +340,120 @@ def loss_vae(x, x_recon, mu, sigma) -> float:
 
 
 # ---------------------------------------------------------------------------
+# primitives the model no longer records
+# ---------------------------------------------------------------------------
+
+
+class ReferenceTape(Tape):
+    """A tape with the elementwise, matmul and reduction primitives that
+    the fused LSTM, dense and loss nodes replaced. The composed references
+    below and the finite-difference tests build on it."""
+
+    def matmul(self, a, b) -> Tensor:
+        a, b = self._wrap(a), self._wrap(b)
+        av, bv = a.value, b.value
+        if av.ndim != 2 or bv.ndim != 2:
+            raise ContractError(
+                f"matmul expects 2-D operands, got {av.shape} @ {bv.shape}"
+            )
+        if av.shape[1] != bv.shape[0]:
+            raise ContractError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
+        out = av @ bv
+
+        def vjp(g):
+            return g @ bv.T, av.T @ g
+
+        return self._push(out, (a.idx, b.idx), vjp, "matmul")
+
+    def sub(self, a, b) -> Tensor:
+        def vjp_ab(av, bv, row_bias):
+            def vjp(g):
+                gb = -(g.sum(axis=0)) if row_bias else -g
+                return g, gb
+
+            return vjp
+
+        def vjp_scalar(av, s):
+            return lambda g: (g,)
+
+        return self._binary(a, b, lambda x, y: x - y, vjp_ab, vjp_scalar, "sub")
+
+    def _activation(self, a, name: str) -> Tensor:
+        a = self._wrap(a)
+        fwd, act_vjp = _ACTIVATIONS[name]
+        out = fwd(a.value)
+        return self._push(out, (a.idx,), lambda g: (act_vjp(out, g),), name)
+
+    def sigmoid(self, a) -> Tensor:
+        return self._activation(a, "sigmoid")
+
+    def tanh(self, a) -> Tensor:
+        return self._activation(a, "tanh")
+
+    def softmax(self, a) -> Tensor:
+        """Row-wise softmax over the last axis; stable under shift."""
+        return self._activation(a, "softmax")
+
+    def log(self, a) -> Tensor:
+        a = self._wrap(a)
+        av = a.value
+        if np.any(av <= 0.0):
+            raise DomainError("log of nonpositive value; clamp probabilities first")
+        out = np.log(av)
+
+        def vjp(g):
+            return (g / av,)
+
+        return self._push(out, (a.idx,), vjp, "log")
+
+    def square(self, a) -> Tensor:
+        a = self._wrap(a)
+        av = a.value
+
+        def vjp(g):
+            return (2.0 * av * g,)
+
+        return self._push(av * av, (a.idx,), vjp, "square")
+
+    def sum(self, a, axis: int | None = None) -> Tensor:
+        a = self._wrap(a)
+        av = a.value
+        out = av.sum(axis=axis)
+
+        def vjp(g):
+            if axis is None:
+                return (np.broadcast_to(g, av.shape).copy(),)
+            return (np.expand_dims(g, axis).repeat(av.shape[axis], axis=axis),)
+
+        return self._push(np.asarray(out), (a.idx,), vjp, "sum")
+
+    def mean(self, a, axis: int | None = None) -> Tensor:
+        a = self._wrap(a)
+        av = a.value
+        count = av.size if axis is None else av.shape[axis]
+        out = av.mean(axis=axis)
+
+        def vjp(g):
+            if axis is None:
+                return (np.broadcast_to(g / count, av.shape).copy(),)
+            return (np.expand_dims(g / count, axis).repeat(count, axis=axis),)
+
+        return self._push(np.asarray(out), (a.idx,), vjp, "mean")
+
+    def clip(self, a, lo: float, hi: float) -> Tensor:
+        """Clamp values; gradient passes through the unclipped region."""
+        a = self._wrap(a)
+        av = a.value
+        out = np.clip(av, lo, hi)
+        inside = (av >= lo) & (av <= hi)
+
+        def vjp(g):
+            return (g * inside,)
+
+        return self._push(out, (a.idx,), vjp, "clip")
+
+
+# ---------------------------------------------------------------------------
 # LSTM as a composition of per-gate tape ops
 # ---------------------------------------------------------------------------
 
@@ -454,6 +569,19 @@ def vae_graph_reference(tape, x_flat, x_recon, mu, logvar):
     inner = tape.sub(tape.sub(tape.add(tape.square(mu), sig2), 1.0), logvar)
     kl = tape.mul(tape.sum(inner, axis=1), 0.5)
     return tape.sum(tape.add(mse, kl))
+
+
+def predict_risk_batch_reference(params, x):
+    """Bin masses from the whole forward graph recorded on a tape, the
+    logvar head included, as inference ran before it stopped recording."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1:] != (params.seq_len, params.d_in):
+        raise ContractError(
+            f"expected (batch, {params.seq_len}, {params.d_in}) inputs, got {x.shape}"
+        )
+    steps = [x[:, j, :] for j in range(params.seq_len)]
+    _, _, _, a_hat, _ = forward_graph(Tape(), params, steps)
+    return a_hat.value.copy()
 
 
 @dataclass

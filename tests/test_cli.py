@@ -189,3 +189,12 @@ def test_unusable_horizon_is_a_domain_error(trained_dir, tmp_path, capsys, horiz
     err = capsys.readouterr().err
     assert err.startswith("E_DOMAIN: horizon must be finite and positive")
     assert err.count("\n") == 1
+
+
+def test_unusable_horizon_writes_no_report(trained_dir, tmp_path):
+    out = tmp_path / "ev"
+    code = run("evaluate", "--synth", "400,3,0.3", "--out", str(out),
+               "--checkpoint", str(trained_dir / "checkpoint.bin"), "--horizon", "nan")
+    assert code == 1
+    assert not (out / "eval_report.json").exists()
+    assert not (out / "horizon_report.json").exists()

@@ -2,6 +2,8 @@
 references in oracles.py), curve construction, conditioning layout, and the
 tape losses checked against those references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,10 +27,12 @@ from dysurv.model import (
     vae_graph,
 )
 from oracles import (
+    ReferenceTape,
     loss_survival_nll,
     loss_vae,
     max_rel_diff,
     nll_graph_reference,
+    predict_risk_batch_reference,
     vae_graph_reference,
 )
 
@@ -200,7 +204,7 @@ def test_fused_nll_matches_composed_reference(batch, event):
     a = Param("a", probs)
 
     def run(loss):
-        tape = Tape()
+        tape = ReferenceTape()
         out = loss(tape, tape.param(a), LossMasks.build(bins, events, last, kp1 - 1))
         return out.value, tape.backward(tape.mul(out, 0.37), [a])["a"]
 
@@ -218,7 +222,7 @@ def test_fused_vae_matches_composed_reference(batch):
               (("recon", (batch, 6)), ("mu", (batch, 3)), ("logvar", (batch, 3)))]
 
     def run(loss):
-        tape = Tape()
+        tape = ReferenceTape()
         recon, mu, logvar = (tape.param(p) for p in params)
         # mu and logvar also feed an earlier consumer, as in the model
         other = tape.sum(tape.mul(mu, logvar))
@@ -352,6 +356,78 @@ def test_predict_batch_matches_single():
     batch = predict_risk_batch(params, x)
     for i in range(5):
         assert np.allclose(batch[i], predict_risk_batch(params, x[i : i + 1])[0], atol=1e-12)
+
+
+def serving_params(seq_len, survival_hidden, seed=0):
+    """The benchmark's encoder (h 24, z 8, d_in 9) with every parameter
+    moved off its initial value, so no bias is zero."""
+    config = ModelConfig(hidden_size=24, z_dim=8, decoder_hidden=(24,),
+                         survival_hidden=survival_hidden)
+    rng = np.random.default_rng(seed)
+    params = init_dysurv_params(rng, d_in=9, seq_len=seq_len, n_bins=10, config=config)
+    for p in params.parameters():
+        p.value = p.value + 0.3 * rng.standard_normal(p.value.shape)
+    return params
+
+
+@pytest.mark.parametrize("survival_hidden", [(), (24, 16)])
+@pytest.mark.parametrize("seq_len", [1, 12])
+@pytest.mark.parametrize("rows", [1, 2, 1024, 1025])
+def test_predict_equals_the_recorded_forward_bit_for_bit(rows, seq_len, survival_hidden):
+    params = serving_params(seq_len, survival_hidden)
+    x = np.random.default_rng(rows + seq_len).standard_normal((rows, seq_len, 9))
+    assert np.array_equal(predict_risk_batch(params, x),
+                          predict_risk_batch_reference(params, x))
+
+
+def test_predict_records_no_tape(monkeypatch):
+    params = serving_params(12, (24,))
+    x = np.random.default_rng(1).standard_normal((3, 12, 9))
+    want = predict_risk_batch(params, x)
+
+    def no_tape(self):
+        raise AssertionError("inference built a Tape")
+
+    monkeypatch.setattr(Tape, "__init__", no_tape)
+    assert np.array_equal(predict_risk_batch(params, x), want)
+
+
+def test_predict_peak_memory_holds_one_step_of_buffers():
+    params = serving_params(12, (24,))
+    x = np.random.default_rng(2).standard_normal((1024, 12, 9))
+    predict_risk_batch(params, x)  # warm numpy's caches before measuring
+    tracemalloc.start()
+    try:
+        predict_risk_batch(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # recording kept the (12, 1024, 96) gate buffer and two cell buffers:
+    # about 17 MB
+    assert peak < 8e6
+
+
+def _raises_like_the_recorded_forward(params, x, op):
+    for predict in (predict_risk_batch, predict_risk_batch_reference):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=f"op '{op}'$"):
+            predict(params, x)
+
+
+def test_predict_numerical_errors_name_the_op_the_tape_names():
+    x = np.random.default_rng(3).standard_normal((4, 12, 9))
+    nan_step = x.copy()
+    nan_step[2, 5, 3] = np.nan
+    _raises_like_the_recorded_forward(serving_params(12, (24,)), nan_step, "lstm")
+
+    gates = serving_params(12, (24,))
+    gates.encoder.w_x.value[0, :] = 1e308  # every gate pre-activation overflows
+    _raises_like_the_recorded_forward(gates, x * 1e3, "lstm")
+
+    survival = serving_params(12, (24,))
+    survival.survival[0].weight.value[:] = 1e308  # tanh would saturate it away
+    survival.mu_head.bias.value[:] = 1e3
+    _raises_like_the_recorded_forward(survival, x, "dense")
 
 
 def test_forward_graph_modes():

@@ -4,6 +4,7 @@ values on frozen inputs, and gradient agreement through time."""
 import numpy as np
 import pytest
 
+from dysurv import autodiff
 from dysurv.autodiff import Param, Tape, finite_difference_check
 from dysurv.errors import ContractError, NumericalError
 from dysurv.nn import (
@@ -16,6 +17,7 @@ from dysurv.nn import (
 )
 from oracles import (
     LSTM_GATES,
+    ReferenceTape,
     dense_forward_reference,
     init_lstm_reference,
     lstm_forward_reference,
@@ -76,10 +78,10 @@ def test_fused_lstm_matches_per_gate_reference(batch, n_steps, d_in, hidden):
     weights = rng.standard_normal((batch, hidden))
     gates = split_lstm_cell(cell)
 
-    tape = Tape()
+    tape = ReferenceTape()
     h = lstm_forward(tape, cell, steps)
     grads = tape.backward(tape.sum(tape.mul(h, weights)), cell.parameters())
-    ref_tape = Tape()
+    ref_tape = ReferenceTape()
     ref_h = lstm_forward_reference(ref_tape, gates, steps)
     ref_grads = stack_lstm_grads(
         ref_tape.backward(ref_tape.sum(ref_tape.mul(ref_h, weights)), list(gates.values()))
@@ -122,7 +124,7 @@ def test_fused_dense_matches_composed_reference(activation, batch):
     params = [x, *layer.parameters()]
 
     def run(forward):
-        tape = Tape()
+        tape = ReferenceTape()
         out = forward(tape, layer, tape.param(x))
         return out.value, tape.backward(tape.sum(tape.mul(out, weights)), params)
 
@@ -163,7 +165,7 @@ def test_lstm_three_step_gradients_match_fd():
     steps = [rng.standard_normal((2, 2)) for _ in range(3)]
 
     def build():
-        tape = Tape()
+        tape = ReferenceTape()
         h = lstm_forward(tape, cell, steps)
         return tape, tape.mean(tape.square(h))
 
@@ -179,7 +181,7 @@ def test_single_step_keeps_forget_gate_out_of_the_graph():
     x = rng.standard_normal((4, 2))
 
     def build():
-        tape = Tape()
+        tape = ReferenceTape()
         h = lstm_forward(tape, cell, [x])
         return tape, tape.mean(tape.square(h))
 
@@ -214,3 +216,31 @@ def test_lstm_pre_activation_overflow_raises():
     cell.w_x.value = np.full_like(cell.w_x.value, 1e308)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'lstm'"):
         lstm_forward(Tape(), cell, [np.full((2, 3), 10.0)])
+
+
+def count_checks(monkeypatch):
+    calls = []
+    check = autodiff.all_finite
+    monkeypatch.setattr(autodiff, "all_finite", lambda v: calls.append(v.shape) or check(v))
+    return calls
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_dense_node_checks_each_value_once(monkeypatch, activation):
+    layer = init_dense(np.random.default_rng(12), 3, 4, activation, "head")
+    tape = Tape()
+    x, w, b = tape.leaf(np.ones((2, 3))), tape.param(layer.weight), tape.param(layer.bias)
+    calls = count_checks(monkeypatch)
+    tape.dense(x, w, b, activation)
+    # the pre-activation, then the output unless identity makes them one
+    assert calls == [(2, 4)] * (1 if activation == "identity" else 2)
+
+
+def test_lstm_node_checks_each_value_once(monkeypatch):
+    cell = init_lstm(np.random.default_rng(13), 3, 4, "enc")
+    tape = Tape()
+    weights = [tape.param(p) for p in cell.parameters()]
+    calls = count_checks(monkeypatch)
+    tape.lstm([np.ones((2, 3))] * 5, *weights)
+    # each step input, each step's pre-activation, then h
+    assert calls == [(2, 3)] * 5 + [(2, 16)] * 5 + [(2, 4)]

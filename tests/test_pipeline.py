@@ -14,12 +14,12 @@ from dysurv.data import (
     fit_quantile_transform,
     generate_synthetic,
 )
-from dysurv.errors import ContractError
+from dysurv.errors import CheckpointIncompatibleError, ContractError
 from dysurv.model import ModelConfig, init_dysurv_params, predict_risk_batch
 from dysurv.pipeline import Predictor, dataset_to_arrays, prepare_splits
 from dysurv.training import EVAL_CHUNK
 
-from oracles import dataset_to_arrays_reference
+from oracles import dataset_to_arrays_reference, predict_risk_batch_reference
 
 SMALL_MODEL = ModelConfig(hidden_size=5, z_dim=3, decoder_hidden=(4,),
                           survival_hidden=(4,), condition_mode="both")
@@ -179,3 +179,28 @@ def test_serving_in_chunks_matches_one_batch():
     served = predictor.bin_probs(test_ds)
     whole = predict_risk_batch(predictor.params, prep.test.x)
     assert np.max(np.abs(served - whole)) <= 1e-14
+
+
+def test_serving_equals_the_recorded_forward_chunk_by_chunk():
+    # 1025 subjects leave a one-row remainder chunk, whose product takes
+    # another BLAS path than a full chunk's
+    ds = visit_cohort(EVAL_CHUNK + 1, seed=3)
+    prep = prepare_splits(ds, split_seed=0)
+    predictor = predictor_for(ds, prep)
+    x = dataset_to_arrays(ds, prep.transform, prep.grid)[0].x
+    want = np.concatenate([
+        predict_risk_batch_reference(predictor.params, x[s : s + EVAL_CHUNK])
+        for s in range(0, len(x), EVAL_CHUNK)
+    ])
+    assert np.array_equal(predictor.bin_probs(ds), want)
+
+
+def test_serving_refuses_another_schema():
+    ds = visit_cohort(20, seed=4)
+    prep = prepare_splits(ds, split_seed=0)
+    predictor = predictor_for(ds, prep)
+    schema = ds.schema
+    other = FeatureSchema(schema.numeric_static, schema.categorical_static,
+                          ["hr", "sbp", "temperature"], schema.duration_col, schema.event_col)
+    with pytest.raises(CheckpointIncompatibleError, match="schema"):
+        predictor.bin_probs(SurvivalDataset(other, ds.records))
