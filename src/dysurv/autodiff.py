@@ -5,8 +5,10 @@ A ``Tape`` records every primitive applied to ``Tensor`` values. Calling
 ``Tape.backward`` on a scalar loss replays the records in reverse and
 accumulates vector-Jacobian products into a gradient store keyed by
 parameter name. The op set is deliberately small: exactly what a training
-batch of the model records (``add``, ``mul``, ``exp``, ``concat``,
-``dropout`` and the fused nodes below).
+batch of the model records. That is parameter and constant leaves,
+``mul`` by a number (the batch mean), ``dropout``, the fused ``lstm`` and
+``dense`` nodes below, and ``record`` for a node whose value and
+vector-Jacobian product the caller computes.
 
 Two module functions compute the model's layers, and each is the one copy
 of its formula:
@@ -24,19 +26,19 @@ of its formula:
   activation → add → matmul chain in that order.
 
 Inference calls the two kernels directly and records nothing: a tape is
-kept only where a reverse sweep will read it. :meth:`Tape.record` pushes a
-caller-computed value with a caller-given vector-Jacobian product; the
-survival likelihood and the VAE loss in ``model.py`` are one such node
-each, with the formulas kept there.
+kept only where a reverse sweep will read it. ``model.py`` records the
+reparameterisation, the decoder input, the survival likelihood, the VAE
+loss and the loss blend through :meth:`Tape.record`, one node each, with
+the formulas kept there.
 
 Every value is checked for NaN and ±inf once, where it is computed: by a
 kernel or as a node is recorded. The check sums the array first and scans
 it entry by entry only when the sum is not finite, which an overflowing
 sum of finite entries also makes.
 
-Shapes are restricted to what the model uses: 2-D matmul, elementwise ops
-on equal shapes, row-broadcast bias add. General numpy broadcasting is out
-of scope on purpose.
+Shapes are restricted to what the model uses: 2-D dense layers and
+elementwise ops on equal shapes. General numpy broadcasting is out of
+scope on purpose.
 """
 
 from __future__ import annotations
@@ -289,72 +291,14 @@ class Tape:
 
         return self._append(out, (x.idx, w.idx, b.idx), vjp)
 
-    def _binary(self, a, b, fwd, vjp_ab, vjp_scalar, op: str) -> Tensor:
-        """Shared plumbing for add/sub/mul with scalar and bias broadcast."""
-        if isinstance(b, (int, float)):
-            a = self._wrap(a)
-            out = fwd(a.value, float(b))
-            return self._push(out, (a.idx,), vjp_scalar(a.value, float(b)), op)
-        a, b = self._wrap(a), self._wrap(b)
-        av, bv = a.value, b.value
-        row_bias = av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]
-        if not row_bias and av.shape != bv.shape:
-            raise ContractError(f"{op} shape mismatch: {av.shape} vs {bv.shape}")
-        out = fwd(av, bv)
-        return self._push(out, (a.idx, b.idx), vjp_ab(av, bv, row_bias), op)
-
-    def add(self, a, b) -> Tensor:
-        def vjp_ab(av, bv, row_bias):
-            def vjp(g):
-                gb = g.sum(axis=0) if row_bias else g
-                return g, gb
-
-            return vjp
-
-        def vjp_scalar(av, s):
-            return lambda g: (g,)
-
-        return self._binary(a, b, lambda x, y: x + y, vjp_ab, vjp_scalar, "add")
-
-    def mul(self, a, b) -> Tensor:
-        def vjp_ab(av, bv, row_bias):
-            if row_bias:
-
-                def vjp(g):
-                    return g * bv, (g * av).sum(axis=0)
-
-            else:
-
-                def vjp(g):
-                    return g * bv, g * av
-
-            return vjp
-
-        def vjp_scalar(av, s):
-            return lambda g: (g * s,)
-
-        return self._binary(a, b, lambda x, y: x * y, vjp_ab, vjp_scalar, "mul")
-
-    def exp(self, a) -> Tensor:
+    def mul(self, a, s: float) -> Tensor:
+        """``a * s`` for a Python number ``s``: the batch mean and the
+        loss scales. Products of two tensors live inside the fused nodes."""
+        if not isinstance(s, (int, float)):
+            raise ContractError(f"mul scales by a number, got {type(s).__name__}")
         a = self._wrap(a)
-        out = np.exp(a.value)
-
-        def vjp(g):
-            return (g * out,)
-
-        return self._push(out, (a.idx,), vjp, "exp")
-
-    def concat(self, parts: Sequence, axis: int = 1) -> Tensor:
-        parts = [self._wrap(p) for p in parts]
-        values = [p.value for p in parts]
-        out = np.concatenate(values, axis=axis)
-        sizes = [v.shape[axis] for v in values]
-        splits = np.cumsum(sizes)[:-1]
-
-        def vjp(g):
-            return tuple(np.split(g, splits, axis=axis))
-
-        return self._push(out, tuple(p.idx for p in parts), vjp, "concat")
+        s = float(s)
+        return self._push(a.value * s, (a.idx,), lambda g: (g * s,), "mul")
 
     def dropout(self, a, keep: float, mask: Array | None) -> Tensor:
         """Inverted dropout.

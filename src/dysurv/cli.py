@@ -209,6 +209,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     out = _out_dir(args)
     ds = _load_dataset(args)
     ckpt = load_checkpoint(_checkpoint_path(args, out), expected_schema=ds.schema)

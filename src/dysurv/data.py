@@ -236,6 +236,8 @@ def load_manifest(path: str | Path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as e:
         raise ParseError(f"manifest not found: {path}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"manifest is not UTF-8 text: {path}: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"manifest is not valid JSON: {path}: {e}") from e
     if not isinstance(raw, dict):
@@ -275,6 +277,8 @@ def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
                 rows.append(row)
     except FileNotFoundError as e:
         raise ParseError(f"CSV not found: {path}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
     return header, rows
 
 

@@ -234,11 +234,7 @@ def forward_graph(
         h = tape.dropout(h, keep, masks["enc"])
     mu = dense_forward(tape, params.mu_head, h)
     logvar = dense_forward(tape, params.logvar_head, h)
-    if eps is None:
-        z = mu
-    else:
-        sigma = tape.exp(tape.mul(logvar, 0.5))
-        z = tape.add(mu, tape.mul(sigma, tape.leaf(eps)))
+    z = mu if eps is None else reparameterize_graph(tape, mu, logvar, eps)
 
     s = mu
     for i, layer in enumerate(params.survival[:-1]):
@@ -249,13 +245,45 @@ def forward_graph(
 
     x_recon = None
     if cond is not None:
-        d = tape.concat([z, tape.leaf(cond)], axis=1)
+        d = decoder_input_graph(tape, z, cond)
         for i, layer in enumerate(params.decoder[:-1]):
             d = dense_forward(tape, layer, d)
             if dropping:
                 d = tape.dropout(d, keep, masks[f"dec{i}"])
         x_recon = dense_forward(tape, params.decoder[-1], d)
     return mu, logvar, z, a_hat, x_recon
+
+
+def reparameterize_graph(tape: Tape, mu: Tensor, logvar: Tensor, eps: Array) -> Tensor:
+    """z = mu + sigma * eps with sigma = exp(logvar * 0.5), as one tape node
+    over mu and logvar; the standard-normal draw ``eps`` is a constant.
+
+    Values and gradients follow the order of the composed ``mul``/``exp``/
+    ``add`` nodes: d mu = g and d logvar = ((g * eps) * sigma) * 0.5. eps
+    and sigma are checked as well as z, so an overflowing sigma raises
+    naming ``'reparameterize'``.
+    """
+    eps = np.asarray(eps, dtype=np.float64)
+    if not (mu.shape == logvar.shape == eps.shape):
+        raise ContractError(f"reparameterize shapes {mu.shape}, {logvar.shape}, {eps.shape} differ")
+    sigma = np.exp(logvar.value * 0.5)
+
+    def vjp(g):
+        return g, ((g * eps) * sigma) * 0.5
+
+    return tape.record("reparameterize", mu.value + sigma * eps, (mu, logvar), vjp,
+                       intermediates=(sigma, eps))
+
+
+def decoder_input_graph(tape: Tape, z: Tensor, cond: Array) -> Tensor:
+    """The decoder input [z | cond] as one tape node over z; the outcome
+    condition is a constant, so z's gradient is the first z_dim columns."""
+    cond = np.asarray(cond, dtype=np.float64)
+    if z.value.ndim != 2 or cond.ndim != 2 or cond.shape[0] != z.shape[0]:
+        raise ContractError(f"decoder input rows disagree: z {z.shape}, cond {cond.shape}")
+    width = z.shape[1]
+    return tape.record("decoder_input", np.concatenate([z.value, cond], axis=1), (z,),
+                       lambda g: (g[:, :width],))
 
 
 def predict_risk_batch(params: DySurvParams, x: Array) -> Array:
@@ -391,10 +419,13 @@ def vae_graph(tape: Tape, x_flat: Array, x_recon: Tensor, mu: Tensor, logvar: Te
 
 
 def total_loss_graph(tape: Tape, l1: Tensor, l2: Tensor | None, alpha: float) -> Tensor:
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+    """:func:`loss_total` as one tape node over l1 and l2; alpha = 1 returns
+    l1 and records nothing. The gradients are g * alpha and g * (1 - alpha),
+    the products the composed ``mul``/``add`` nodes took."""
+    value = loss_total(l1.value, 0.0 if l2 is None else l2.value, alpha)  # checks alpha
     if alpha == 1.0:
         return l1
     if l2 is None:
         raise ContractError("alpha < 1 needs the VAE branch on the tape")
-    return tape.add(tape.mul(l1, alpha), tape.mul(l2, 1.0 - alpha))
+    return tape.record("total", np.asarray(value), (l1, l2),
+                       lambda g: (g * alpha, g * (1.0 - alpha)))

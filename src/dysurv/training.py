@@ -709,24 +709,39 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointCorruptError(f"checkpoint {path} header is unreadable: {err}") from None
     offset += header_len
+    if not isinstance(header, dict):
+        raise CheckpointCorruptError(f"checkpoint {path} header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointIncompatibleError(
             f"checkpoint version {header.get('version')} is not supported"
         )
-    schema = FeatureSchema.from_canonical(header["schema"])
-    if schema.hash() != header["schema_hash"]:
+    try:  # a field that is missing or of the wrong kind fails here
+        schema = FeatureSchema.from_canonical(header["schema"])
+        schema_hash = header["schema_hash"]
+        dims = header["dims"]
+        params = init_dysurv_params(
+            np.random.default_rng(0), dims["d_in"], dims["seq_len"], dims["n_bins"],
+            ModelConfig.from_canonical(header["model_config"]),
+        )
+        stored = [(name, tuple(shape)) for name, shape in header["shapes"]]
+        grid = TimeGrid(n_bins=header["grid"]["n_bins"], t_max=header["grid"]["t_max"])
+        train_config = (
+            TrainConfig.from_canonical(header["train_config"])
+            if header.get("train_config") else None
+        )
+        transform = (
+            QuantileTransform.from_canonical(header["transform"])
+            if header.get("transform") else None
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise CheckpointCorruptError(f"checkpoint {path} header is malformed: {err!r}") from None
+    if schema.hash() != schema_hash:
         raise CheckpointCorruptError("schema hash does not match the stored schema")
-    if expected_schema is not None and expected_schema.hash() != header["schema_hash"]:
+    if expected_schema is not None and expected_schema.hash() != schema_hash:
         raise CheckpointIncompatibleError(
             "checkpoint was trained against a different feature schema"
         )
-    dims = header["dims"]
-    params = init_dysurv_params(
-        np.random.default_rng(0), dims["d_in"], dims["seq_len"], dims["n_bins"],
-        ModelConfig.from_canonical(header["model_config"]),
-    )
     plist = params.parameters()
-    stored = [(name, tuple(shape)) for name, shape in header["shapes"]]
     built = [(p.name, p.value.shape) for p in plist]
     if stored != built:
         raise CheckpointIncompatibleError(
@@ -747,13 +762,6 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
         size = p.value.size
         p.value = flat[pos : pos + size].reshape(p.value.shape).copy()
         pos += size
-    train_config = (
-        TrainConfig.from_canonical(header["train_config"]) if header.get("train_config") else None
-    )
-    transform = (
-        QuantileTransform.from_canonical(header["transform"]) if header.get("transform") else None
-    )
-    grid = TimeGrid(n_bins=header["grid"]["n_bins"], t_max=header["grid"]["t_max"])
     return Checkpoint(
         params=params,
         schema=schema,

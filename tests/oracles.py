@@ -2,13 +2,14 @@
 tests and the acceptance gate, the per-event-subject concordance and
 per-time IPCW scores that the batched metrics replace, numpy references
 for the tape losses, the tape primitives and compositions that the fused
-LSTM, dense and loss nodes replace, the tape-recording inference that the
-forward-only one replaces, the per-parameter Adam loop that the flat update
-replaces, and the record-by-record data preparation that the stacked one
-replaces. Kept deliberately naive: different formulation, same definition
-as the fast paths."""
+LSTM, dense, latent and loss nodes replace, the tape-recording inference
+that the forward-only one replaces, the per-parameter Adam loop that the
+flat update replaces, and the record-by-record data preparation that the
+stacked one replaces. Kept deliberately naive: different formulation, same
+definition as the fast paths."""
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -346,8 +347,76 @@ def loss_vae(x, x_recon, mu, sigma) -> float:
 
 class ReferenceTape(Tape):
     """A tape with the elementwise, matmul and reduction primitives that
-    the fused LSTM, dense and loss nodes replaced. The composed references
-    below and the finite-difference tests build on it."""
+    the fused LSTM, dense, reparameterisation, decoder-input and loss nodes
+    replaced. The composed references below and the finite-difference tests
+    build on it."""
+
+    def _binary(self, a, b, fwd, vjp_ab, vjp_scalar, op: str) -> Tensor:
+        """Shared plumbing for add/sub/mul with scalar and bias broadcast."""
+        if isinstance(b, (int, float)):
+            a = self._wrap(a)
+            out = fwd(a.value, float(b))
+            return self._push(out, (a.idx,), vjp_scalar(a.value, float(b)), op)
+        a, b = self._wrap(a), self._wrap(b)
+        av, bv = a.value, b.value
+        row_bias = av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]
+        if not row_bias and av.shape != bv.shape:
+            raise ContractError(f"{op} shape mismatch: {av.shape} vs {bv.shape}")
+        out = fwd(av, bv)
+        return self._push(out, (a.idx, b.idx), vjp_ab(av, bv, row_bias), op)
+
+    def add(self, a, b) -> Tensor:
+        def vjp_ab(av, bv, row_bias):
+            def vjp(g):
+                gb = g.sum(axis=0) if row_bias else g
+                return g, gb
+
+            return vjp
+
+        def vjp_scalar(av, s):
+            return lambda g: (g,)
+
+        return self._binary(a, b, lambda x, y: x + y, vjp_ab, vjp_scalar, "add")
+
+    def mul(self, a, b) -> Tensor:
+        def vjp_ab(av, bv, row_bias):
+            if row_bias:
+
+                def vjp(g):
+                    return g * bv, (g * av).sum(axis=0)
+
+            else:
+
+                def vjp(g):
+                    return g * bv, g * av
+
+            return vjp
+
+        def vjp_scalar(av, s):
+            return lambda g: (g * s,)
+
+        return self._binary(a, b, lambda x, y: x * y, vjp_ab, vjp_scalar, "mul")
+
+    def exp(self, a) -> Tensor:
+        a = self._wrap(a)
+        out = np.exp(a.value)
+
+        def vjp(g):
+            return (g * out,)
+
+        return self._push(out, (a.idx,), vjp, "exp")
+
+    def concat(self, parts: Sequence, axis: int = 1) -> Tensor:
+        parts = [self._wrap(p) for p in parts]
+        values = [p.value for p in parts]
+        out = np.concatenate(values, axis=axis)
+        sizes = [v.shape[axis] for v in values]
+        splits = np.cumsum(sizes)[:-1]
+
+        def vjp(g):
+            return tuple(np.split(g, splits, axis=axis))
+
+        return self._push(out, tuple(p.idx for p in parts), vjp, "concat")
 
     def matmul(self, a, b) -> Tensor:
         a, b = self._wrap(a), self._wrap(b)
@@ -569,6 +638,22 @@ def vae_graph_reference(tape, x_flat, x_recon, mu, logvar):
     inner = tape.sub(tape.sub(tape.add(tape.square(mu), sig2), 1.0), logvar)
     kl = tape.mul(tape.sum(inner, axis=1), 0.5)
     return tape.sum(tape.add(mse, kl))
+
+
+def reparameterize_reference(tape, mu, logvar, eps):
+    """z = mu + sigma * eps composed from scale, exp, product and add nodes."""
+    sigma = tape.exp(tape.mul(logvar, 0.5))
+    return tape.add(mu, tape.mul(sigma, tape.leaf(eps)))
+
+
+def decoder_input_reference(tape, z, cond):
+    """[z | cond] as a constant leaf and a concat node."""
+    return tape.concat([z, tape.leaf(cond)], axis=1)
+
+
+def total_loss_reference(tape, l1, l2, alpha):
+    """alpha * l1 + (1 - alpha) * l2 as two scale nodes and an add node."""
+    return tape.add(tape.mul(l1, alpha), tape.mul(l2, 1.0 - alpha))
 
 
 def predict_risk_batch_reference(params, x):

@@ -198,3 +198,38 @@ def test_unusable_horizon_writes_no_report(trained_dir, tmp_path):
     assert code == 1
     assert not (out / "eval_report.json").exists()
     assert not (out / "horizon_report.json").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_evaluate_refuses_fewer_than_one_seed(trained_dir, tmp_path, capsys, seeds):
+    out = tmp_path / "ev"
+    code = run("evaluate", "--synth", SYNTH, "--out", str(out),
+               "--checkpoint", str(trained_dir / "checkpoint.bin"), "--seeds", seeds)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_CONFIG: --seeds")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["static.csv", "series.csv", "manifest.json"])
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, bad):
+    files = {
+        "static.csv": b"id,age,duration,event\na,61.0,3.5,1\nb,48.0,7.0,0\n",
+        "series.csv": b"id,t,feat,val\na,0,hr,80\nb,0,hr,72\n",
+        "manifest.json": json.dumps({
+            "static_csv": "static.csv", "duration_col": "duration", "event_col": "event",
+            "series_csv": "series.csv", "time_col": "t", "feature_col": "feat",
+            "value_col": "val",
+        }).encode("utf-8"),
+    }
+    files[bad] = files[bad].replace(b"a", b"\xe9", 1)  # a Latin-1 e-acute
+    for name, blob in files.items():
+        (tmp_path / name).write_bytes(blob)
+    code = run("evaluate", "--manifest", str(tmp_path / "manifest.json"),
+               "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_PARSE:")
+    assert bad in err
+    assert err.count("\n") == 1

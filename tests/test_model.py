@@ -18,21 +18,26 @@ from dysurv.model import (
     ModelConfig,
     condition_dim,
     condition_matrix,
+    decoder_input_graph,
     forward_graph,
     init_dysurv_params,
     loss_total,
     nll_graph,
     predict_risk_batch,
+    reparameterize_graph,
     total_loss_graph,
     vae_graph,
 )
 from oracles import (
     ReferenceTape,
+    decoder_input_reference,
     loss_survival_nll,
     loss_vae,
     max_rel_diff,
     nll_graph_reference,
     predict_risk_batch_reference,
+    reparameterize_reference,
+    total_loss_reference,
     vae_graph_reference,
 )
 
@@ -256,6 +261,89 @@ def test_total_loss_graph_contracts():
     assert total_loss_graph(tape, l1, None, 1.0) is l1
     with pytest.raises(ContractError):
         total_loss_graph(tape, l1, None, 0.5)
+
+
+@pytest.mark.parametrize("batch", [1, 256])
+def test_fused_reparameterize_matches_composed_reference(batch):
+    rng = np.random.default_rng(batch)
+    params = [Param(name, rng.standard_normal((batch, 3))) for name in ("mu", "logvar")]
+    eps = rng.standard_normal((batch, 3))
+    weights = rng.standard_normal((batch, 3))
+
+    def run(reparameterize):
+        tape = ReferenceTape()
+        mu, logvar = (tape.param(p) for p in params)
+        z = reparameterize(tape, mu, logvar, eps)
+        # mu and logvar also feed later consumers, as in the model
+        other = tape.sum(tape.mul(mu, logvar))
+        out = tape.add(tape.sum(tape.mul(z, weights)), other)
+        return z.value, tape.backward(tape.mul(out, 0.37), params)
+
+    value, grads = run(reparameterize_graph)
+    ref_value, ref_grads = run(reparameterize_reference)
+    assert np.array_equal(value, ref_value)
+    for p in params:
+        assert np.array_equal(grads[p.name], ref_grads[p.name]), p.name
+
+
+@pytest.mark.parametrize("batch", [1, 256])
+def test_fused_decoder_input_matches_composed_reference(batch):
+    rng = np.random.default_rng(batch)
+    z_param = Param("z", rng.standard_normal((batch, 3)))
+    cond = condition_matrix(rng.integers(0, 2, size=batch), rng.integers(0, 7, size=batch),
+                            n_bins=6, mode="both")
+    weights = rng.standard_normal((batch, 3 + cond.shape[1]))
+
+    def run(decoder_input):
+        tape = ReferenceTape()
+        d = decoder_input(tape, tape.param(z_param), cond)
+        loss = tape.sum(tape.mul(d, weights))
+        return d.value, tape.backward(tape.mul(loss, 0.37), [z_param])["z"]
+
+    value, grad = run(decoder_input_graph)
+    ref_value, ref_grad = run(decoder_input_reference)
+    assert np.array_equal(value, ref_value)
+    assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.37, 0.8])
+@pytest.mark.parametrize("batch", [1, 256])
+def test_fused_total_loss_matches_composed_reference(batch, alpha):
+    rng = np.random.default_rng(batch)
+    params = [Param(name, rng.standard_normal((batch, 3))) for name in ("a", "b")]
+
+    def run(total_loss):
+        tape = ReferenceTape()
+        a, b = (tape.param(p) for p in params)
+        l1, l2 = tape.sum(tape.square(a)), tape.sum(tape.exp(b))
+        total = total_loss(tape, l1, l2, alpha)
+        return total.value, tape.backward(tape.mul(total, 1.0 / batch), params)
+
+    value, grads = run(total_loss_graph)
+    ref_value, ref_grads = run(total_loss_reference)
+    assert np.array_equal(value, ref_value)
+    for p in params:
+        assert np.array_equal(grads[p.name], ref_grads[p.name]), p.name
+
+
+def test_fused_latent_nodes_name_themselves_on_non_finite_values():
+    tape = Tape()
+    mu, logvar = tape.leaf(np.zeros((2, 3))), tape.leaf(np.full((2, 3), 1500.0))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'reparameterize'"):
+        reparameterize_graph(tape, mu, logvar, np.ones((2, 3)))
+    with pytest.raises(NumericalError, match="'decoder_input'"):
+        decoder_input_graph(tape, mu, np.full((2, 4), np.nan))
+
+
+def test_fused_latent_node_contracts():
+    tape = Tape()
+    mu = tape.leaf(np.zeros((2, 3)))
+    with pytest.raises(ContractError):
+        reparameterize_graph(tape, mu, mu, np.ones((2, 4)))
+    with pytest.raises(ContractError):
+        decoder_input_graph(tape, mu, np.ones((3, 4)))
+    with pytest.raises(ContractError):
+        tape.mul(mu, mu)
 
 
 # ---------------------------------------------------------------------------
