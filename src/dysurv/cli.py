@@ -2,7 +2,8 @@
 
 Every command writes its artifacts plus a ``run_meta_<command>.json``
 holding the resolved configuration, seeds, and sha256 of each artifact,
-which is enough to replay the run bit for bit. Module errors exit 1 with
+which is enough to replay the run bit for bit, plus the run's wall time
+and the python, numpy and dysurv versions. Module errors exit 1 with
 a single ``E_CODE: message`` line on stderr.
 """
 
@@ -12,12 +13,14 @@ import argparse
 import csv
 import hashlib
 import json
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .data import (
     SurvivalDataset,
     apply_quantile_transform,
@@ -63,13 +66,19 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_meta(out: Path, command: str, config: dict, artifacts: list[Path]) -> Path:
+def _write_meta(args, out: Path, config: dict, artifacts: list[Path]) -> Path:
     meta = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
+        "wall_s": time.perf_counter() - args.started,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "dysurv": __version__,
+        },
     }
-    return _write_json(out / f"run_meta_{command}.json", meta)
+    return _write_json(out / f"run_meta_{args.command}.json", meta)
 
 
 def _parse_synth(spec: str) -> tuple[int, int, float]:
@@ -137,7 +146,7 @@ def cmd_synth(args) -> int:
     if series.exists():
         artifacts.append(series)
     config = {"n": n, "m_features": m, "censor_frac": frac, "seed": args.seed}
-    artifacts.append(_write_meta(out, "synth", config, artifacts))
+    artifacts.append(_write_meta(args, out, config, artifacts))
     print(f"wrote {len(ds)} subjects to {manifest_path}")
     return 0
 
@@ -165,7 +174,7 @@ def cmd_prepare(args) -> int:
     artifacts.append(_write_json(out / "transform.json", transform.canonical()))
     config = {"seed": args.seed, "n_bins": args.n_bins,
               "sizes": {"train": len(train_ds), "val": len(val_ds), "test": len(test_ds)}}
-    artifacts.append(_write_meta(out, "prepare", config, artifacts))
+    artifacts.append(_write_meta(args, out, config, artifacts))
     print(f"prepared splits of {len(ds)} subjects into {out}")
     return 0
 
@@ -200,7 +209,7 @@ def cmd_train(args) -> int:
         "grid": bool(args.grid),
         "n_bins": args.n_bins,
     }
-    artifacts.append(_write_meta(out, "train", meta_config, artifacts))
+    artifacts.append(_write_meta(args, out, meta_config, artifacts))
     print(
         f"trained to epoch {history.best_epoch} "
         f"(val loss {history.best_val_total():.6f}); checkpoint at {ckpt_path}"
@@ -237,16 +246,18 @@ def cmd_evaluate(args) -> int:
         report = evaluate_all(curves, test_ds.durations(), test_ds.events())
         payload = report.to_json_dict()
         summary = payload
-    artifacts.append(_write_json(out / "eval_report.json", payload))
-    if args.horizon is not None:
+    horizon_report = None
+    if args.horizon is not None:  # an undefined horizon metric fails before any write too
         if curves is None:
             curves = Predictor.from_checkpoint(ckpt).curves(test_ds)
         risks = 1.0 - curves.at(args.horizon)
         horizon_report = horizon_binary_metrics(risks[include], labels, args.horizon)
+    artifacts.append(_write_json(out / "eval_report.json", payload))
+    if horizon_report is not None:
         artifacts.append(_write_json(out / "horizon_report.json", horizon_report.to_json_dict()))
     config = {"seed": args.seed, "seeds": args.seeds, "horizon": args.horizon,
               "n_eval_times": EVAL_TIMES}
-    artifacts.append(_write_meta(out, "evaluate", config, artifacts))
+    artifacts.append(_write_meta(args, out, config, artifacts))
     if summary is not None:
         print(
             f"c_td {summary['c_td']:.4f}  ibs {summary['ibs']:.4f}  "
@@ -274,7 +285,7 @@ def cmd_predict(args) -> int:
                 [record.id, repr(float(t)), repr(float(s))] for t, s in zip(times, row)
             )
     config = {"subjects": len(ds), "points": CURVE_POINTS, "t_max": ckpt.grid.t_max}
-    _write_meta(out, "predict", config, [path])
+    _write_meta(args, out, config, [path])
     print(f"wrote {len(ds)} curves ({CURVE_POINTS} points each) to {path}")
     return 0
 
@@ -292,7 +303,7 @@ def cmd_gradcheck(args) -> int:
     if args.out:
         out = _out_dir(args)
         path = _write_json(out / "gradcheck.json", payload)
-        _write_meta(out, "gradcheck", {"seed": args.seed}, [path])
+        _write_meta(args, out, {"seed": args.seed}, [path])
     print(f"max relative gradient error {worst:.3e} in {elapsed:.2f}s")
     if worst >= GRADCHECK_THRESHOLD:
         raise NumericalError(
@@ -320,7 +331,7 @@ def cmd_importance(args) -> int:
         "ranking": [{"feature": name, "mean_c_td_drop": drop} for name, drop in ranking],
     }
     path = _write_json(out / "importance.json", payload)
-    _write_meta(out, "importance", {"seed": args.seed, "n_repeats": args.n_repeats}, [path])
+    _write_meta(args, out, {"seed": args.seed, "n_repeats": args.n_repeats}, [path])
     top = ranking[0][0] if ranking else "none"
     print(f"baseline c_td {baseline:.4f}; most important feature: {top}")
     return 0
@@ -410,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except DySurvError as err:

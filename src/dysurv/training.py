@@ -4,6 +4,8 @@ multi-seed evaluation, and checkpoint I/O.
 Losses on the tape are batch sums; the trainer scales by batch size so
 the learning rate is batch-size comparable. Validation always runs with
 z = mu and dropout off, so the early-stopping signal is deterministic.
+Grid trials and seed refits are independent fits, each seeded by its own
+config, so they run on up to one forked worker per available CPU.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -358,6 +362,57 @@ def fit(
 
 
 # ---------------------------------------------------------------------------
+# independent jobs on forked workers
+# ---------------------------------------------------------------------------
+
+_pool_jobs = None  # (fn, jobs) while a pool runs; its workers inherit it
+
+
+def _run_pool_job(index: int):
+    fn, jobs = _pool_jobs
+    return fn(jobs[index])
+
+
+def _map_jobs(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]`` on up to one forked worker per
+    available CPU, in input order.
+
+    The workers inherit ``fn`` and ``jobs`` through the fork, so only an
+    index goes out and only ``fn``'s picklable result comes back. Runs
+    inline on one CPU, where ``fork`` is unavailable, inside a daemon
+    process (a pool worker among them), which may not have children, and
+    while another Python thread runs, which could hold a lock across the
+    fork.
+    """
+    global _pool_jobs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cpus)
+    if workers > 1:
+        import multiprocessing  # not at module level: `import dysurv` stays cheap
+        import threading
+
+        if (
+            "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1
+        ):
+            workers = 1
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    _pool_jobs = (fn, jobs)
+    try:
+        # The workers fork in the constructor, before the pool starts its
+        # threads; leaving the block on an error terminates and joins them.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(_run_pool_job, range(len(jobs)), chunksize=1)
+            pool.close()
+            pool.join()
+    finally:
+        _pool_jobs = None
+    return results
+
+
+# ---------------------------------------------------------------------------
 # grid search
 # ---------------------------------------------------------------------------
 
@@ -424,6 +479,24 @@ class TrialResult:
         }
 
 
+def _grid_trial(
+    train: SplitArrays, val: SplitArrays, model_config: ModelConfig | None, config: TrainConfig
+) -> TrialResult:
+    try:
+        _, history = fit(train, val, config, model_config=model_config)
+    except DySurvError as err:
+        return TrialResult(config=config, status="failed", error=str(err))
+    return TrialResult(
+        config=config,
+        status="ok",
+        val_total=history.best_val_total(),
+        val_l1=history.best_val_l1(),
+        val_l2=history.best_val_l2(),
+        best_epoch=history.best_epoch,
+        n_epochs=history.n_epochs(),
+    )
+
+
 @dataclass
 class GridSearchResult:
     best_config: TrainConfig
@@ -455,22 +528,9 @@ def grid_search(
     """
     space = space or GridSearchSpace()
     base = base or TrainConfig()
-    leaderboard: list[TrialResult] = []
-    for config in space.configs(base):
-        try:
-            _, history = fit(train, val, config, model_config=model_config)
-        except DySurvError as err:
-            leaderboard.append(TrialResult(config=config, status="failed", error=str(err)))
-            continue
-        leaderboard.append(TrialResult(
-            config=config,
-            status="ok",
-            val_total=history.best_val_total(),
-            val_l1=history.best_val_l1(),
-            val_l2=history.best_val_l2(),
-            best_epoch=history.best_epoch,
-            n_epochs=history.n_epochs(),
-        ))
+    leaderboard = _map_jobs(
+        partial(_grid_trial, train, val, model_config), space.configs(base)
+    )
     ok = [t for t in leaderboard if t.status == "ok"]
     if not ok:
         details = "; ".join(
@@ -510,6 +570,29 @@ class SeedResult:
         return d
 
 
+def _seed_refit(
+    train: SplitArrays,
+    val: SplitArrays,
+    test: SplitArrays,
+    grid: TimeGrid,
+    model_config: ModelConfig | None,
+    config: TrainConfig,
+) -> SeedResult:
+    try:
+        params, history = fit(train, val, config, model_config=model_config)
+        probs = predict_risk_batch(params, test.x)
+        curves = SurvivalCurves.from_bin_probs(probs, grid)
+        report = evaluate_all(curves, test.durations, test.events)
+    except DySurvError as err:
+        return SeedResult(seed=config.seed, error=str(err))
+    return SeedResult(
+        seed=config.seed,
+        report=report,
+        val_nll=history.best_val_l1(),
+        val_total=history.best_val_total(),
+    )
+
+
 @dataclass
 class MultiSeedReport:
     rows: list[SeedResult]
@@ -543,23 +626,10 @@ def multi_seed_report(
     """
     if len(set(seeds)) != len(seeds) or len(seeds) < 1:
         raise ContractError("seeds must be distinct and nonempty")
-    rows: list[SeedResult] = []
-    for seed in seeds:
-        cfg = replace(config, seed=seed)
-        try:
-            params, history = fit(train, val, cfg, model_config=model_config)
-            probs = predict_risk_batch(params, test.x)
-            curves = SurvivalCurves.from_bin_probs(probs, grid)
-            report = evaluate_all(curves, test.durations, test.events)
-        except DySurvError as err:
-            rows.append(SeedResult(seed=seed, error=str(err)))
-            continue
-        rows.append(SeedResult(
-            seed=seed,
-            report=report,
-            val_nll=history.best_val_l1(),
-            val_total=history.best_val_total(),
-        ))
+    rows = _map_jobs(
+        partial(_seed_refit, train, val, test, grid, model_config),
+        [replace(config, seed=seed) for seed in seeds],
+    )
     done = [r for r in rows if r.report is not None]
     mean = None
     mean_val_nll = None

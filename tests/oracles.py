@@ -4,36 +4,48 @@ per-time IPCW scores that the batched metrics replace, numpy references
 for the tape losses, the tape primitives and compositions that the fused
 LSTM, dense, latent and loss nodes replace, the tape-recording inference
 that the forward-only one replaces, the per-parameter Adam loop that the
-flat update replaces, and the record-by-record data preparation that the
+flat update replaces, the serial grid search and seed refits that the
+worker pool replaces, and the record-by-record data preparation that the
 stacked one replaces. Kept deliberately naive: different formulation, same
 definition as the fast paths."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from dysurv import training
 from dysurv.autodiff import _ACTIVATIONS, Param, Tape, Tensor
 from dysurv.data import TimeGrid, discretize
 from dysurv.errors import (
     ContractError,
     DomainError,
+    DySurvError,
     MetricUndefinedError,
     NumericalError,
+    SearchFailureError,
     WeightDegeneracyError,
 )
 from dysurv.metrics import (
     EVAL_TIMES,
+    EvalReport,
     LOG_CLAMP,
     Array,
     StepFunction,
     SurvivalCurves,
     _validate_outcomes,
+    evaluate_all,
     km_estimator,
 )
-from dysurv.model import PROB_FLOOR, condition_matrix, forward_graph
+from dysurv.model import PROB_FLOOR, condition_matrix, forward_graph, predict_risk_batch
 from dysurv.nn import glorot_uniform
-from dysurv.training import SplitArrays
+from dysurv.training import (
+    GridSearchResult,
+    MultiSeedReport,
+    SeedResult,
+    SplitArrays,
+    TrialResult,
+)
 
 
 def max_rel_diff(got, want):
@@ -705,6 +717,66 @@ def adam_step_reference(state, params, grads, lr):
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
         p.value = p.value - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+# ---------------------------------------------------------------------------
+# grid search and seed refits, one fit after another
+# ---------------------------------------------------------------------------
+
+
+def grid_search_reference(train, val, space, base, model_config=None):
+    """The sweep as a serial loop. ``training.fit`` is looked up at call
+    time, so a test that patches it patches this loop too."""
+    leaderboard = []
+    for config in space.configs(base):
+        try:
+            _, history = training.fit(train, val, config, model_config=model_config)
+        except DySurvError as err:
+            leaderboard.append(TrialResult(config=config, status="failed", error=str(err)))
+            continue
+        leaderboard.append(TrialResult(
+            config=config, status="ok", val_total=history.best_val_total(),
+            val_l1=history.best_val_l1(), val_l2=history.best_val_l2(),
+            best_epoch=history.best_epoch, n_epochs=history.n_epochs(),
+        ))
+    ok = [t for t in leaderboard if t.status == "ok"]
+    if not ok:
+        details = "; ".join(
+            f"(lr={t.config.learning_rate}, batch={t.config.batch_size}, "
+            f"alpha={t.config.alpha}, keep={t.config.dropout_keep}): {t.error}"
+            for t in leaderboard
+        )
+        raise SearchFailureError(f"every grid trial failed: {details}")
+    best = min(ok, key=lambda t: (t.val_l1, t.config.learning_rate, -t.config.batch_size))
+    return GridSearchResult(best_config=best.config, leaderboard=leaderboard)
+
+
+def multi_seed_report_reference(train, val, test, grid, config, seeds, model_config=None):
+    """Seed refits as a serial loop, ``training.fit`` looked up at call time."""
+    rows = []
+    for seed in seeds:
+        cfg = replace(config, seed=seed)
+        try:
+            params, history = training.fit(train, val, cfg, model_config=model_config)
+            curves = SurvivalCurves.from_bin_probs(predict_risk_batch(params, test.x), grid)
+            report = evaluate_all(curves, test.durations, test.events)
+        except DySurvError as err:
+            rows.append(SeedResult(seed=seed, error=str(err)))
+            continue
+        rows.append(SeedResult(seed=seed, report=report, val_nll=history.best_val_l1(),
+                               val_total=history.best_val_total()))
+    done = [r for r in rows if r.report is not None]
+    mean = mean_val_nll = None
+    if done:
+        mean = EvalReport(
+            c_td=float(np.mean([r.report.c_td for r in done])),
+            ibs=float(np.mean([r.report.ibs for r in done])),
+            inbll=float(np.mean([r.report.inbll for r in done])),
+            n_eval_times=done[0].report.n_eval_times,
+        )
+        mean_val_nll = float(np.mean([r.val_nll for r in done]))
+    return MultiSeedReport(rows=rows, mean=mean, mean_val_nll=mean_val_nll,
+                           incomplete=len(done) < len(seeds))
 
 
 # ---------------------------------------------------------------------------

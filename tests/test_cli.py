@@ -2,11 +2,13 @@
 
 import csv
 import json
+import platform
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dysurv
 from dysurv.cli import main
 from dysurv.data import SurvivalDataset, generate_synthetic, save_dataset_csv
 from dysurv.pipeline import Predictor
@@ -17,6 +19,15 @@ FAST = ["--hidden", "6", "--z-dim", "4", "--max-epochs", "3", "--n-bins", "6"]
 
 def run(*argv):
     return main(list(argv))
+
+
+def assert_meta_timed_and_versioned(meta):
+    assert isinstance(meta["wall_s"], float) and meta["wall_s"] > 0.0
+    assert meta["versions"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "dysurv": dysurv.__version__,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +44,7 @@ def test_synth_writes_loadable_csvs(tmp_path):
     meta = json.loads((tmp_path / "run_meta_synth.json").read_text())
     assert meta["command"] == "synth"
     assert "synthetic_static.csv" in meta["artifacts"]
+    assert_meta_timed_and_versioned(meta)
     header = (tmp_path / "synthetic_static.csv").read_text().splitlines()[0]
     assert header.startswith("id,x0,x1")
 
@@ -58,6 +70,7 @@ def test_train_writes_checkpoint_and_history(trained_dir):
     meta = json.loads((trained_dir / "run_meta_train.json").read_text())
     assert meta["config"]["train_config"]["max_epochs"] == 3
     assert "checkpoint.bin" in meta["artifacts"]
+    assert_meta_timed_and_versioned(meta)
 
 
 def test_evaluate_writes_report(trained_dir, tmp_path):
@@ -198,6 +211,16 @@ def test_unusable_horizon_writes_no_report(trained_dir, tmp_path):
     assert code == 1
     assert not (out / "eval_report.json").exists()
     assert not (out / "horizon_report.json").exists()
+
+
+def test_undefined_horizon_metric_writes_no_report(trained_dir, tmp_path, capsys):
+    # a horizon before every test event leaves no positive label
+    out = tmp_path / "ev"
+    code = run("evaluate", "--synth", "400,3,0.3", "--seed", "1", "--out", str(out),
+               "--checkpoint", str(trained_dir / "checkpoint.bin"), "--horizon", "0.000001")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("E_METRIC_UNDEFINED:")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])

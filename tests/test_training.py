@@ -1,13 +1,17 @@
 """Optimizer, training loop, hyperparameter search, multi-seed averaging,
-and the checkpoint format."""
+the worker pool behind them, and the checkpoint format."""
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 
+from dysurv import training
 from dysurv.autodiff import Param, Tape
 from dysurv.data import generate_synthetic
 from dysurv.errors import (
@@ -25,6 +29,7 @@ from dysurv.training import (
     GridSearchSpace,
     TrainConfig,
     _batch_graph,
+    _map_jobs,
     adam_step,
     fit,
     gradient_check,
@@ -33,7 +38,12 @@ from dysurv.training import (
     multi_seed_report,
     save_checkpoint,
 )
-from oracles import AdamStateReference, adam_step_reference
+from oracles import (
+    AdamStateReference,
+    adam_step_reference,
+    grid_search_reference,
+    multi_seed_report_reference,
+)
 
 TINY_MODEL = ModelConfig(hidden_size=6, z_dim=4, decoder_hidden=(6,),
                          survival_hidden=(6,), condition_mode="both")
@@ -218,6 +228,12 @@ def test_history_csv_layout(prepared, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _mismatched_cond(prepared):
+    """Splits whose cond is too narrow for the decoder: every alpha < 1 trial fails."""
+    return (dataclasses.replace(prepared.train, cond=prepared.train.cond[:, :3]),
+            dataclasses.replace(prepared.val, cond=prepared.val.cond[:, :3]))
+
+
 def test_grid_search_exhaustive_and_ranked(prepared):
     # two alphas blend validation losses at different weights, so the
     # ranking must use the NLL component, not the blended total
@@ -247,13 +263,15 @@ def test_grid_search_single_point(prepared):
 
 
 def test_grid_search_all_failures(prepared):
-    broken = dataclasses.replace(prepared.train, cond=prepared.train.cond[:, :3])
-    broken_val = dataclasses.replace(prepared.val, cond=prepared.val.cond[:, :3])
+    broken, broken_val = _mismatched_cond(prepared)
     space = GridSearchSpace(learning_rates=(1e-2,), batch_sizes=(64,),
                             alphas=(0.5, 0.2), dropout_keeps=(1.0,))
-    with pytest.raises(SearchFailureError):
-        grid_search(broken, broken_val, space, base=quick_config(max_epochs=1),
-                    model_config=TINY_MODEL)
+    base = quick_config(max_epochs=1)
+    with pytest.raises(SearchFailureError) as got:
+        grid_search(broken, broken_val, space, base=base, model_config=TINY_MODEL)
+    with pytest.raises(SearchFailureError) as want:
+        grid_search_reference(broken, broken_val, space, base, model_config=TINY_MODEL)
+    assert str(got.value) == str(want.value)
 
 
 def test_default_space_is_the_documented_product():
@@ -297,6 +315,128 @@ def test_multi_seed_report_is_seedwise_deterministic(prepared):
     b = multi_seed_report(prepared.train, prepared.val, prepared.test,
                           seeds=(0, 1), **kwargs)
     assert a.to_json_dict() == b.to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# independent fits on forked workers
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture(params=[1, 2], ids=["inline", "pool"])
+def cpus(request, monkeypatch):
+    """Both paths of the pool: one available CPU, and two whatever the host has."""
+    _cpus(monkeypatch, request.param)
+
+
+def _json(result) -> str:  # NaN-safe, byte-level comparison
+    return json.dumps(result.to_json_dict())
+
+
+@needs_fork
+def test_pool_maps_in_input_order_on_workers(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert _map_jobs(lambda j: j * j, list(range(7))) == [j * j for j in range(7)]
+    pids = _map_jobs(lambda _: os.getpid(), list(range(4)))
+    assert os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_pool_error_reaches_the_caller_and_leaves_no_worker(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ZeroDivisionError):
+        _map_jobs(lambda j: 1 / (j - 3), list(range(6)))
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_runs_inline_on_one_cpu(monkeypatch):
+    _cpus(monkeypatch, 1)
+    assert _map_jobs(lambda _: os.getpid(), list(range(4))) == [os.getpid()] * 4
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_runs_inline_beside_another_thread(monkeypatch):
+    _cpus(monkeypatch, 2)
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.append(_map_jobs(lambda _: os.getpid(), list(range(3))))
+    )
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert got == [[os.getpid()] * 3]
+
+
+def test_grid_search_matches_the_serial_loop(prepared, cpus):
+    train, val = _mismatched_cond(prepared)
+    space = GridSearchSpace(learning_rates=(1e-2, 1e-3), batch_sizes=(64,),
+                            alphas=(1.0, 0.5), dropout_keeps=(1.0,))
+    base = quick_config(max_epochs=2)
+    got = grid_search(train, val, space, base=base, model_config=TINY_MODEL)
+    assert multiprocessing.active_children() == []
+    want = grid_search_reference(train, val, space, base, model_config=TINY_MODEL)
+    assert _json(got) == _json(want)
+    board = got.to_json_dict()["leaderboard"]
+    assert [t["status"] for t in board] == ["ok", "failed", "ok", "failed"]
+    assert "conditioning width 3" in board[1]["error"]
+
+
+def test_multi_seed_report_matches_the_serial_loop(prepared, cpus, monkeypatch):
+    fit_ = training.fit
+
+    def diverges_on_seed_one(train, val, config, **kwargs):
+        if config.seed == 1:
+            raise NumericalError("injected divergence")
+        return fit_(train, val, config, **kwargs)
+
+    monkeypatch.setattr(training, "fit", diverges_on_seed_one)
+    args = (prepared.train, prepared.val, prepared.test, prepared.grid,
+            quick_config(max_epochs=2), (0, 1, 2))
+    got = multi_seed_report(*args, model_config=TINY_MODEL)
+    assert multiprocessing.active_children() == []
+    want = multi_seed_report_reference(*args, model_config=TINY_MODEL)
+    assert _json(got) == _json(want)
+    assert got.incomplete
+    assert [r.error for r in got.rows] == [None, "injected divergence", None]
+
+
+@needs_fork
+def test_pool_runs_inline_inside_a_daemon_process(prepared, monkeypatch):
+    _cpus(monkeypatch, 2)
+    space = GridSearchSpace(learning_rates=(1e-2, 1e-3), batch_sizes=(64,),
+                            alphas=(0.5,), dropout_keeps=(1.0,))
+    base = quick_config(max_epochs=2)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        try:
+            pids = _map_jobs(lambda _: os.getpid(), list(range(3)))
+            search = grid_search(prepared.train, prepared.val, space, base=base,
+                                 model_config=TINY_MODEL)
+            send.send((pids == [os.getpid()] * 3, _json(search)))
+        except BaseException as err:  # a failure must reach the parent, not hang it
+            send.send((False, repr(err)))
+            raise
+
+    proc = ctx.Process(target=child, daemon=True)
+    proc.start()
+    assert recv.poll(120)
+    inline, board = recv.recv()
+    proc.join(timeout=60)
+    assert inline, board
+    assert proc.exitcode == 0
+    want = grid_search_reference(prepared.train, prepared.val, space, base,
+                                 model_config=TINY_MODEL)
+    assert board == _json(want)
 
 
 # ---------------------------------------------------------------------------
