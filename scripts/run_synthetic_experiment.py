@@ -66,7 +66,7 @@ def main():
         dropout_keeps=(0.9,),
     )
     base = TrainConfig(max_epochs=8, patience=2, seed=0)
-    print(f"\nscreening {space.size()} configurations at {base.max_epochs} epochs each")
+    print(f"\nscreening {len(space.configs(base))} configurations at {base.max_epochs} epochs each")
     result = grid_search(prep.train, prep.val, space, base=base, model_config=model)
     for trial in sorted(
         (t for t in result.leaderboard if t.status == "ok"), key=lambda t: t.val_l1

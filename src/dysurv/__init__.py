@@ -11,7 +11,6 @@ from .data import (
     apply_quantile_transform,
     build_time_grid,
     discretize,
-    fill_missing,
     fit_quantile_transform,
     generate_synthetic,
     load_csv,

@@ -21,9 +21,10 @@ Datasets are described by a JSON manifest::
       "id_col": "id"                     // optional, defaults to "id"
     }
 
-CSV files are UTF-8 with a header row; the event column holds 1 for an
-observed event and 0 for censoring. The series file is long format, one
-measurement per row. Relative paths resolve against the manifest location.
+``load_csv`` takes the manifest's path. CSV files are UTF-8 with a header
+row; the event column holds 1 for an observed event and 0 for censoring.
+The series file is long format, one measurement per row. Relative paths
+resolve against the manifest location.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -38,6 +40,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .autodiff import all_finite
 from .errors import DomainError, ParseError, ReferentialError, SchemaError
 
 Array = np.ndarray
@@ -133,10 +136,19 @@ class SubjectRecord:
             raise SchemaError(f"record {self.id}: series and mask shapes differ")
         if self.series.shape[0] < 1:
             raise SchemaError(f"record {self.id}: series needs at least one row")
-        if self.duration < 0:
-            raise SchemaError(f"record {self.id}: negative duration {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise SchemaError(
+                f"record {self.id}: duration must be finite and nonnegative, got {self.duration}"
+            )
         if self.event not in (0, 1):
             raise SchemaError(f"record {self.id}: event must be 0 or 1, got {self.event}")
+        if self.series_times is not None:
+            self.series_times = np.asarray(self.series_times, dtype=np.float64)
+            if self.series_times.shape != (self.n_steps,) or not all_finite(self.series_times):
+                raise SchemaError(
+                    f"record {self.id}: series_times must be {self.n_steps} finite values, "
+                    f"got shape {self.series_times.shape}"
+                )
 
     @property
     def n_steps(self) -> int:
@@ -253,7 +265,6 @@ def load_manifest(path: str | Path) -> dict:
                 )
     raw.setdefault("categorical_cols", [])
     raw.setdefault("id_col", "id")
-    raw["_base_dir"] = str(path.parent)
     return raw
 
 
@@ -292,21 +303,20 @@ def _parse_float(text: str, where: str) -> float:
     return value
 
 
-def load_csv(manifest: str | Path | dict) -> SurvivalDataset:
-    """Load a dataset described by a manifest (path or already-parsed dict).
+def load_csv(path: str | Path) -> SurvivalDataset:
+    """Load the dataset described by the manifest at ``path``.
 
     Categorical statics are one-hot encoded with categories discovered from
     the file in sorted order. Each distinct series time is a visit, even when
     all its values are empty; a subject without series rows gets a single
     fully-missing visit at time 0.
     """
-    if not isinstance(manifest, dict):
-        manifest = load_manifest(manifest)
-    base = Path(manifest.get("_base_dir", "."))
-    id_col = manifest.get("id_col", "id")
+    manifest = load_manifest(path)
+    base = Path(path).parent
+    id_col = manifest["id_col"]
     dur_col = manifest["duration_col"]
     evt_col = manifest["event_col"]
-    cat_cols = list(manifest.get("categorical_cols", []))
+    cat_cols = list(manifest["categorical_cols"])
 
     header, rows = _read_rows(base / manifest["static_csv"])
     col_index = {name: i for i, name in enumerate(header)}
@@ -599,11 +609,9 @@ def generate_synthetic(
 
 
 def split_dataset(
-    ds: SurvivalDataset,
-    seed: int,
-    fractions: tuple[float, float, float] = SPLIT_FRACTIONS,
+    ds: SurvivalDataset, seed: int
 ) -> tuple[SurvivalDataset, SurvivalDataset, SurvivalDataset]:
-    """Shuffle and split stratified by event indicator.
+    """Shuffle and split ``SPLIT_FRACTIONS``, stratified by event indicator.
 
     Within each stratum the three quotas come from the largest-remainder
     method, so a 100-record dataset splits exactly 60/20/20. If either
@@ -611,8 +619,6 @@ def split_dataset(
     """
     if len(ds) < 5:
         raise DomainError(f"need at least 5 records to split, got {len(ds)}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DomainError(f"split fractions must sum to 1, got {fractions}")
     events = ds.events()
     strata = [np.where(events == 1)[0], np.where(events == 0)[0]]
     if min(len(s) for s in strata) == 0:
@@ -625,7 +631,7 @@ def split_dataset(
     buckets: list[list[int]] = [[], [], []]
     for stratum in strata:
         order = stratum[rng.permutation(len(stratum))]
-        quotas = np.array(fractions) * len(order)
+        quotas = np.array(SPLIT_FRACTIONS) * len(order)
         counts = np.floor(quotas).astype(int)
         remainder = quotas - counts
         for _ in range(len(order) - counts.sum()):
@@ -765,14 +771,12 @@ def fill_series(series: Array, mask: Array) -> Array:
     return np.where(mask.any(axis=-2, keepdims=True), filled, 0.0)
 
 
-def fill_missing(record: SubjectRecord) -> SubjectRecord:
-    """``fill_series`` on one record. Idempotent; the result has a fully
-    observed mask."""
-    series = fill_series(record.series, record.series_mask)
-    return replace(record, series=series, series_mask=np.ones_like(record.series_mask))
-
-
 def fill_dataset(ds: SurvivalDataset) -> SurvivalDataset:
-    return SurvivalDataset(
-        schema=ds.schema, records=[fill_missing(r) for r in ds.records], truth=ds.truth
-    )
+    """``fill_series`` on each record. Idempotent; the records come back
+    with fully observed masks."""
+    records = [
+        replace(r, series=fill_series(r.series, r.series_mask),
+                series_mask=np.ones_like(r.series_mask))
+        for r in ds.records
+    ]
+    return SurvivalDataset(schema=ds.schema, records=records, truth=ds.truth)

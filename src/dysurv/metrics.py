@@ -11,6 +11,7 @@ on shared knots and extend as constants outside the knot range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
 
 Array = np.ndarray
 
-EVAL_TIMES = 100
+EVAL_TIMES = 100  # equally spaced times behind IBS and INBLL
 LOG_CLAMP = 1e-12
 # most (event subject, other) pairs that concordance compares in one array
 CONCORDANCE_BLOCK = 1 << 20
@@ -119,6 +120,8 @@ class SurvivalCurves:
     def at(self, t: float) -> Array:
         """All curves evaluated at scalar time t, shape (n,)."""
         t = float(t)
+        if math.isnan(t):
+            raise DomainError("cannot evaluate survival curves at NaN")
         if t <= self.times[0]:
             return self.values[:, 0].copy()
         if t >= self.times[-1]:
@@ -127,10 +130,6 @@ class SurvivalCurves:
         w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
         left = self.values[:, k]
         return left + w * (self.values[:, k + 1] - left)
-
-    @staticmethod
-    def constant(value: float, n: int, t_max: float) -> "SurvivalCurves":
-        return SurvivalCurves(np.array([0.0, t_max]), np.full((n, 2), float(value)))
 
     @staticmethod
     def from_bin_probs(probs: Array, grid: TimeGrid) -> "SurvivalCurves":
@@ -244,36 +243,30 @@ def binomial_ll(
     return float(_ipcw_scores(curves, durations, events, [t], censor_sf)[1][0])
 
 
-def _ipcw_integrals(curves, durations, events, n_times: int) -> tuple[float, float]:
+def _ipcw_integrals(curves, durations, events) -> tuple[float, float]:
     """(IBS, INBLL): trapezoidal averages of the Brier score and of the
-    negated binomial log likelihood over ``n_times`` equally spaced times
+    negated binomial log likelihood over ``EVAL_TIMES`` equally spaced times
     in (0, max duration], from one fit of the censoring distribution."""
-    if n_times < 2:
-        raise DomainError(f"need at least 2 integration times, got {n_times}")
     t_max = float(durations.max())
     if t_max <= 0:
         raise DomainError("integration needs a positive maximum duration")
-    times = np.linspace(t_max / n_times, t_max, n_times)
+    times = np.linspace(t_max / EVAL_TIMES, t_max, EVAL_TIMES)
     brier, loglik = _ipcw_scores(curves, durations, events, times, None)
     span = times[-1] - times[0]
     return (float(np.trapezoid(brier, times) / span),
             float(-np.trapezoid(loglik, times) / span))
 
 
-def integrated_brier(
-    curves: SurvivalCurves, durations, events, n_times: int = EVAL_TIMES
-) -> float:
-    """Trapezoidal average of the IPCW Brier score over ``n_times`` equally
-    spaced times in (0, max duration]."""
-    return _ipcw_integrals(curves, *_validate_outcomes(durations, events, curves), n_times)[0]
+def integrated_brier(curves: SurvivalCurves, durations, events) -> float:
+    """Trapezoidal average of the IPCW Brier score over ``EVAL_TIMES``
+    equally spaced times in (0, max duration]."""
+    return _ipcw_integrals(curves, *_validate_outcomes(durations, events, curves))[0]
 
 
-def integrated_bll(
-    curves: SurvivalCurves, durations, events, n_times: int = EVAL_TIMES
-) -> float:
+def integrated_bll(curves: SurvivalCurves, durations, events) -> float:
     """Negated trapezoidal average of the IPCW binomial log likelihood
     (INBLL, lower is better) over the same grid as the Brier integral."""
-    return _ipcw_integrals(curves, *_validate_outcomes(durations, events, curves), n_times)[1]
+    return _ipcw_integrals(curves, *_validate_outcomes(durations, events, curves))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +296,12 @@ class HorizonReport:
         return asdict(self)
 
 
-def evaluate_all(
-    curves: SurvivalCurves, durations, events, n_times: int = EVAL_TIMES
-) -> EvalReport:
+def evaluate_all(curves: SurvivalCurves, durations, events) -> EvalReport:
     """Concordance plus integrated Brier and negated binomial likelihood,
     from one check of the outcomes and one censoring fit."""
     durations, events = _validate_outcomes(durations, events, curves)
     c_td = _concordance(curves, durations, events)
-    return EvalReport(c_td, *_ipcw_integrals(curves, durations, events, n_times), n_times)
+    return EvalReport(c_td, *_ipcw_integrals(curves, durations, events))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,9 @@ Array = np.ndarray
 CHECKPOINT_MAGIC = b"DYSURV1\x00"
 CHECKPOINT_VERSION = 3
 EVAL_CHUNK = 1024
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -183,9 +186,6 @@ class AdamState:
     m: Array
     v: Array
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def init(params: list[Param]) -> "AdamState":
@@ -202,14 +202,14 @@ def adam_step(state: AdamState, params: list[Param], grads: dict[str, Array], lr
         raise NumericalError(f"non-finite gradient for parameter '{bad.name}'")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    update = lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    update = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     pos = 0
     for p in params:
         size = p.value.size
@@ -284,23 +284,18 @@ def fit(
     config: TrainConfig,
     *,
     model_config: ModelConfig | None = None,
-    init: DySurvParams | None = None,
 ) -> tuple[DySurvParams, History]:
     """Minibatch training with early stopping on validation total loss.
 
-    Returns the parameters of the best validation epoch (training mutates
-    ``init`` in place when one is given) and the per-epoch history.
+    Returns the parameters of the best validation epoch and the per-epoch
+    history.
     """
     if train.seq_len != val.seq_len or train.d_in != val.d_in:
         raise ContractError("train and val arrays disagree on input shape")
     if train.n_bins != val.n_bins:
         raise ContractError("train and val arrays disagree on bin count")
     rng = np.random.default_rng(config.seed)
-    params = init
-    if params is None:
-        params = init_dysurv_params(
-            rng, train.d_in, train.seq_len, train.n_bins, model_config
-        )
+    params = init_dysurv_params(rng, train.d_in, train.seq_len, train.n_bins, model_config)
     if config.alpha < 1.0 and train.cond.shape[1] != params.cond_dim:
         raise ContractError(
             f"conditioning width {train.cond.shape[1]} does not match the "
@@ -428,12 +423,6 @@ class GridSearchSpace:
         for name in ("learning_rates", "batch_sizes", "alphas", "dropout_keeps"):
             if len(getattr(self, name)) == 0:
                 raise ContractError(f"grid axis {name} must be nonempty")
-
-    def size(self) -> int:
-        return (
-            len(self.learning_rates) * len(self.batch_sizes)
-            * len(self.alphas) * len(self.dropout_keeps)
-        )
 
     def configs(self, base: TrainConfig) -> list[TrainConfig]:
         out = []
@@ -654,19 +643,11 @@ def multi_seed_report(
 # ---------------------------------------------------------------------------
 
 
-def gradient_check(
-    seed: int = 0,
-    *,
-    batch: int = 4,
-    seq_len: int = 3,
-    d_in: int = 6,
-    n_bins: int = 5,
-    alpha: float = 0.5,
-    eps: float = 1e-5,
-) -> float:
+def gradient_check(seed: int = 0) -> float:
     """Worst relative error of analytic vs central-difference gradients on
     one training step's blended loss over a small random model (latent
     noise fixed, dropout off). Below 1e-5 the backward pass is trustworthy."""
+    batch, seq_len, d_in, n_bins = 4, 3, 6, 5
     rng = np.random.default_rng(seed)
     model_config = ModelConfig(
         hidden_size=4, z_dim=3, decoder_hidden=(4,), survival_hidden=(4,),
@@ -683,7 +664,7 @@ def gradient_check(
         cond=condition_matrix(events, bins, n_bins, "both"),
         durations=bins + 0.5, n_bins=n_bins,
     )
-    config = TrainConfig(alpha=alpha, dropout_keep=1.0)
+    config = TrainConfig(alpha=0.5, dropout_keep=1.0)
 
     def build():  # a fresh generator per build draws the same latent noise
         tape = Tape()
@@ -691,7 +672,7 @@ def gradient_check(
         total = _batch_graph(tape, params, data, np.arange(batch), config, rng_eps)[0]
         return tape, tape.mul(total, 1.0 / batch)
 
-    return finite_difference_check(build, params.parameters(), eps=eps)
+    return finite_difference_check(build, params.parameters())
 
 
 # ---------------------------------------------------------------------------

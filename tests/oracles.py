@@ -259,6 +259,11 @@ def integrated_bll_reference(
     return float(-np.trapezoid(lls, times) / (times[-1] - times[0]))
 
 
+def constant_curves(value: float, n: int, t_max: float) -> SurvivalCurves:
+    """n identical flat curves at ``value`` on the knots 0 and t_max."""
+    return SurvivalCurves(np.array([0.0, t_max]), np.full((n, 2), float(value)))
+
+
 def random_instance(rng, n, n_bins=8):
     """Random durations, events, and valid survival curves for oracle runs."""
     durations = rng.uniform(0.1, 10.0, size=n)

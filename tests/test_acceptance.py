@@ -36,7 +36,13 @@ from dysurv.training import (
     grid_search,
     multi_seed_report,
 )
-from oracles import naive_brier, naive_concordance, naive_km_value, random_instance
+from oracles import (
+    constant_curves,
+    naive_brier,
+    naive_concordance,
+    naive_km_value,
+    random_instance,
+)
 
 
 _capman = [None]
@@ -142,7 +148,7 @@ def test_c3_analytic_anchors():
     rng = np.random.default_rng(3)
     durations = rng.uniform(1.0, 9.0, 400)
     events = np.ones(400)
-    half = SurvivalCurves.constant(0.5, 400, 10.0)
+    half = constant_curves(0.5, 400, 10.0)
     ibs = integrated_brier(half, durations, events)
     nbll = integrated_bll(half, durations, events)
     c_td = concordance_td(half, durations, events)

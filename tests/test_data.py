@@ -18,7 +18,8 @@ from dysurv.data import (
     apply_quantile_transform,
     build_time_grid,
     discretize,
-    fill_missing,
+    fill_dataset,
+    fill_series,
     fit_quantile_transform,
     generate_synthetic,
     load_csv,
@@ -192,6 +193,21 @@ def test_record_series_width_is_checked_against_the_schema():
         SurvivalDataset(schema, [wide])
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_record_rejects_a_non_finite_or_negative_duration(duration):
+    with pytest.raises(SchemaError, match="record bad: duration must be finite and nonnegative"):
+        SubjectRecord("bad", [0.0], np.zeros((2, 1)), np.ones((2, 1), dtype=bool), duration, 1)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]], [0.0, float("nan")], [0.0, float("inf")],
+])
+def test_record_rejects_series_times_that_do_not_fit_the_series(times):
+    with pytest.raises(SchemaError, match="record bad: series_times must be 2 finite values"):
+        SubjectRecord("bad", [0.0], np.zeros((2, 1)), np.ones((2, 1), dtype=bool), 1.0, 1,
+                      series_times=np.array(times))
+
+
 def test_synthetic_censoring_fraction_and_determinism():
     ds = generate_synthetic(10_000, 5, 0.37, seed=7)
     frac = 1.0 - ds.events().mean()
@@ -318,39 +334,32 @@ def test_quantile_apply_changes_observed_cells_in_place():
         qt.apply(["x0", "nope"], values)
 
 
-def record_with_series(series, mask, times=None):
-    series = np.asarray(series, dtype=np.float64)
-    return SubjectRecord(
-        "r", [0.0], series, np.asarray(mask, dtype=bool), 5.0, 1,
-        series_times=times,
-    )
+def filled_column(values, observed):
+    """``fill_series`` on one record's single-feature series and mask."""
+    series = np.asarray(values, dtype=np.float64)[:, None]
+    return fill_series(series, np.asarray(observed, dtype=bool)[:, None])[:, 0].tolist()
 
 
-def test_fill_missing_hand_cases():
-    r = record_with_series([[0.0], [5.0], [0.0], [7.0]],
-                           [[False], [True], [False], [True]])
-    filled = fill_missing(r)
-    assert filled.series[:, 0].tolist() == [5.0, 5.0, 5.0, 7.0]
-    assert filled.series_mask.all()
-
-    r = record_with_series([[3.0], [0.0], [0.0], [0.0]],
-                           [[True], [False], [False], [False]])
-    assert fill_missing(r).series[:, 0].tolist() == [3.0, 3.0, 3.0, 3.0]
-
-    r = record_with_series([[9.0], [9.0]], [[False], [False]])
-    assert fill_missing(r).series[:, 0].tolist() == [0.0, 0.0]
+def test_fill_series_hand_cases():
+    assert filled_column([0.0, 5.0, 0.0, 7.0], [False, True, False, True]) == [5.0, 5.0, 5.0, 7.0]
+    assert filled_column([3.0, 0.0, 0.0, 0.0], [True, False, False, False]) == [3.0] * 4
+    assert filled_column([9.0, 9.0], [False, False]) == [0.0, 0.0]
 
 
 @given(st.integers(0, 500))
-def test_fill_missing_idempotent_and_preserves_observed(seed):
+def test_fill_series_idempotent_and_preserves_observed(seed):
     rng = np.random.default_rng(seed)
     series = rng.standard_normal((6, 3))
     mask = rng.random((6, 3)) < 0.5
-    r = record_with_series(series, mask)
-    once = fill_missing(r)
-    twice = fill_missing(once)
-    assert np.array_equal(once.series, twice.series)
-    assert np.array_equal(once.series[mask], series[mask])
+    once = fill_series(series, mask)
+    twice = fill_series(once, np.ones_like(mask))
+    assert np.array_equal(once, twice)
+    assert np.array_equal(once[mask], series[mask])
+    schema = FeatureSchema(["s"], {}, ["a", "b", "c"], "duration", "event")
+    ds = SurvivalDataset(schema, [SubjectRecord("r", [0.0], series, mask, 5.0, 1)])
+    filled = fill_dataset(ds).records[0]
+    assert np.array_equal(filled.series, once) and filled.series_mask.all()
+    assert np.array_equal(fill_dataset(fill_dataset(ds)).records[0].series, once)
 
 
 def identity_transform(names):

@@ -37,6 +37,7 @@ from oracles import (
     binomial_ll_reference,
     brier_ipcw_reference,
     concordance_td_reference,
+    constant_curves,
     integrated_bll_reference,
     integrated_brier_reference,
     naive_auroc,
@@ -99,18 +100,26 @@ def test_concordance_two_subject_anchors():
     assert concordance_td(flipped, [2.0, 5.0], [1, 1]) == 0.0
 
 
+def test_curves_at_nan_is_a_domain_error():
+    curves = SurvivalCurves(np.array([0.0, 1.0, 2.0, 3.0]), np.array([[1.0, 0.8, 0.5, 0.1]]))
+    with pytest.raises(DomainError, match="NaN"):
+        curves.at(float("nan"))
+    assert curves.at(-math.inf).tolist() == [1.0]
+    assert curves.at(math.inf).tolist() == [0.1]
+
+
 def test_concordance_identical_predictions_is_half():
-    curves = SurvivalCurves.constant(0.5, 6, 10.0)
+    curves = constant_curves(0.5, 6, 10.0)
     rng = np.random.default_rng(0)
     assert concordance_td(curves, rng.uniform(1, 9, 6), np.ones(6)) == 0.5
 
 
 def test_concordance_undefined_without_comparable_pairs():
-    curves = SurvivalCurves.constant(0.5, 3, 10.0)
+    curves = constant_curves(0.5, 3, 10.0)
     with pytest.raises(MetricUndefinedError):
         concordance_td(curves, [1.0, 2.0, 3.0], [0, 0, 0])
     with pytest.raises(MetricUndefinedError):
-        concordance_td(SurvivalCurves.constant(0.5, 0, 1.0), [], [])
+        concordance_td(constant_curves(0.5, 0, 1.0), [], [])
     with pytest.raises(ContractError):
         concordance_td(curves, [1.0, 2.0], [1, 0])
 
@@ -169,7 +178,7 @@ def test_constant_half_prediction_uncensored():
     rng = np.random.default_rng(5)
     durations = rng.uniform(1.0, 9.0, 30)
     events = np.ones(30)
-    curves = SurvivalCurves.constant(0.5, 30, 10.0)
+    curves = constant_curves(0.5, 30, 10.0)
     assert brier_ipcw(curves, durations, events, 4.0) == pytest.approx(0.25, rel=1e-14)
     assert -binomial_ll(curves, durations, events, 4.0) == pytest.approx(
         math.log(2.0), rel=1e-14
@@ -232,7 +241,7 @@ def test_metrics_invariant_to_subject_order():
 
 
 def test_zero_censoring_weight_raises():
-    curves = SurvivalCurves.constant(0.5, 2, 5.0)
+    curves = constant_curves(0.5, 2, 5.0)
     dead_weight = StepFunction(np.array([1.0]), np.array([0.0]))
     with pytest.raises(WeightDegeneracyError):
         brier_ipcw(curves, [0.5, 4.0], [1, 0], t=2.0, censor_sf=dead_weight)
@@ -301,13 +310,13 @@ def test_batched_metrics_equal_the_references(ties, seed):
 
 
 def test_batched_metrics_equal_the_references_on_edge_cases():
-    curves = SurvivalCurves.constant(0.5, 3, 5.0)
+    curves = constant_curves(0.5, 3, 5.0)
     # no comparable pairs: nobody has an event, or the only event comes last
     assert_same_as_references(curves, np.array([1.0, 2.0, 3.0]), np.array([0, 0, 0]))
     assert_same_as_references(curves, np.array([1.0, 2.0, 3.0]), np.array([0, 0, 1]))
     # degenerate censoring weights, at T- for past events and at t for the at-risk
     dead_weight = StepFunction(np.array([1.0]), np.array([0.0]))
-    two = SurvivalCurves.constant(0.5, 2, 5.0)
+    two = constant_curves(0.5, 2, 5.0)
     for durations in ([0.5, 4.0], [2.0, 4.0]):
         assert_same_as_references(two, np.array(durations), np.array([1, 0]), dead_weight)
     with pytest.raises(WeightDegeneracyError, match="at evaluation time 3.0"):
@@ -484,3 +493,39 @@ def test_permuting_a_static_moves_whole_blocks():
         for r_in, r_out in zip(records, out.records):
             assert r_out.id == r_in.id and r_out.series is r_in.series
     assert np.array_equal(np.stack([r.static_features for r in records]), before)
+
+
+def test_permuting_a_series_feature_moves_whole_trajectories_within_a_length():
+    rng = np.random.default_rng(1)
+    schema = FeatureSchema(["age"], {}, ["hr", "map"], "duration", "event")
+    lengths = [2, 3] * 10
+    records = [
+        SubjectRecord(f"s{i}", [rng.normal()], rng.standard_normal((j, 2)),
+                      rng.random((j, 2)) < 0.7, 1.0 + i, i % 2,
+                      series_times=np.arange(float(j)))
+        for i, j in enumerate(lengths)
+    ]
+    ds = SurvivalDataset(schema, records)
+    snapshot = [(r.series.copy(), r.series_mask.copy()) for r in records]
+    out = _permute_feature(ds, "hr", np.random.default_rng(4))
+    # each output hr trajectory (values and mask) is some equal-length
+    # subject's input trajectory, and every input one is used once
+    source = []
+    for r_out in out.records:
+        matches = [i for i, r_in in enumerate(records)
+                   if r_in.n_steps == r_out.n_steps
+                   and np.array_equal(r_in.series[:, 0], r_out.series[:, 0])
+                   and np.array_equal(r_in.series_mask[:, 0], r_out.series_mask[:, 0])]
+        assert len(matches) == 1
+        source.append(matches[0])
+    assert sorted(source) == list(range(len(records)))
+    assert source != list(range(len(records)))
+    for r_in, r_out in zip(records, out.records):
+        assert r_out.id == r_in.id
+        assert (r_out.duration, r_out.event) == (r_in.duration, r_in.event)
+        assert np.array_equal(r_out.static_features, r_in.static_features)
+        assert np.array_equal(r_out.series[:, 1], r_in.series[:, 1])
+        assert np.array_equal(r_out.series_mask[:, 1], r_in.series_mask[:, 1])
+        assert np.array_equal(r_out.series_times, r_in.series_times)
+    for r, (series, mask) in zip(records, snapshot):
+        assert np.array_equal(r.series, series) and np.array_equal(r.series_mask, mask)

@@ -180,16 +180,17 @@ def test_early_stop_restores_best_epoch(prepared):
 
 
 def test_alpha_one_never_touches_the_decoder(prepared):
-    rng = np.random.default_rng(3)
+    config = quick_config(alpha=1.0)
+    # the initial weights, drawn exactly as fit draws them
     init = init_dysurv_params(
-        rng, prepared.train.d_in, prepared.train.seq_len,
-        prepared.train.n_bins, TINY_MODEL,
+        np.random.default_rng(config.seed), prepared.train.d_in,
+        prepared.train.seq_len, prepared.train.n_bins, TINY_MODEL,
     )
-    before = [layer.weight.value.copy() for layer in init.decoder]
-    params, history = fit(prepared.train, prepared.val, quick_config(alpha=1.0),
-                          init=init)
-    for layer, old in zip(params.decoder, before):
-        assert np.array_equal(layer.weight.value, old)
+    params, history = fit(prepared.train, prepared.val, config, model_config=TINY_MODEL)
+    assert not np.array_equal(params.mu_head.weight.value, init.mu_head.weight.value)
+    for layer, old in zip(params.decoder, init.decoder):
+        for name in ("weight", "bias"):
+            assert np.array_equal(getattr(layer, name).value, getattr(old, name).value)
     assert all(np.isnan(v) for v in history.val_l2)
     assert history.val_total == history.val_l1
 
@@ -242,7 +243,7 @@ def test_grid_search_exhaustive_and_ranked(prepared):
     base = quick_config(max_epochs=3)
     result = grid_search(prepared.train, prepared.val, space, base=base,
                          model_config=TINY_MODEL)
-    assert space.size() == 4
+    assert len(space.configs(base)) == 4
     assert len(result.leaderboard) == 4
     oks = [t for t in result.leaderboard if t.status == "ok"]
     best_nll = min(t.val_l1 for t in oks)
@@ -276,7 +277,7 @@ def test_grid_search_all_failures(prepared):
 
 def test_default_space_is_the_documented_product():
     space = GridSearchSpace()
-    assert space.size() == 36
+    assert len(space.configs(TrainConfig())) == 36
     assert set(space.learning_rates) == {1e-2, 1e-3, 1e-4}
     assert set(space.batch_sizes) == {64, 256}
     assert set(space.alphas) == {0.2, 0.5, 0.8}
