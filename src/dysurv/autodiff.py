@@ -1,14 +1,18 @@
 """Tape-based reverse-mode automatic differentiation on float64 numpy arrays,
 and the forward kernels that the tape and tape-free inference share.
 
-A ``Tape`` records every primitive applied to ``Tensor`` values. Calling
-``Tape.backward`` on a scalar loss replays the records in reverse and
-accumulates vector-Jacobian products into a gradient store keyed by
-parameter name. The op set is deliberately small: exactly what a training
-batch of the model records. That is parameter and constant leaves,
-``mul`` by a number (the batch mean), ``dropout``, the fused ``lstm`` and
-``dense`` nodes below, and ``record`` for a node whose value and
-vector-Jacobian product the caller computes.
+A ``Tape`` records the computed values of a forward pass, one node per
+primitive. An operand of a node is one of three things: a ``Tensor``, a
+computed value that refers to its node; a ``Param``, read in place; or a
+plain array, a constant. Only computed values are recorded. Calling
+``Tape.backward`` on a scalar loss replays the nodes once in reverse and
+routes each vector-Jacobian product to its operand: to the operand's node,
+straight into a gradient store keyed by parameter name, or, for a
+constant, nowhere. The op set is deliberately small: exactly what a
+training batch of the model records. That is ``mul`` by a number (the
+batch mean), ``dropout``, the fused ``lstm`` and ``dense`` nodes below,
+and ``record`` for a node whose value and vector-Jacobian product the
+caller computes.
 
 Two module functions compute the model's layers, and each is the one copy
 of its formula:
@@ -32,9 +36,11 @@ loss and the loss blend through :meth:`Tape.record`, one node each, with
 the formulas kept there.
 
 Every value is checked for NaN and ±inf once, where it is computed: by a
-kernel or as a node is recorded. The check sums the array first and scans
-it entry by entry only when the sum is not finite, which an overflowing
-sum of finite entries also makes.
+kernel or as a node is recorded. Operands are not checked on their own: a
+non-finite parameter or constant makes the value of the node that reads
+it non-finite, and that check raises naming the node's op. The check sums
+the array first and scans it entry by entry only when the sum is not
+finite, which an overflowing sum of finite entries also makes.
 
 Shapes are restricted to what the model uses: 2-D dense layers and
 elementwise ops on equal shapes. General numpy broadcasting is out of
@@ -79,13 +85,16 @@ class Tensor:
         return self.value.shape
 
 
-class _Node:
-    __slots__ = ("parents", "vjp", "param")
-
-    def __init__(self, parents, vjp, param=None):
-        self.parents = parents
-        self.vjp = vjp
-        self.param = param
+def _operand(x) -> tuple[Array, int | Param | None]:
+    """``(value, ref)`` for one operand of a node. A ``Tensor`` refers to its
+    node by index; a ``Param`` is read in place and refers to itself, so its
+    gradient goes to the store under its name; anything else is a float64
+    constant and gets no gradient."""
+    if isinstance(x, Tensor):
+        return x.value, x.idx
+    if isinstance(x, Param):
+        return x.value, x
+    return np.asarray(x, dtype=np.float64), None
 
 
 def all_finite(value: Array) -> bool:
@@ -220,42 +229,26 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[tuple, Callable]] = []  # (operand refs, vjp)
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    # -- leaves ---------------------------------------------------------
-
-    def leaf(self, value, param: Param | None = None) -> Tensor:
-        """Record a leaf. Pass ``param`` to receive its gradient later."""
-        arr = np.asarray(value, dtype=np.float64)
-        _check_finite(arr, "leaf")
-        self._nodes.append(_Node((), None, param))
-        return Tensor(arr, len(self._nodes) - 1)
-
-    def param(self, p: Param) -> Tensor:
-        return self.leaf(p.value, param=p)
-
-    def _wrap(self, x) -> Tensor:
-        if isinstance(x, Tensor):
-            return x
-        return self.leaf(x)
 
     def _push(self, value: Array, parents: tuple, vjp, op: str) -> Tensor:
         _check_finite(value, op)
         return self._append(value, parents, vjp)
 
     def _append(self, value: Array, parents: tuple, vjp) -> Tensor:
-        """Record a node whose value a forward kernel has already checked."""
-        self._nodes.append(_Node(parents, vjp, None))
+        """Record a node whose value a forward kernel has already checked.
+        ``parents`` holds one :func:`_operand` ref per operand."""
+        self._nodes.append((parents, vjp))
         return Tensor(value, len(self._nodes) - 1)
 
     def record(
         self,
         op: str,
         value: Array,
-        parents: Sequence[Tensor],
+        parents: Sequence[Tensor | Param],
         vjp,
         intermediates: Sequence[Array] = (),
     ) -> Tensor:
@@ -269,7 +262,7 @@ class Tape:
         """
         for inner in intermediates:
             _check_finite(inner, op)
-        return self._push(value, tuple(p.idx for p in parents), vjp, op)
+        return self._push(value, tuple(_operand(p)[1] for p in parents), vjp, op)
 
     # -- primitives -----------------------------------------------------
 
@@ -279,9 +272,8 @@ class Tape:
         The vector-Jacobian product runs the activation, the bias add and
         the matmul in the order separate nodes would.
         """
-        x, w, b = self._wrap(x), self._wrap(w), self._wrap(b)
-        xv, wv = x.value, w.value
-        out = dense_values(xv, wv, b.value, activation)
+        (xv, x), (wv, w), (bv, b) = _operand(x), _operand(w), _operand(b)
+        out = dense_values(xv, wv, bv, activation)
         act_vjp = _ACTIVATIONS[activation][1] if activation != "identity" else None
 
         def vjp(g):
@@ -289,16 +281,16 @@ class Tape:
                 g = act_vjp(out, g)
             return g @ wv.T, xv.T @ g, g.sum(axis=0)
 
-        return self._append(out, (x.idx, w.idx, b.idx), vjp)
+        return self._append(out, (x, w, b), vjp)
 
     def mul(self, a, s: float) -> Tensor:
         """``a * s`` for a Python number ``s``: the batch mean and the
         loss scales. Products of two tensors live inside the fused nodes."""
         if not isinstance(s, (int, float)):
             raise ContractError(f"mul scales by a number, got {type(s).__name__}")
-        a = self._wrap(a)
+        av, a = _operand(a)
         s = float(s)
-        return self._push(a.value * s, (a.idx,), lambda g: (g * s,), "mul")
+        return self._push(av * s, (a,), lambda g: (g * s,), "mul")
 
     def dropout(self, a, keep: float, mask: Array | None) -> Tensor:
         """Inverted dropout.
@@ -306,22 +298,20 @@ class Tape:
         ``mask`` is a caller-supplied 0/1 array from a seeded generator so
         that a forward pass is a deterministic function of its inputs.
         """
-        a = self._wrap(a)
+        av, a = _operand(a)
         if not (0.0 < keep <= 1.0):
             raise DomainError(f"dropout keep probability {keep} outside (0, 1]")
         if mask is None:
             raise ContractError("dropout requires a mask")
-        if mask.shape != a.value.shape:
-            raise ContractError(
-                f"dropout mask shape {mask.shape} != input shape {a.value.shape}"
-            )
+        if mask.shape != av.shape:
+            raise ContractError(f"dropout mask shape {mask.shape} != input shape {av.shape}")
         scale = mask / keep
-        out = a.value * scale
+        out = av * scale
 
         def vjp(g):
             return (g * scale,)
 
-        return self._push(out, (a.idx,), vjp, "dropout")
+        return self._push(out, (a,), vjp, "dropout")
 
     def lstm(self, steps: Sequence[Array], w_x, w_h, b) -> Tensor:
         """Single-layer LSTM over (batch, d_in) steps; returns the final
@@ -331,10 +321,9 @@ class Tape:
         The steps are constants: the node's parents are the three weights
         and backward computes no input gradient.
         """
-        w_x, w_h, b = self._wrap(w_x), self._wrap(w_h), self._wrap(b)
-        wh = w_h.value
+        (wx, w_x), (wh, w_h), (bv, b) = _operand(w_x), _operand(w_h), _operand(b)
         xs = [np.asarray(x, dtype=np.float64) for x in steps]
-        h, gates, cells, tanh_cells = lstm_values(xs, w_x.value, wh, b.value, keep=True)
+        h, gates, cells, tanh_cells = lstm_values(xs, wx, wh, bv, keep=True)
         hid, n = wh.shape[0], len(xs)
         gi, gf, go, gg = (slice(k * hid, (k + 1) * hid) for k in range(4))
 
@@ -371,50 +360,41 @@ class Tape:
                 d_wh = d_wh + h_prev.T @ dz[t]
             return d_wx, d_wh, d_b
 
-        return self._append(h, (w_x.idx, w_h.idx, b.idx), vjp)
+        return self._append(h, (w_x, w_h, b), vjp)
 
     # -- reverse pass ----------------------------------------------------
 
     def backward(self, loss: Tensor, params: Iterable[Param] | None = None) -> dict[str, Array]:
-        """Accumulate d(loss)/d(param) for every parameter leaf.
+        """d(loss)/d(param), keyed by name, for every parameter operand that
+        reaches ``loss``, in one reverse pass over the nodes. Each
+        vector-Jacobian product goes to its operand's node, straight into
+        the store for a ``Param``, or nowhere for a constant.
 
-        Parameters listed in ``params`` but absent from the tape get zero
-        gradients, so optimizers can iterate a fixed parameter list.
+        Parameters listed in ``params`` but not reached get zero gradients,
+        so optimizers can iterate a fixed parameter list.
         """
         if loss.value.ndim != 0:
             raise ContractError(
                 f"backward expects a scalar loss, got shape {loss.value.shape}"
             )
-        grads: list[Array | None] = [None] * (loss.idx + 1)
-        grads[loss.idx] = np.ones((), dtype=np.float64)
-        for i in range(loss.idx, -1, -1):
-            g = grads[i]
-            if g is None:
-                continue
-            node = self._nodes[i]
-            if node.vjp is None:
-                continue
-            for parent, pg in zip(node.parents, node.vjp(g)):
-                if grads[parent] is None:
-                    grads[parent] = pg.copy() if pg.base is not None else pg
-                else:
-                    grads[parent] = grads[parent] + pg
+        grads: dict[int, Array] = {loss.idx: np.ones((), dtype=np.float64)}
         store: dict[str, Array] = {}
-        for i, node in enumerate(self._nodes[: loss.idx + 1]):
-            if node.param is None:
-                continue
-            g = grads[i]
+        for i in range(loss.idx, -1, -1):
+            g = grads.pop(i, None)
             if g is None:
-                g = np.zeros_like(node.param.value)
-            g = np.asarray(g, dtype=np.float64).reshape(node.param.value.shape)
-            if node.param.name in store:
-                store[node.param.name] = store[node.param.name] + g
-            else:
-                store[node.param.name] = g
-        if params is not None:
-            for p in params:
-                if p.name not in store:
-                    store[p.name] = np.zeros_like(p.value)
+                continue
+            parents, vjp = self._nodes[i]
+            for ref, pg in zip(parents, vjp(g)):
+                if ref is None:
+                    continue
+                acc, key = (grads, ref) if isinstance(ref, int) else (store, ref.name)
+                if key in acc:
+                    acc[key] = acc[key] + pg
+                else:
+                    acc[key] = pg.copy() if pg.base is not None else pg
+        for p in params or ():
+            if p.name not in store:
+                store[p.name] = np.zeros_like(p.value)
         return store
 
 

@@ -228,8 +228,8 @@ def discretize(grid: TimeGrid, t):
     """Map times to bin indices: floor(n_bins * t / t_max), clipped into
     [0, n_bins - 1] so times at or past the horizon land in the last bin."""
     arr = np.asarray(t, dtype=np.float64)
-    if np.any(arr < 0):
-        raise DomainError("cannot discretize negative times")
+    if not np.all(arr >= 0):  # false for NaN as well as for a negative time
+        raise DomainError("cannot discretize negative or NaN times")
     bins = np.floor(grid.n_bins * arr / grid.t_max).astype(np.int64)
     bins = np.minimum(bins, grid.n_bins - 1)
     if np.isscalar(t) or arr.ndim == 0:

@@ -61,7 +61,10 @@ class StepFunction:
             raise ContractError("step times must be strictly increasing")
 
     def _lookup(self, t, side: str):
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side=side)
+        q = np.asarray(t, dtype=np.float64)
+        if np.isnan(q).any():  # searchsorted would sort NaN past the last step
+            raise DomainError("cannot evaluate a step function at NaN")
+        idx = np.searchsorted(self.times, q, side=side)
         out = np.concatenate([[1.0], self.values])[idx]
         return float(out) if np.ndim(t) == 0 else out
 

@@ -66,7 +66,7 @@ def init_dense(
 
 def dense_forward(tape: Tape, layer: DenseLayerParams, x: Tensor) -> Tensor:
     """act(x W + b), recorded as one fused tape node."""
-    return tape.dense(x, tape.param(layer.weight), tape.param(layer.bias), layer.activation)
+    return tape.dense(x, layer.weight, layer.bias, layer.activation)
 
 
 @dataclass
@@ -118,4 +118,4 @@ def lstm_forward(tape: Tape, cell: LSTMCellParams, steps: list[Array]) -> Tensor
     final hidden state (batch, hidden), recorded as one fused tape node.
     Raises ContractError for an empty sequence or a step of another shape.
     """
-    return tape.lstm(steps, tape.param(cell.w_x), tape.param(cell.w_h), tape.param(cell.b))
+    return tape.lstm(steps, cell.w_x, cell.w_h, cell.b)

@@ -432,14 +432,6 @@ class GridSearchSpace:
             out.append(replace(base, learning_rate=lr, batch_size=bs, alpha=a, dropout_keep=keep))
         return out
 
-    def canonical(self) -> dict:
-        return {
-            "learning_rates": list(self.learning_rates),
-            "batch_sizes": list(self.batch_sizes),
-            "alphas": list(self.alphas),
-            "dropout_keeps": list(self.dropout_keeps),
-        }
-
 
 @dataclass
 class TrialResult:
@@ -694,6 +686,17 @@ class Checkpoint:
         return self.params.config
 
 
+def _header_disagreement(schema: FeatureSchema, grid: TimeGrid, d_in, n_bins) -> str | None:
+    """Why ``schema`` and ``grid`` cannot describe a model of this input
+    width and bin count, or None when they can."""
+    width = len(schema.static_columns()) + len(schema.time_varying)
+    if width != d_in:
+        return f"the schema encodes {width} features, the weights read {d_in}"
+    if grid.n_bins != n_bins:
+        return f"the grid has {grid.n_bins} bins, the weights {n_bins}"
+    return None
+
+
 def save_checkpoint(
     path,
     params: DySurvParams,
@@ -704,7 +707,11 @@ def save_checkpoint(
     transform: QuantileTransform | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Versioned binary checkpoint: magic, JSON header, float64 weights."""
+    """Versioned binary checkpoint: magic, JSON header, float64 weights.
+    Raises ContractError when ``schema`` or ``grid`` does not fit ``params``."""
+    why = _header_disagreement(schema, grid, params.d_in, params.n_bins)
+    if why:
+        raise ContractError(f"cannot save this checkpoint: {why}")
     plist = params.parameters()
     header = {
         "version": CHECKPOINT_VERSION,
@@ -739,7 +746,8 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
 
     ``expected_schema`` guards use on a different dataset: a hash mismatch
     raises the incompatibility error rather than producing predictions on
-    misaligned features.
+    misaligned features. A header whose schema or grid disagrees with its
+    dims, and a non-finite weight, make the file corrupt.
     """
     try:
         with open(path, "rb") as fh:
@@ -788,6 +796,9 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
         raise CheckpointCorruptError(f"checkpoint {path} header is malformed: {err!r}") from None
     if schema.hash() != schema_hash:
         raise CheckpointCorruptError("schema hash does not match the stored schema")
+    why = _header_disagreement(schema, grid, params.d_in, params.n_bins)
+    if why:
+        raise CheckpointCorruptError(f"checkpoint {path} header disagrees with itself: {why}")
     if expected_schema is not None and expected_schema.hash() != schema_hash:
         raise CheckpointIncompatibleError(
             "checkpoint was trained against a different feature schema"
@@ -808,6 +819,8 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
     if digest != header.get("weights_sha256"):
         raise CheckpointCorruptError("weight block digest mismatch")
     flat = np.frombuffer(block, dtype="<f8").astype(np.float64)
+    if not all_finite(flat):  # the tape checks computed values, not weights
+        raise CheckpointCorruptError(f"checkpoint {path} holds a non-finite weight")
     pos = 0
     for p in plist:
         size = p.value.size

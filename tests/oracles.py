@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from dysurv import training
-from dysurv.autodiff import _ACTIVATIONS, Param, Tape, Tensor
+from dysurv.autodiff import _ACTIVATIONS, Param, Tape, Tensor, _operand
 from dysurv.data import TimeGrid, discretize
 from dysurv.errors import (
     ContractError,
@@ -371,16 +371,15 @@ class ReferenceTape(Tape):
     def _binary(self, a, b, fwd, vjp_ab, vjp_scalar, op: str) -> Tensor:
         """Shared plumbing for add/sub/mul with scalar and bias broadcast."""
         if isinstance(b, (int, float)):
-            a = self._wrap(a)
-            out = fwd(a.value, float(b))
-            return self._push(out, (a.idx,), vjp_scalar(a.value, float(b)), op)
-        a, b = self._wrap(a), self._wrap(b)
-        av, bv = a.value, b.value
+            av, a = _operand(a)
+            out = fwd(av, float(b))
+            return self._push(out, (a,), vjp_scalar(av, float(b)), op)
+        (av, a), (bv, b) = _operand(a), _operand(b)
         row_bias = av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]
         if not row_bias and av.shape != bv.shape:
             raise ContractError(f"{op} shape mismatch: {av.shape} vs {bv.shape}")
         out = fwd(av, bv)
-        return self._push(out, (a.idx, b.idx), vjp_ab(av, bv, row_bias), op)
+        return self._push(out, (a, b), vjp_ab(av, bv, row_bias), op)
 
     def add(self, a, b) -> Tensor:
         def vjp_ab(av, bv, row_bias):
@@ -415,17 +414,16 @@ class ReferenceTape(Tape):
         return self._binary(a, b, lambda x, y: x * y, vjp_ab, vjp_scalar, "mul")
 
     def exp(self, a) -> Tensor:
-        a = self._wrap(a)
-        out = np.exp(a.value)
+        av, a = _operand(a)
+        out = np.exp(av)
 
         def vjp(g):
             return (g * out,)
 
-        return self._push(out, (a.idx,), vjp, "exp")
+        return self._push(out, (a,), vjp, "exp")
 
     def concat(self, parts: Sequence, axis: int = 1) -> Tensor:
-        parts = [self._wrap(p) for p in parts]
-        values = [p.value for p in parts]
+        values, refs = zip(*(_operand(p) for p in parts))
         out = np.concatenate(values, axis=axis)
         sizes = [v.shape[axis] for v in values]
         splits = np.cumsum(sizes)[:-1]
@@ -433,11 +431,10 @@ class ReferenceTape(Tape):
         def vjp(g):
             return tuple(np.split(g, splits, axis=axis))
 
-        return self._push(out, tuple(p.idx for p in parts), vjp, "concat")
+        return self._push(out, refs, vjp, "concat")
 
     def matmul(self, a, b) -> Tensor:
-        a, b = self._wrap(a), self._wrap(b)
-        av, bv = a.value, b.value
+        (av, a), (bv, b) = _operand(a), _operand(b)
         if av.ndim != 2 or bv.ndim != 2:
             raise ContractError(
                 f"matmul expects 2-D operands, got {av.shape} @ {bv.shape}"
@@ -449,7 +446,7 @@ class ReferenceTape(Tape):
         def vjp(g):
             return g @ bv.T, av.T @ g
 
-        return self._push(out, (a.idx, b.idx), vjp, "matmul")
+        return self._push(out, (a, b), vjp, "matmul")
 
     def sub(self, a, b) -> Tensor:
         def vjp_ab(av, bv, row_bias):
@@ -465,10 +462,10 @@ class ReferenceTape(Tape):
         return self._binary(a, b, lambda x, y: x - y, vjp_ab, vjp_scalar, "sub")
 
     def _activation(self, a, name: str) -> Tensor:
-        a = self._wrap(a)
+        av, a = _operand(a)
         fwd, act_vjp = _ACTIVATIONS[name]
-        out = fwd(a.value)
-        return self._push(out, (a.idx,), lambda g: (act_vjp(out, g),), name)
+        out = fwd(av)
+        return self._push(out, (a,), lambda g: (act_vjp(out, g),), name)
 
     def sigmoid(self, a) -> Tensor:
         return self._activation(a, "sigmoid")
@@ -481,8 +478,7 @@ class ReferenceTape(Tape):
         return self._activation(a, "softmax")
 
     def log(self, a) -> Tensor:
-        a = self._wrap(a)
-        av = a.value
+        av, a = _operand(a)
         if np.any(av <= 0.0):
             raise DomainError("log of nonpositive value; clamp probabilities first")
         out = np.log(av)
@@ -490,20 +486,18 @@ class ReferenceTape(Tape):
         def vjp(g):
             return (g / av,)
 
-        return self._push(out, (a.idx,), vjp, "log")
+        return self._push(out, (a,), vjp, "log")
 
     def square(self, a) -> Tensor:
-        a = self._wrap(a)
-        av = a.value
+        av, a = _operand(a)
 
         def vjp(g):
             return (2.0 * av * g,)
 
-        return self._push(av * av, (a.idx,), vjp, "square")
+        return self._push(av * av, (a,), vjp, "square")
 
     def sum(self, a, axis: int | None = None) -> Tensor:
-        a = self._wrap(a)
-        av = a.value
+        av, a = _operand(a)
         out = av.sum(axis=axis)
 
         def vjp(g):
@@ -511,11 +505,10 @@ class ReferenceTape(Tape):
                 return (np.broadcast_to(g, av.shape).copy(),)
             return (np.expand_dims(g, axis).repeat(av.shape[axis], axis=axis),)
 
-        return self._push(np.asarray(out), (a.idx,), vjp, "sum")
+        return self._push(np.asarray(out), (a,), vjp, "sum")
 
     def mean(self, a, axis: int | None = None) -> Tensor:
-        a = self._wrap(a)
-        av = a.value
+        av, a = _operand(a)
         count = av.size if axis is None else av.shape[axis]
         out = av.mean(axis=axis)
 
@@ -524,19 +517,18 @@ class ReferenceTape(Tape):
                 return (np.broadcast_to(g / count, av.shape).copy(),)
             return (np.expand_dims(g / count, axis).repeat(count, axis=axis),)
 
-        return self._push(np.asarray(out), (a.idx,), vjp, "mean")
+        return self._push(np.asarray(out), (a,), vjp, "mean")
 
     def clip(self, a, lo: float, hi: float) -> Tensor:
         """Clamp values; gradient passes through the unclipped region."""
-        a = self._wrap(a)
-        av = a.value
+        av, a = _operand(a)
         out = np.clip(av, lo, hi)
         inside = (av >= lo) & (av <= hi)
 
         def vjp(g):
             return (g * inside,)
 
-        return self._push(out, (a.idx,), vjp, "clip")
+        return self._push(out, (a,), vjp, "clip")
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +579,9 @@ def stack_lstm_grads(grads, name="enc"):
 
 
 def _gate(tape, x, h, w_x, w_h, b):
-    z = tape.add(tape.matmul(x, tape.param(w_x)), tape.param(b))
+    z = tape.add(tape.matmul(x, w_x), b)
     if h is not None:
-        z = tape.add(z, tape.matmul(h, tape.param(w_h)))
+        z = tape.add(z, tape.matmul(h, w_h))
     return z
 
 
@@ -598,8 +590,7 @@ def lstm_forward_reference(tape, gates, steps):
     product; h and c start at zero, so the first step has no forget gate."""
     h = None
     c = None
-    for x_step in steps:
-        x = tape.leaf(x_step)
+    for x in steps:
         i = tape.sigmoid(_gate(tape, x, h, gates["w_xi"], gates["w_hi"], gates["b_i"]))
         o = tape.sigmoid(_gate(tape, x, h, gates["w_xo"], gates["w_ho"], gates["b_o"]))
         g = tape.tanh(_gate(tape, x, h, gates["w_xg"], gates["w_hg"], gates["b_g"]))
@@ -620,7 +611,7 @@ def lstm_forward_reference(tape, gates, steps):
 
 def dense_forward_reference(tape, layer, x):
     """act(x W + b) as a matmul node, a bias add node and an activation node."""
-    z = tape.add(tape.matmul(x, tape.param(layer.weight)), tape.param(layer.bias))
+    z = tape.add(tape.matmul(x, layer.weight), layer.bias)
     if layer.activation == "identity":
         return z
     if layer.activation == "sigmoid":
@@ -632,24 +623,24 @@ def dense_forward_reference(tape, layer, x):
 
 def nll_graph_reference(tape, a_hat, masks):
     """The survival likelihood composed from mask products, sums, clips and logs."""
-    pick = tape.sum(tape.mul(a_hat, tape.leaf(masks.onehot)), axis=1)
-    den_evt = tape.sum(tape.mul(a_hat, tape.leaf(masks.after_last)), axis=1)
-    den_cen = tape.sum(tape.mul(a_hat, tape.leaf(masks.after_bin)), axis=1)
+    pick = tape.sum(tape.mul(a_hat, masks.onehot), axis=1)
+    den_evt = tape.sum(tape.mul(a_hat, masks.after_last), axis=1)
+    den_cen = tape.sum(tape.mul(a_hat, masks.after_bin), axis=1)
     log_pick = tape.log(tape.clip(pick, PROB_FLOOR, 1.0))
     log_den_evt = tape.log(tape.clip(den_evt, PROB_FLOOR, 1.0))
     log_den_cen = tape.log(tape.clip(den_cen, PROB_FLOOR, 1.0))
     evt_terms = tape.sub(log_den_evt, log_pick)
     cen_terms = tape.mul(log_den_cen, -1.0)
     per_subject = tape.add(
-        tape.mul(evt_terms, tape.leaf(masks.is_event)),
-        tape.mul(cen_terms, tape.leaf(masks.is_censored)),
+        tape.mul(evt_terms, masks.is_event),
+        tape.mul(cen_terms, masks.is_censored),
     )
     return tape.sum(per_subject)
 
 
 def vae_graph_reference(tape, x_flat, x_recon, mu, logvar):
     """Reconstruction MSE plus Gaussian KL composed from elementwise nodes."""
-    diff = tape.sub(x_recon, tape.leaf(x_flat))
+    diff = tape.sub(x_recon, x_flat)
     mse = tape.mean(tape.square(diff), axis=1)
     sig2 = tape.exp(logvar)
     inner = tape.sub(tape.sub(tape.add(tape.square(mu), sig2), 1.0), logvar)
@@ -660,12 +651,12 @@ def vae_graph_reference(tape, x_flat, x_recon, mu, logvar):
 def reparameterize_reference(tape, mu, logvar, eps):
     """z = mu + sigma * eps composed from scale, exp, product and add nodes."""
     sigma = tape.exp(tape.mul(logvar, 0.5))
-    return tape.add(mu, tape.mul(sigma, tape.leaf(eps)))
+    return tape.add(mu, tape.mul(sigma, eps))
 
 
 def decoder_input_reference(tape, z, cond):
-    """[z | cond] as a constant leaf and a concat node."""
-    return tape.concat([z, tape.leaf(cond)], axis=1)
+    """[z | cond] as a concat node over z and the constant cond."""
+    return tape.concat([z, cond], axis=1)
 
 
 def total_loss_reference(tape, l1, l2, alpha):

@@ -23,7 +23,7 @@ def rnd(seed, *shape):
 def test_matmul_identity_values_and_grads():
     a = Param("a", rnd(0, 3, 3))
     tape = ReferenceTape()
-    out = tape.matmul(tape.param(a), np.eye(3))
+    out = tape.matmul(a, np.eye(3))
     assert np.array_equal(out.value, a.value)
     loss = tape.sum(out)
     grads = tape.backward(loss, [a])
@@ -72,13 +72,13 @@ def test_each_primitive_matches_finite_differences(name):
 
     def build():
         tape = ReferenceTape()
-        x = tape.param(p)
+        x = p  # a parameter operand, read in place
         if name == "matmul":
-            out = tape.matmul(x, tape.param(q))
+            out = tape.matmul(x, q)
         elif name == "add":
             out = tape.add(x, tape.mul(x, 0.5))
         elif name == "add_bias":
-            out = tape.add(x, tape.param(b))
+            out = tape.add(x, b)
         elif name == "add_scalar":
             out = tape.add(x, 2.5)
         elif name == "sub":
@@ -86,7 +86,7 @@ def test_each_primitive_matches_finite_differences(name):
         elif name == "mul":
             out = tape.mul(x, tape.add(x, 1.5))
         elif name == "mul_bias":
-            out = tape.mul(x, tape.param(b))
+            out = tape.mul(x, b)
         elif name == "sigmoid":
             out = tape.sigmoid(x)
         elif name == "tanh":
@@ -118,7 +118,7 @@ def test_each_primitive_matches_finite_differences(name):
         elif name == "dropout":
             out = tape.dropout(x, 0.7, mask)
         elif name.startswith("dense_"):
-            out = tape.dense(x, tape.param(q), tape.param(c), name[len("dense_"):])
+            out = tape.dense(x, q, c, name[len("dense_"):])
         else:
             raise AssertionError(name)
         return tape, tape.sum(tape.square(out))
@@ -138,8 +138,8 @@ def test_lstm_sized_composite_graph_matches_fd():
 
     def build():
         tape = ReferenceTape()
-        h = tape.tanh(tape.add(tape.matmul(tape.leaf(x), tape.param(w)), tape.param(bias)))
-        h = tape.sigmoid(tape.matmul(h, tape.param(u)))
+        h = tape.tanh(tape.add(tape.matmul(x, w), bias))
+        h = tape.sigmoid(tape.matmul(h, u))
         probs = tape.softmax(h)
         return tape, tape.mean(tape.square(tape.log(tape.clip(probs, 1e-12, 1.0))))
 
@@ -149,7 +149,7 @@ def test_lstm_sized_composite_graph_matches_fd():
 def test_backward_is_pure_and_repeatable():
     p = Param("p", rnd(2, 3, 3))
     tape = ReferenceTape()
-    loss = tape.sum(tape.square(tape.param(p)))
+    loss = tape.sum(tape.square(p))
     first = tape.backward(loss, [p])
     second = tape.backward(loss, [p])
     assert np.array_equal(first["p"], second["p"])
@@ -160,36 +160,37 @@ def test_params_off_tape_get_zero_gradients():
     used = Param("used", rnd(3, 2, 2))
     unused = Param("unused", rnd(4, 5))
     tape = ReferenceTape()
-    loss = tape.sum(tape.param(used))
+    loss = tape.sum(used)
     grads = tape.backward(loss, [used, unused])
     assert np.array_equal(grads["unused"], np.zeros(5))
     assert np.array_equal(grads["used"], np.ones((2, 2)))
 
 
-def test_duplicate_param_leaves_accumulate():
+def test_duplicate_param_operands_accumulate():
     p = Param("p", np.array([1.0, 2.0]))
     tape = ReferenceTape()
-    loss = tape.sum(tape.add(tape.param(p), tape.param(p)))
+    loss = tape.sum(tape.add(p, p))
     grads = tape.backward(loss, [p])
     assert np.array_equal(grads["p"], np.array([2.0, 2.0]))
 
 
 def test_error_contracts():
     tape = ReferenceTape()
-    with pytest.raises(NumericalError):
-        tape.leaf(np.array([1.0, np.inf]))
+    # a non-finite constant operand raises at the node that reads it
+    with pytest.raises(NumericalError, match="'mul'"):
+        tape.mul(np.array([1.0, np.inf]), 2.0)
     with pytest.raises(DomainError):
-        tape.log(tape.leaf(np.array([0.0, 1.0])))
+        tape.log(np.array([0.0, 1.0]))
     with pytest.raises(ContractError):
         tape.matmul(np.ones((2, 3)), np.ones((2, 3)))
     with pytest.raises(ContractError):
         tape.add(np.ones((2, 3)), np.ones((3, 2)))
     with pytest.raises(ContractError):
-        tape.backward(tape.leaf(np.ones(3)))
+        tape.backward(tape.mul(np.ones(3), 1.0))
     with pytest.raises(ContractError):
-        tape.dropout(tape.leaf(np.ones((2, 2))), 0.5, None)
+        tape.dropout(np.ones((2, 2)), 0.5, None)
     with pytest.raises(DomainError):
-        tape.dropout(tape.leaf(np.ones((2, 2))), 0.0, np.ones((2, 2)))
+        tape.dropout(np.ones((2, 2)), 0.0, np.ones((2, 2)))
 
 
 def test_check_finite_is_exact_when_the_sum_overflows():
@@ -203,13 +204,12 @@ def test_check_finite_is_exact_when_the_sum_overflows():
 def test_record_uses_the_given_vjp_and_checks_values():
     p = Param("p", np.ones(2))
     tape = ReferenceTape()
-    a = tape.param(p)
-    out = tape.record("twice", 2.0 * a.value, (a,), lambda g: (2.0 * g,))
+    out = tape.record("twice", 2.0 * p.value, (p,), lambda g: (2.0 * g,))
     assert np.array_equal(tape.backward(tape.sum(out), [p])["p"], np.full(2, 2.0))
     with pytest.raises(NumericalError, match="'twice'"):
-        tape.record("twice", np.array([np.nan]), (a,), None)
+        tape.record("twice", np.array([np.nan]), (p,), None)
     with pytest.raises(NumericalError, match="'hidden'"):
-        tape.record("hidden", np.ones(2), (a,), None, intermediates=(np.array([np.inf]),))
+        tape.record("hidden", np.ones(2), (p,), None, intermediates=(np.array([np.inf]),))
 
 
 def test_fd_checker_rejects_nondeterministic_builders():
@@ -217,7 +217,7 @@ def test_fd_checker_rejects_nondeterministic_builders():
 
     def build():
         tape = ReferenceTape()
-        noisy = tape.add(tape.param(p), float(np.random.default_rng().random()))
+        noisy = tape.add(p, float(np.random.default_rng().random()))
         return tape, tape.sum(noisy)
 
     with pytest.raises(ReproducibilityError):
@@ -229,7 +229,7 @@ def test_fd_checker_rejects_bad_eps():
 
     def build():
         tape = ReferenceTape()
-        return tape, tape.sum(tape.param(p))
+        return tape, tape.sum(p)
 
     with pytest.raises(DomainError):
         finite_difference_check(build, [p], eps=1e-1)
@@ -239,9 +239,9 @@ def test_fd_checker_rejects_bad_eps():
 def test_sigmoid_bounds_and_softmax_rows_sum_to_one(seed):
     x = np.random.default_rng(seed).standard_normal((3, 4)) * 5.0
     tape = ReferenceTape()
-    s = tape.sigmoid(tape.leaf(x)).value
+    s = tape.sigmoid(x).value
     assert np.all((s > 0.0) & (s < 1.0))
-    rows = tape.softmax(tape.leaf(x)).value.sum(axis=1)
+    rows = tape.softmax(x).value.sum(axis=1)
     assert np.allclose(rows, 1.0, atol=1e-12)
 
 
@@ -251,6 +251,6 @@ def test_add_mul_gradients_match_calculus(seed):
     a = Param("a", rng.standard_normal((2, 3)))
     bv = rng.standard_normal((2, 3))
     tape = ReferenceTape()
-    loss = tape.sum(tape.mul(tape.param(a), tape.leaf(bv)))
+    loss = tape.sum(tape.mul(a, bv))
     grads = tape.backward(loss, [a])
     assert np.allclose(grads["a"], bv, atol=1e-12)

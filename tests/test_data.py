@@ -413,6 +413,10 @@ def test_time_grid_and_discretize_contracts():
     assert discretize(grid, 12.0) == 9
     with pytest.raises(DomainError):
         discretize(grid, -0.1)
+    with pytest.raises(DomainError, match="NaN"):
+        discretize(TimeGrid(10, 10.0), float("nan"))
+    with pytest.raises(DomainError, match="NaN"):
+        discretize(grid, np.array([1.0, np.nan]))
     with pytest.raises(DomainError):
         build_time_grid([1.0], n_bins=1)
     with pytest.raises(DomainError):

@@ -64,6 +64,16 @@ def test_km_frozen_values():
     assert km.left(5.0) == 0.75
 
 
+def test_km_rejects_nan_times():
+    km = km_estimator([1.0, 2.0, 3.0], [1, 1, 0])
+    for query in (km.at, km.left):
+        with pytest.raises(DomainError, match="NaN"):
+            query(float("nan"))
+        with pytest.raises(DomainError, match="NaN"):
+            query(np.array([0.5, np.nan, 2.5]))
+        assert np.array_equal(query(np.array([0.5, 2.5])), [1.0, km.at(2.0)])
+
+
 def test_km_censor_distribution():
     g = km_estimator([2.0, 3.0, 5.0, 7.0], [0, 1, 0, 1])
     assert g.at(3.0) == pytest.approx(2.0 / 3.0, rel=1e-15)

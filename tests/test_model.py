@@ -42,6 +42,12 @@ from oracles import (
 )
 
 
+def computed(tape, operand):
+    """``operand`` as a computed value: the latent nodes read a Tensor's
+    shape as well as its value, and its gradient passes through exactly."""
+    return tape.mul(operand, 1.0)
+
+
 def softmax_rows(rng, n, k):
     logits = rng.standard_normal((n, k))
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -178,7 +184,7 @@ def test_nll_graph_matches_numpy_reference(seed):
     ref = loss_survival_nll(probs, bins, events, last)
     tape = Tape()
     masks = LossMasks.build(bins, events, last, kp1 - 1)
-    out = nll_graph(tape, tape.leaf(probs), masks)
+    out = nll_graph(tape, Param("probs", probs), masks)
     assert out.value == pytest.approx(ref, abs=1e-10)
 
 
@@ -191,7 +197,7 @@ def test_vae_graph_matches_numpy_reference(seed):
     logvar = rng.standard_normal((4, 3))
     ref = loss_vae(x, recon, mu, np.exp(0.5 * logvar))
     tape = Tape()
-    out = vae_graph(tape, x, tape.leaf(recon), tape.leaf(mu), tape.leaf(logvar))
+    out = vae_graph(tape, x, Param("recon", recon), Param("mu", mu), Param("logvar", logvar))
     assert out.value == pytest.approx(ref, abs=1e-10)
 
 
@@ -210,7 +216,7 @@ def test_fused_nll_matches_composed_reference(batch, event):
 
     def run(loss):
         tape = ReferenceTape()
-        out = loss(tape, tape.param(a), LossMasks.build(bins, events, last, kp1 - 1))
+        out = loss(tape, a, LossMasks.build(bins, events, last, kp1 - 1))
         return out.value, tape.backward(tape.mul(out, 0.37), [a])["a"]
 
     value, grad = run(nll_graph)
@@ -228,7 +234,7 @@ def test_fused_vae_matches_composed_reference(batch):
 
     def run(loss):
         tape = ReferenceTape()
-        recon, mu, logvar = (tape.param(p) for p in params)
+        recon, mu, logvar = params
         # mu and logvar also feed an earlier consumer, as in the model
         other = tape.sum(tape.mul(mu, logvar))
         out = tape.add(loss(tape, x, recon, mu, logvar), other)
@@ -245,18 +251,18 @@ def test_loss_node_overflows_raise():
     tape = Tape()
     logvar = np.full((2, 3), 800.0)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'vae'"):
-        vae_graph(tape, np.zeros((2, 4)), tape.leaf(np.zeros((2, 4))),
-                  tape.leaf(np.zeros((2, 3))), tape.leaf(logvar))
+        vae_graph(tape, np.zeros((2, 4)), Param("recon", np.zeros((2, 4))),
+                  Param("mu", np.zeros((2, 3))), Param("logvar", logvar))
     # a masked sum that overflows is caught before the clamp hides it
     masks = LossMasks.build([0, 1], [1, 0], None, 2)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'nll'"):
-        nll_graph(tape, tape.leaf(np.full((2, 3), 1e308)), masks)
+        nll_graph(tape, Param("a", np.full((2, 3), 1e308)), masks)
 
 
 def test_total_loss_graph_contracts():
     tape = Tape()
-    l1 = tape.leaf(np.array(2.0))
-    l2 = tape.leaf(np.array(4.0))
+    l1 = Param("l1", np.array(2.0))
+    l2 = Param("l2", np.array(4.0))
     assert total_loss_graph(tape, l1, l2, 0.5).value == pytest.approx(3.0)
     assert total_loss_graph(tape, l1, None, 1.0) is l1
     with pytest.raises(ContractError):
@@ -272,7 +278,7 @@ def test_fused_reparameterize_matches_composed_reference(batch):
 
     def run(reparameterize):
         tape = ReferenceTape()
-        mu, logvar = (tape.param(p) for p in params)
+        mu, logvar = (computed(tape, p) for p in params)
         z = reparameterize(tape, mu, logvar, eps)
         # mu and logvar also feed later consumers, as in the model
         other = tape.sum(tape.mul(mu, logvar))
@@ -296,7 +302,7 @@ def test_fused_decoder_input_matches_composed_reference(batch):
 
     def run(decoder_input):
         tape = ReferenceTape()
-        d = decoder_input(tape, tape.param(z_param), cond)
+        d = decoder_input(tape, computed(tape, z_param), cond)
         loss = tape.sum(tape.mul(d, weights))
         return d.value, tape.backward(tape.mul(loss, 0.37), [z_param])["z"]
 
@@ -314,7 +320,7 @@ def test_fused_total_loss_matches_composed_reference(batch, alpha):
 
     def run(total_loss):
         tape = ReferenceTape()
-        a, b = (tape.param(p) for p in params)
+        a, b = params
         l1, l2 = tape.sum(tape.square(a)), tape.sum(tape.exp(b))
         total = total_loss(tape, l1, l2, alpha)
         return total.value, tape.backward(tape.mul(total, 1.0 / batch), params)
@@ -328,7 +334,7 @@ def test_fused_total_loss_matches_composed_reference(batch, alpha):
 
 def test_fused_latent_nodes_name_themselves_on_non_finite_values():
     tape = Tape()
-    mu, logvar = tape.leaf(np.zeros((2, 3))), tape.leaf(np.full((2, 3), 1500.0))
+    mu, logvar = computed(tape, np.zeros((2, 3))), computed(tape, np.full((2, 3), 1500.0))
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'reparameterize'"):
         reparameterize_graph(tape, mu, logvar, np.ones((2, 3)))
     with pytest.raises(NumericalError, match="'decoder_input'"):
@@ -337,7 +343,7 @@ def test_fused_latent_nodes_name_themselves_on_non_finite_values():
 
 def test_fused_latent_node_contracts():
     tape = Tape()
-    mu = tape.leaf(np.zeros((2, 3)))
+    mu = computed(tape, np.zeros((2, 3)))
     with pytest.raises(ContractError):
         reparameterize_graph(tape, mu, mu, np.ones((2, 4)))
     with pytest.raises(ContractError):

@@ -109,7 +109,7 @@ def test_dense_forward_identity_matches_affine():
     layer.bias.value = np.array([1.0, -1.0])
     x = rng.standard_normal((5, 3))
     tape = Tape()
-    out = dense_forward(tape, layer, tape.leaf(x))
+    out = dense_forward(tape, layer, x)
     assert np.allclose(out.value, x @ layer.weight.value + layer.bias.value)
 
 
@@ -125,7 +125,7 @@ def test_fused_dense_matches_composed_reference(activation, batch):
 
     def run(forward):
         tape = ReferenceTape()
-        out = forward(tape, layer, tape.param(x))
+        out = forward(tape, layer, x)
         return out.value, tape.backward(tape.sum(tape.mul(out, weights)), params)
 
     out, grads = run(dense_forward)
@@ -146,7 +146,7 @@ def test_dense_pre_activation_overflow_raises_though_saturated(activation):
     # the activation saturates the overflow, so a check on the output alone would pass
     assert np.isinf(z).all() and np.isfinite(saturate(z)).all()
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'dense'"):
-        dense_forward(Tape(), layer, Tape().leaf(x))
+        dense_forward(Tape(), layer, x)
 
 
 def test_dense_contracts():
@@ -228,19 +228,15 @@ def count_checks(monkeypatch):
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 def test_dense_node_checks_each_value_once(monkeypatch, activation):
     layer = init_dense(np.random.default_rng(12), 3, 4, activation, "head")
-    tape = Tape()
-    x, w, b = tape.leaf(np.ones((2, 3))), tape.param(layer.weight), tape.param(layer.bias)
     calls = count_checks(monkeypatch)
-    tape.dense(x, w, b, activation)
+    Tape().dense(np.ones((2, 3)), layer.weight, layer.bias, activation)
     # the pre-activation, then the output unless identity makes them one
     assert calls == [(2, 4)] * (1 if activation == "identity" else 2)
 
 
 def test_lstm_node_checks_each_value_once(monkeypatch):
     cell = init_lstm(np.random.default_rng(13), 3, 4, "enc")
-    tape = Tape()
-    weights = [tape.param(p) for p in cell.parameters()]
     calls = count_checks(monkeypatch)
-    tape.lstm([np.ones((2, 3))] * 5, *weights)
+    Tape().lstm([np.ones((2, 3))] * 5, *cell.parameters())
     # each step input, each step's pre-activation, then h
     assert calls == [(2, 3)] * 5 + [(2, 16)] * 5 + [(2, 4)]

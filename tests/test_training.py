@@ -2,6 +2,7 @@
 the worker pool behind them, and the checkpoint format."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from dysurv import training
 from dysurv.autodiff import Param, Tape
-from dysurv.data import generate_synthetic
+from dysurv.data import FeatureSchema, TimeGrid, generate_synthetic
 from dysurv.errors import (
     CheckpointCorruptError,
     CheckpointIncompatibleError,
@@ -22,11 +23,12 @@ from dysurv.errors import (
     NumericalError,
     SearchFailureError,
 )
-from dysurv.model import ModelConfig, init_dysurv_params, predict_risk_batch
+from dysurv.model import ModelConfig, condition_matrix, init_dysurv_params, predict_risk_batch
 from dysurv.pipeline import prepare_splits
 from dysurv.training import (
     AdamState,
     GridSearchSpace,
+    SplitArrays,
     TrainConfig,
     _batch_graph,
     _map_jobs,
@@ -44,6 +46,7 @@ from oracles import (
     grid_search_reference,
     multi_seed_report_reference,
 )
+from test_nn import count_checks
 
 TINY_MODEL = ModelConfig(hidden_size=6, z_dim=4, decoder_hidden=(6,),
                          survival_hidden=(6,), condition_mode="both")
@@ -119,8 +122,54 @@ def test_training_batch_records_few_tape_nodes(prepared):
                                    np.random.default_rng(0))
         tape.mul(total, 1.0 / 64)
         counts[alpha] = len(tape)
-    assert counts[0.8] <= 31
-    assert counts[1.0] <= 20
+    assert counts[0.8] <= 16
+    assert counts[1.0] <= 9
+
+
+def test_training_batch_checks_computed_values_only(prepared, monkeypatch):
+    # the benchmark's shape, as above; parameters are operands, so none of
+    # the 15 is checked on its own: each feeds a checked pre-activation
+    model = ModelConfig(hidden_size=24, z_dim=8, decoder_hidden=(24,), survival_hidden=(24,))
+    data = prepared.train
+    params = init_dysurv_params(np.random.default_rng(0), data.d_in, data.seq_len,
+                                data.n_bins, model)
+    assert len(params.parameters()) == 15
+    calls = count_checks(monkeypatch)
+    tape = Tape()
+    total, _, _ = _batch_graph(tape, params, data, np.arange(64),
+                               quick_config(alpha=0.8, dropout_keep=0.9),
+                               np.random.default_rng(0))
+    tape.mul(total, 1.0 / 64)
+    # lstm 3, the encoder's dropout 1, mu and logvar 1 each, reparameterize
+    # 3, each tanh layer 2 and its dropout 1, sur_out 2, decoder_input 1,
+    # dec_out 1, nll 4, vae, total and the batch mean 1 each
+    assert len(calls) == 26
+
+
+@pytest.mark.parametrize("name,op", [
+    ("mu.weight", "dense"), ("dec0.bias", "dense"),
+    ("enc.w_x", "lstm"), ("enc.w_h", "lstm"), ("enc.b", "lstm"),
+])
+def test_non_finite_parameter_raises_at_its_first_use(monkeypatch, name, op):
+    rng = np.random.default_rng(0)
+    n, n_bins = 32, 4
+    bins = rng.integers(0, n_bins, size=n)
+    events = rng.integers(0, 2, size=n)
+    data = SplitArrays(  # two steps, so the recurrent weights are read
+        x=rng.standard_normal((n, 2, 3)), bins=bins, events=events,
+        last_obs=np.full(n, -1), cond=condition_matrix(events, bins, n_bins, "both"),
+        durations=bins + 0.5, n_bins=n_bins,
+    )
+    init = training.init_dysurv_params
+
+    def poisoned(*args, **kwargs):
+        params = init(*args, **kwargs)
+        next(p for p in params.parameters() if p.name == name).value.flat[0] = np.nan
+        return params
+
+    monkeypatch.setattr(training, "init_dysurv_params", poisoned)
+    with pytest.raises(NumericalError, match=rf"^epoch 1, batch 0: .* op '{op}'$"):
+        fit(data, data, quick_config(), model_config=TINY_MODEL)
 
 
 # ---------------------------------------------------------------------------
@@ -510,18 +559,28 @@ def test_checkpoint_rebuilds_the_stored_architecture(prepared, tmp_path):
                           predict_risk_batch(ckpt.params, prepared.test.x))
 
 
+def _rewritten(blob, edit=lambda header: header, weights=None):
+    """The checkpoint ``blob`` with its header replaced by ``edit(header)``
+    and, if given, ``weights`` as its block under a matching digest."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    block = blob[16 + header_len :] if weights is None else weights.astype("<f8").tobytes()
+    header["weights_sha256"] = hashlib.sha256(block).hexdigest()
+    new_header = json.dumps(edit(header), sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(new_header)) + new_header + block
+
+
 def test_checkpoint_refuses_version_one_header(prepared, trained, tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16 : 16 + header_len])
-    header["version"] = 1
-    header["dims"].update(z_dim=TINY_MODEL.z_dim, condition_mode=TINY_MODEL.condition_mode)
-    new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+
+    def version_one(header):
+        header["version"] = 1
+        header["dims"].update(z_dim=TINY_MODEL.z_dim, condition_mode=TINY_MODEL.condition_mode)
+        return header
+
     old = tmp_path / "v1.bin"
-    old.write_bytes(blob[:8] + struct.pack("<Q", len(new_header)) + new_header
-                    + blob[16 + header_len :])
+    old.write_bytes(_rewritten(path.read_bytes(), version_one))
     with pytest.raises(CheckpointIncompatibleError, match="version 1"):
         load_checkpoint(old)
 
@@ -530,22 +589,63 @@ def test_checkpoint_refuses_version_two_header(prepared, trained, tmp_path):
     # version 2 stored the encoder as twelve per-gate arrays
     path = tmp_path / "model.bin"
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16 : 16 + header_len])
-    header["version"] = 2
     d_in, hidden = trained.d_in, trained.encoder.hidden
     per_gate = [[f"enc.{prefix}{gate}", shape]
                 for gate in "ifog"
                 for prefix, shape in (("w_x", [d_in, hidden]), ("w_h", [hidden, hidden]),
                                       ("b_", [hidden]))]
-    header["shapes"] = per_gate + [s for s in header["shapes"] if not s[0].startswith("enc.")]
-    new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+
+    def version_two(header):
+        header["version"] = 2
+        header["shapes"] = per_gate + [s for s in header["shapes"] if not s[0].startswith("enc.")]
+        return header
+
     old = tmp_path / "v2.bin"
-    old.write_bytes(blob[:8] + struct.pack("<Q", len(new_header)) + new_header
-                    + blob[16 + header_len :])
+    old.write_bytes(_rewritten(path.read_bytes(), version_two))
     with pytest.raises(CheckpointIncompatibleError, match="version 2"):
         load_checkpoint(old)
+
+
+def test_checkpoint_header_must_agree_with_the_weights(prepared, trained, tmp_path):
+    path = tmp_path / "model.bin"
+    wider = FeatureSchema.from_canonical(
+        {**prepared.schema.canonical(), "time_varying": ["extra"]})
+    with pytest.raises(ContractError, match="bins"):
+        save_checkpoint(path, trained, schema=prepared.schema,
+                        grid=TimeGrid(trained.n_bins - 1, prepared.grid.t_max))
+    with pytest.raises(ContractError, match="features"):
+        save_checkpoint(path, trained, schema=wider, grid=prepared.grid)
+    assert not path.exists()
+
+    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
+    blob = path.read_bytes()
+
+    def fewer_bins(header):
+        header["grid"]["n_bins"] -= 1
+        return header
+
+    def wider_schema(header):
+        return {**header, "schema": wider.canonical(), "schema_hash": wider.hash()}
+
+    for edit in (fewer_bins, wider_schema):
+        (tmp_path / "edited.bin").write_bytes(_rewritten(blob, edit))
+        with pytest.raises(CheckpointCorruptError, match="disagrees"):
+            load_checkpoint(tmp_path / "edited.bin")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_with_a_non_finite_weight_is_corrupt(prepared, trained, tmp_path, bad):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
+    weights = np.concatenate([p.value.ravel() for p in trained.parameters()])
+    weights[len(weights) // 2] = bad
+    (tmp_path / "bad.bin").write_bytes(_rewritten(path.read_bytes(), weights=weights))
+    with pytest.raises(CheckpointCorruptError, match="non-finite"):
+        load_checkpoint(tmp_path / "bad.bin")
+    # the same block with the entry restored loads
+    weights[len(weights) // 2] = 0.0
+    (tmp_path / "ok.bin").write_bytes(_rewritten(path.read_bytes(), weights=weights))
+    load_checkpoint(tmp_path / "ok.bin")
 
 
 def _without(key):
@@ -567,12 +667,7 @@ def test_checkpoint_with_an_incomplete_header_is_corrupt(prepared, trained, tmp_
     path = tmp_path / "model.bin"
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid,
                     train_config=quick_config())
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = HEADER_DAMAGE[damage](json.loads(blob[16 : 16 + header_len]))
-    new_header = json.dumps(header, sort_keys=True).encode("utf-8")
     damaged = tmp_path / "damaged.bin"
-    damaged.write_bytes(blob[:8] + struct.pack("<Q", len(new_header)) + new_header
-                        + blob[16 + header_len :])
+    damaged.write_bytes(_rewritten(path.read_bytes(), HEADER_DAMAGE[damage]))
     with pytest.raises(CheckpointCorruptError):
         load_checkpoint(damaged)
