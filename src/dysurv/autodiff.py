@@ -59,6 +59,8 @@ from .errors import ContractError, DomainError, NumericalError, ReproducibilityE
 
 Array = np.ndarray
 
+FD_EPS = 1e-5  # finite-difference step of :func:`finite_difference_check`
+
 
 @dataclass
 class Param:
@@ -364,14 +366,15 @@ class Tape:
 
     # -- reverse pass ----------------------------------------------------
 
-    def backward(self, loss: Tensor, params: Iterable[Param] | None = None) -> dict[str, Array]:
-        """d(loss)/d(param), keyed by name, for every parameter operand that
-        reaches ``loss``, in one reverse pass over the nodes. Each
-        vector-Jacobian product goes to its operand's node, straight into
-        the store for a ``Param``, or nowhere for a constant.
+    def backward(self, loss: Tensor, params: Iterable[Param]) -> dict[str, Array]:
+        """d(loss)/d(param), keyed by name, for every parameter in ``params``
+        and every other parameter operand that reaches ``loss``, in one
+        reverse pass over the nodes. Each vector-Jacobian product goes to its
+        operand's node, straight into the store for a ``Param``, or nowhere
+        for a constant.
 
-        Parameters listed in ``params`` but not reached get zero gradients,
-        so optimizers can iterate a fixed parameter list.
+        A listed parameter that ``loss`` does not reach gets a zero
+        gradient, so optimizers can iterate a fixed parameter list.
         """
         if loss.value.ndim != 0:
             raise ContractError(
@@ -392,7 +395,7 @@ class Tape:
                     acc[key] = acc[key] + pg
                 else:
                     acc[key] = pg.copy() if pg.base is not None else pg
-        for p in params or ():
+        for p in params:
             if p.name not in store:
                 store[p.name] = np.zeros_like(p.value)
         return store
@@ -401,17 +404,15 @@ class Tape:
 def finite_difference_check(
     build: Callable[[], tuple[Tape, Tensor]],
     params: Sequence[Param],
-    eps: float = 1e-5,
 ) -> float:
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against central finite differences with
+    step ``FD_EPS``.
 
     ``build`` must construct a fresh tape and scalar loss from the current
     values of ``params``; it is called twice up front and must reproduce
     the loss bit for bit, then twice per parameter coordinate. Returns the
     worst relative error max|a - n| / max(1e-8, |a| + |n|).
     """
-    if not (1e-7 <= eps <= 1e-3):
-        raise DomainError(f"finite-difference eps {eps} outside [1e-7, 1e-3]")
     tape, loss = build()
     base = float(loss.value)
     _, loss_again = build()
@@ -426,12 +427,12 @@ def finite_difference_check(
         aflat = analytic[p.name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_EPS
             f_plus = float(build()[1].value)
-            flat[i] = orig - eps
+            flat[i] = orig - FD_EPS
             f_minus = float(build()[1].value)
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * FD_EPS)
             a = float(aflat[i])
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             if rel > worst:

@@ -127,7 +127,6 @@ def _train_config(args) -> TrainConfig:
         max_epochs=args.max_epochs,
         patience=args.patience,
         seed=args.seed,
-        deterministic_latent=args.deterministic_latent,
     )
 
 
@@ -197,7 +196,7 @@ def cmd_train(args) -> int:
     save_checkpoint(
         ckpt_path, params,
         schema=prep.schema, grid=prep.grid, train_config=config, transform=prep.transform,
-        extra={"grid_search": grid_result.to_json_dict()} if grid_result else None,
+        grid_search=grid_result,
     )
     artifacts.append(ckpt_path)
     history.to_csv(out / "history.csv")
@@ -383,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--z-dim", type=int, default=16)
     p.add_argument("--n-bins", type=int, default=DEFAULT_BINS)
-    p.add_argument("--deterministic-latent", action="store_true",
-                   help="decode from z = mu instead of a sampled z; the survival head "
-                        "always reads mu (used by the alpha=1 baseline)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score the test split with a trained checkpoint")

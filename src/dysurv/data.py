@@ -164,11 +164,6 @@ class SyntheticTruth:
     pmf: Array
     survive_beyond: Array
     n_bins: int
-    censor_apply_prob: float
-
-    def cif(self) -> Array:
-        """True cumulative incidence per subject, shape (n, n_bins)."""
-        return np.cumsum(self.pmf, axis=1)
 
 
 @dataclass
@@ -598,7 +593,6 @@ def generate_synthetic(
         pmf=pmf,
         survive_beyond=survive,
         n_bins=k,
-        censor_apply_prob=apply_prob,
     )
     return SurvivalDataset(schema=schema, records=records, truth=truth)
 

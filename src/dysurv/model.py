@@ -22,7 +22,7 @@ total training loss is alpha * L_nll + (1 - alpha) * L_vae.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -62,23 +62,20 @@ class ModelConfig:
             raise ContractError("hidden_size and z_dim must be positive")
 
     def canonical(self) -> dict:
-        return {
-            "hidden_size": self.hidden_size,
-            "z_dim": self.z_dim,
-            "decoder_hidden": list(self.decoder_hidden),
-            "survival_hidden": list(self.survival_hidden),
-            "condition_mode": self.condition_mode,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_canonical(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            hidden_size=int(d["hidden_size"]),
-            z_dim=int(d["z_dim"]),
-            decoder_hidden=tuple(d["decoder_hidden"]),
-            survival_hidden=tuple(d["survival_hidden"]),
-            condition_mode=d["condition_mode"],
-        )
+        return _config_from_canonical(ModelConfig, d)
+
+
+def _config_from_canonical(cls, d: dict):
+    """The config dataclass ``cls`` from its ``canonical()`` dict, which must
+    hold exactly the class's fields; JSON lists come back as tuples."""
+    names = {f.name for f in fields(cls)}
+    if d.keys() != names:
+        raise KeyError(f"{cls.__name__} has fields {sorted(names)}, the dict {sorted(d)}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 def condition_dim(mode: str, n_bins: int) -> int:
@@ -320,7 +317,8 @@ def loss_total(l1: float, l2: float, alpha: float) -> float:
 
 @dataclass
 class LossMasks:
-    """Constant 0/1 matrices that express the likelihood as tape primitives."""
+    """Constant 0/1 matrices that express the likelihood as tape primitives.
+    ``build`` takes each subject's last observed bin, -1 where it has none."""
 
     onehot: Array
     after_last: Array
@@ -332,11 +330,7 @@ class LossMasks:
     def build(bins, events, last_obs_bins, n_bins: int) -> "LossMasks":
         bins = np.asarray(bins, dtype=np.int64)
         events = np.asarray(events, dtype=np.int64)
-        n = bins.shape[0]
-        if last_obs_bins is None:
-            last_obs = np.full(n, -1, dtype=np.int64)
-        else:
-            last_obs = np.asarray(last_obs_bins, dtype=np.int64)
+        last_obs = np.asarray(last_obs_bins, dtype=np.int64)
         cols = np.arange(n_bins + 1)
         onehot = (cols[None, :] == bins[:, None]).astype(np.float64)
         after_last = (cols[None, :] > last_obs[:, None]).astype(np.float64)

@@ -39,6 +39,7 @@ from .model import (
     DySurvParams,
     LossMasks,
     ModelConfig,
+    _config_from_canonical,
     condition_matrix,
     draw_dropout_masks,
     forward_graph,
@@ -90,7 +91,7 @@ class TrainConfig:
 
     @staticmethod
     def from_canonical(d: dict) -> "TrainConfig":
-        return TrainConfig(**d)
+        return _config_from_canonical(TrainConfig, d)
 
 
 @dataclass
@@ -705,14 +706,20 @@ def save_checkpoint(
     grid: TimeGrid,
     train_config: TrainConfig | None = None,
     transform: QuantileTransform | None = None,
-    extra: dict | None = None,
+    grid_search: GridSearchResult | None = None,
 ) -> None:
     """Versioned binary checkpoint: magic, JSON header, float64 weights.
-    Raises ContractError when ``schema`` or ``grid`` does not fit ``params``."""
+    Raises ContractError when ``schema`` or ``grid`` does not fit ``params``
+    and NumericalError when a weight is NaN or ±inf, before any file is
+    opened."""
     why = _header_disagreement(schema, grid, params.d_in, params.n_bins)
     if why:
         raise ContractError(f"cannot save this checkpoint: {why}")
     plist = params.parameters()
+    weights = np.concatenate([p.value.ravel() for p in plist]).astype("<f8")
+    if not all_finite(weights):
+        bad = next(p for p in plist if not np.isfinite(p.value).all())
+        raise NumericalError(f"cannot save this checkpoint: parameter '{bad.name}' is not finite")
     header = {
         "version": CHECKPOINT_VERSION,
         "schema_hash": schema.hash(),
@@ -728,9 +735,8 @@ def save_checkpoint(
         "transform": transform.canonical() if transform else None,
         "shapes": [[p.name, list(p.value.shape)] for p in plist],
     }
-    if extra:
-        header.update(extra)
-    weights = np.concatenate([p.value.ravel() for p in plist]).astype("<f8")
+    if grid_search is not None:
+        header["grid_search"] = grid_search.to_json_dict()
     weight_bytes = weights.tobytes()
     header["weights_sha256"] = hashlib.sha256(weight_bytes).hexdigest()
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -747,7 +753,8 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
     ``expected_schema`` guards use on a different dataset: a hash mismatch
     raises the incompatibility error rather than producing predictions on
     misaligned features. A header whose schema or grid disagrees with its
-    dims, and a non-finite weight, make the file corrupt.
+    dims or whose model or train config lacks a field or holds an unknown
+    one, and a non-finite weight, make the file corrupt.
     """
     try:
         with open(path, "rb") as fh:

@@ -5,8 +5,9 @@ for the tape losses, the tape primitives and compositions that the fused
 LSTM, dense, latent and loss nodes replace, the tape-recording inference
 that the forward-only one replaces, the per-parameter Adam loop that the
 flat update replaces, the serial grid search and seed refits that the
-worker pool replaces, and the record-by-record data preparation that the
-stacked one replaces. Kept deliberately naive: different formulation, same
+worker pool replaces, the record-by-record data preparation that the
+stacked one replaces, and the synthetic generator's true cumulative
+incidence. Kept deliberately naive: different formulation, same
 definition as the fast paths."""
 
 from dataclasses import dataclass, replace
@@ -46,6 +47,12 @@ from dysurv.training import (
     SplitArrays,
     TrialResult,
 )
+
+
+def true_cif(truth):
+    """Cumulative incidence of a synthetic generator's ``SyntheticTruth``,
+    shape (n, n_bins)."""
+    return np.cumsum(truth.pmf, axis=1)
 
 
 def max_rel_diff(got, want):

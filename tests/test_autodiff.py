@@ -51,10 +51,6 @@ def test_sigmoid_matches_the_three_exp_formula_bit_for_bit():
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def _fd(build, params, eps=1e-5):
-    return finite_difference_check(build, params, eps=eps)
-
-
 @pytest.mark.parametrize(
     "name",
     ["matmul", "add", "add_bias", "add_scalar", "sub", "mul", "mul_bias",
@@ -126,7 +122,7 @@ def test_each_primitive_matches_finite_differences(name):
     params = [p] + ([q] if name == "matmul" else []) + (
         [b] if name in ("add_bias", "mul_bias") else []
     ) + ([q, c] if name.startswith("dense_") else [])
-    assert _fd(build, params) < 1e-5
+    assert finite_difference_check(build, params) < 1e-5
 
 
 def test_lstm_sized_composite_graph_matches_fd():
@@ -143,7 +139,7 @@ def test_lstm_sized_composite_graph_matches_fd():
         probs = tape.softmax(h)
         return tape, tape.mean(tape.square(tape.log(tape.clip(probs, 1e-12, 1.0))))
 
-    assert _fd(build, [w, u, bias]) < 1e-6
+    assert finite_difference_check(build, [w, u, bias]) < 1e-6
 
 
 def test_backward_is_pure_and_repeatable():
@@ -186,7 +182,7 @@ def test_error_contracts():
     with pytest.raises(ContractError):
         tape.add(np.ones((2, 3)), np.ones((3, 2)))
     with pytest.raises(ContractError):
-        tape.backward(tape.mul(np.ones(3), 1.0))
+        tape.backward(tape.mul(np.ones(3), 1.0), [])
     with pytest.raises(ContractError):
         tape.dropout(np.ones((2, 2)), 0.5, None)
     with pytest.raises(DomainError):
@@ -222,17 +218,6 @@ def test_fd_checker_rejects_nondeterministic_builders():
 
     with pytest.raises(ReproducibilityError):
         finite_difference_check(build, [p])
-
-
-def test_fd_checker_rejects_bad_eps():
-    p = Param("p", np.ones(2))
-
-    def build():
-        tape = ReferenceTape()
-        return tape, tape.sum(p)
-
-    with pytest.raises(DomainError):
-        finite_difference_check(build, [p], eps=1e-1)
 
 
 @given(st.integers(0, 10_000))

@@ -254,7 +254,7 @@ def test_loss_node_overflows_raise():
         vae_graph(tape, np.zeros((2, 4)), Param("recon", np.zeros((2, 4))),
                   Param("mu", np.zeros((2, 3))), Param("logvar", logvar))
     # a masked sum that overflows is caught before the clamp hides it
-    masks = LossMasks.build([0, 1], [1, 0], None, 2)
+    masks = LossMasks.build([0, 1], [1, 0], [-1, -1], 2)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'nll'"):
         nll_graph(tape, Param("a", np.full((2, 3), 1e308)), masks)
 

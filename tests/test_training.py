@@ -27,6 +27,7 @@ from dysurv.model import ModelConfig, condition_matrix, init_dysurv_params, pred
 from dysurv.pipeline import prepare_splits
 from dysurv.training import (
     AdamState,
+    GridSearchResult,
     GridSearchSpace,
     SplitArrays,
     TrainConfig,
@@ -652,11 +653,19 @@ def _without(key):
     return lambda header: {k: v for k, v in header.items() if k != key}
 
 
+def _edit_section(section, edit):
+    return lambda header: {**header, section: edit(header[section])}
+
+
 HEADER_DAMAGE = {
     **{f"missing_{key}": _without(key)
        for key in ("schema", "schema_hash", "grid", "dims", "model_config", "shapes")},
     "unknown_train_config_key":
-        lambda header: {**header, "train_config": {**header["train_config"], "momentum": 0.9}},
+        _edit_section("train_config", lambda cfg: {**cfg, "momentum": 0.9}),
+    "train_config_without_alpha": _edit_section("train_config", _without("alpha")),
+    "model_config_without_z_dim": _edit_section("model_config", _without("z_dim")),
+    "unknown_model_config_key":
+        _edit_section("model_config", lambda cfg: {**cfg, "n_layers": 2}),
     "json_list": lambda header: [header],
 }
 
@@ -671,3 +680,31 @@ def test_checkpoint_with_an_incomplete_header_is_corrupt(prepared, trained, tmp_
     damaged.write_bytes(_rewritten(path.read_bytes(), HEADER_DAMAGE[damage]))
     with pytest.raises(CheckpointCorruptError):
         load_checkpoint(damaged)
+
+
+HEADER_KEYS = {"version", "schema_hash", "schema", "grid", "dims", "model_config",
+               "train_config", "transform", "shapes", "weights_sha256"}
+
+
+def test_checkpoint_header_has_the_documented_keys(prepared, trained, tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
+    assert set(load_checkpoint(path).header) == HEADER_KEYS
+    result = GridSearchResult(best_config=quick_config(), leaderboard=[])
+    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid,
+                    train_config=quick_config(), grid_search=result)
+    header = load_checkpoint(path).header
+    assert set(header) == HEADER_KEYS | {"grid_search"}
+    assert header["grid_search"] == result.to_json_dict()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_with_a_non_finite_weight_is_not_saved(prepared, tmp_path, bad):
+    params = init_dysurv_params(np.random.default_rng(3), prepared.train.d_in,
+                                prepared.train.seq_len, prepared.grid.n_bins, TINY_MODEL)
+    target = params.mu_head.weight
+    target.value[0, 1] = bad
+    path = tmp_path / "model.bin"
+    with pytest.raises(NumericalError, match=f"'{target.name}'"):
+        save_checkpoint(path, params, schema=prepared.schema, grid=prepared.grid)
+    assert not path.exists()
