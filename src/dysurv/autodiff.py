@@ -64,7 +64,9 @@ FD_EPS = 1e-5  # finite-difference step of :func:`finite_difference_check`
 
 @dataclass
 class Param:
-    """Named trainable array. Mutated in place by the optimizer."""
+    """Named trainable array. Every writer (optimizer, best-epoch restore,
+    checkpoint loader, finite-difference check) writes into ``value`` in
+    place and never rebinds it, so a holder of the array sees each update."""
 
     name: str
     value: Array

@@ -16,6 +16,7 @@ import json
 import platform
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,6 @@ from .metrics import (
 from .model import ModelConfig
 from .pipeline import DEFAULT_BINS, Predictor, prepare_splits
 from .training import (
-    GridSearchSpace,
     TrainConfig,
     fit,
     gradient_check,
@@ -79,6 +79,13 @@ def _write_meta(args, out: Path, config: dict, artifacts: list[Path]) -> Path:
         },
     }
     return _write_json(out / f"run_meta_{args.command}.json", meta)
+
+
+def _dataset_files(manifest_path: Path) -> list[Path]:
+    """The manifest ``save_dataset_csv`` wrote and the CSVs it names."""
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    csvs = [manifest[key] for key in ("static_csv", "series_csv") if key in manifest]
+    return [manifest_path] + [manifest_path.parent / name for name in csvs]
 
 
 def _parse_synth(spec: str) -> tuple[int, int, float]:
@@ -140,10 +147,7 @@ def cmd_synth(args) -> int:
     n, m, frac = _parse_synth(args.synth)
     ds = generate_synthetic(n, m, frac, seed=args.seed)
     manifest_path = save_dataset_csv(ds, out, stem="synthetic")
-    artifacts = [manifest_path, out / "synthetic_static.csv"]
-    series = out / "synthetic_series.csv"
-    if series.exists():
-        artifacts.append(series)
+    artifacts = _dataset_files(manifest_path)
     config = {"n": n, "m_features": m, "censor_frac": frac, "seed": args.seed}
     artifacts.append(_write_meta(args, out, config, artifacts))
     print(f"wrote {len(ds)} subjects to {manifest_path}")
@@ -159,12 +163,7 @@ def cmd_prepare(args) -> int:
     artifacts: list[Path] = []
     for name, split in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
         transformed = apply_quantile_transform(transform, split)
-        manifest_path = save_dataset_csv(transformed, out, stem=name)
-        artifacts.append(manifest_path)
-        artifacts.append(out / f"{name}_static.csv")
-        series = out / f"{name}_series.csv"
-        if series.exists():
-            artifacts.append(series)
+        artifacts += _dataset_files(save_dataset_csv(transformed, out, stem=name))
     artifacts.append(_write_json(out / "grid.json", {
         "n_bins": grid.n_bins,
         "t_max": grid.t_max,
@@ -203,8 +202,8 @@ def cmd_train(args) -> int:
     artifacts.append(out / "history.csv")
     meta_config = {
         "seed": args.seed,
-        "train_config": config.canonical(),
-        "model_config": model_config.canonical(),
+        "train_config": asdict(config),
+        "model_config": asdict(model_config),
         "grid": bool(args.grid),
         "n_bins": args.n_bins,
     }

@@ -21,10 +21,10 @@ Datasets are described by a JSON manifest::
       "id_col": "id"                     // optional, defaults to "id"
     }
 
-``load_csv`` takes the manifest's path. CSV files are UTF-8 with a header
-row; the event column holds 1 for an observed event and 0 for censoring.
-The series file is long format, one measurement per row. Relative paths
-resolve against the manifest location.
+Any other key is a SchemaError. ``load_csv`` takes the manifest's path.
+CSV files are UTF-8 with a header row; the event column holds 1 for an
+observed event and 0 for censoring. The series file is long format, one
+measurement per row. Relative paths resolve against the manifest location.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -87,28 +88,9 @@ class FeatureSchema:
             + list(self.time_varying)
         )
 
-    def canonical(self) -> dict:
-        return {
-            "numeric_static": list(self.numeric_static),
-            "categorical_static": {k: list(v) for k, v in self.categorical_static.items()},
-            "time_varying": list(self.time_varying),
-            "duration_col": self.duration_col,
-            "event_col": self.event_col,
-        }
-
     def hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode("utf-8")
+        blob = json.dumps(asdict(self), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
-
-    @staticmethod
-    def from_canonical(d: dict) -> "FeatureSchema":
-        return FeatureSchema(
-            numeric_static=list(d["numeric_static"]),
-            categorical_static={k: list(v) for k, v in d["categorical_static"].items()},
-            time_varying=list(d["time_varying"]),
-            duration_col=d["duration_col"],
-            event_col=d["event_col"],
-        )
 
 
 @dataclass
@@ -232,9 +214,41 @@ def discretize(grid: TimeGrid, t):
     return bins
 
 
+def dataclass_from_json(cls, d):
+    """``cls`` rebuilt from ``d``, the JSON form of ``asdict`` of an instance.
+    ``d`` must hold exactly the class's init fields, each of the JSON kind
+    its annotation declares: an int field takes an int, a float field any
+    number, and a bool is not a number. Lists come back as tuples where the
+    field is a tuple. Raises SchemaError naming the field that misfits."""
+    hints = typing.get_type_hints(cls)
+    kinds = {f.name: hints[f.name] for f in fields(cls) if f.init}
+    if not isinstance(d, dict) or d.keys() != kinds.keys():
+        got = sorted(d) if isinstance(d, dict) else d
+        raise SchemaError(f"{cls.__name__} holds exactly {sorted(kinds)}, got {got!r}")
+    for name, value in d.items():
+        if not _holds(kinds[name], value):
+            raise SchemaError(f"{cls.__name__}.{name} cannot hold {value!r}")
+    return cls(**{k: tuple(v) if typing.get_origin(kinds[k]) is tuple else v for k, v in d.items()})
+
+
+def _holds(kind, value) -> bool:
+    """Whether the JSON value ``value`` is of the annotated ``kind``."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is dict:  # JSON object keys are strings
+        return isinstance(value, dict) and all(_holds(args[1], v) for v in value.values())
+    if origin in (list, tuple):
+        return isinstance(value, list) and all(_holds(args[0], v) for v in value)
+    types = (int, float) if kind is float else kind
+    return isinstance(value, types) and (kind is bool or not isinstance(value, bool))
+
+
 # ---------------------------------------------------------------------------
 # manifest + CSV loading
 # ---------------------------------------------------------------------------
+
+
+_MANIFEST_KEYS = {"static_csv", "series_csv", "duration_col", "event_col", "categorical_cols",
+                  "time_col", "feature_col", "value_col", "id_col"}
 
 
 def load_manifest(path: str | Path) -> dict:
@@ -249,6 +263,8 @@ def load_manifest(path: str | Path) -> dict:
         raise ParseError(f"manifest is not valid JSON: {path}: {e}") from e
     if not isinstance(raw, dict):
         raise SchemaError("manifest must be a JSON object")
+    if unknown := sorted(raw.keys() - _MANIFEST_KEYS):
+        raise SchemaError(f"manifest has unknown fields {unknown}")
     for key in ("static_csv", "duration_col", "event_col"):
         if key not in raw:
             raise SchemaError(f"manifest missing required field '{key}'")

@@ -22,7 +22,7 @@ total training loss is alpha * L_nll + (1 - alpha) * L_vae.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,22 +60,6 @@ class ModelConfig:
             )
         if self.hidden_size < 1 or self.z_dim < 1:
             raise ContractError("hidden_size and z_dim must be positive")
-
-    def canonical(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_canonical(d: dict) -> "ModelConfig":
-        return _config_from_canonical(ModelConfig, d)
-
-
-def _config_from_canonical(cls, d: dict):
-    """The config dataclass ``cls`` from its ``canonical()`` dict, which must
-    hold exactly the class's fields; JSON lists come back as tuples."""
-    names = {f.name for f in fields(cls)}
-    if d.keys() != names:
-        raise KeyError(f"{cls.__name__} has fields {sorted(names)}, the dict {sorted(d)}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 def condition_dim(mode: str, n_bins: int) -> int:

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .autodiff import Param, Tape, all_finite, finite_difference_check
-from .data import FeatureSchema, QuantileTransform, TimeGrid
+from .data import FeatureSchema, QuantileTransform, TimeGrid, dataclass_from_json
 from .errors import (
     CheckpointCorruptError,
     CheckpointIncompatibleError,
@@ -39,7 +39,6 @@ from .model import (
     DySurvParams,
     LossMasks,
     ModelConfig,
-    _config_from_canonical,
     condition_matrix,
     draw_dropout_masks,
     forward_graph,
@@ -59,6 +58,9 @@ EVAL_CHUNK = 1024
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# every checkpoint header's keys; one written after a grid search adds "grid_search"
+HEADER_KEYS = frozenset({"version", "schema_hash", "schema", "grid", "dims", "model_config",
+                         "train_config", "transform", "shapes", "weights_sha256"})
 
 
 @dataclass
@@ -85,13 +87,6 @@ class TrainConfig:
             raise DomainError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise DomainError(f"patience must be >= 1, got {self.patience}")
-
-    def canonical(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_canonical(d: dict) -> "TrainConfig":
-        return _config_from_canonical(TrainConfig, d)
 
 
 @dataclass
@@ -353,7 +348,7 @@ def fit(
                 break
 
     for p in plist:
-        p.value = best_values[p.name]
+        p.value[...] = best_values[p.name]
     return params, history
 
 
@@ -413,6 +408,9 @@ def _map_jobs(fn, jobs: list) -> list:
 # ---------------------------------------------------------------------------
 
 
+_SWEPT = ("learning_rate", "batch_size", "alpha", "dropout_keep")  # one per grid axis
+
+
 @dataclass
 class GridSearchSpace:
     learning_rates: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
@@ -426,12 +424,8 @@ class GridSearchSpace:
                 raise ContractError(f"grid axis {name} must be nonempty")
 
     def configs(self, base: TrainConfig) -> list[TrainConfig]:
-        out = []
-        for lr, bs, a, keep in itertools.product(
-            self.learning_rates, self.batch_sizes, self.alphas, self.dropout_keeps
-        ):
-            out.append(replace(base, learning_rate=lr, batch_size=bs, alpha=a, dropout_keep=keep))
-        return out
+        axes = (self.learning_rates, self.batch_sizes, self.alphas, self.dropout_keeps)
+        return [replace(base, **dict(zip(_SWEPT, values))) for values in itertools.product(*axes)]
 
 
 @dataclass
@@ -446,19 +440,10 @@ class TrialResult:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "learning_rate": self.config.learning_rate,
-            "batch_size": self.config.batch_size,
-            "alpha": self.config.alpha,
-            "dropout_keep": self.config.dropout_keep,
-            "status": self.status,
-            "val_total": self.val_total,
-            "val_l1": self.val_l1,
-            "val_l2": self.val_l2,
-            "best_epoch": self.best_epoch,
-            "n_epochs": self.n_epochs,
-            "error": self.error,
-        }
+        """The swept config values, then the row's own fields."""
+        row = asdict(self)
+        config = row.pop("config")
+        return {**{name: config[name] for name in _SWEPT}, **row}
 
 
 def _grid_trial(
@@ -486,7 +471,7 @@ class GridSearchResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "best": self.best_config.canonical(),
+            "best": asdict(self.best_config),
             "leaderboard": [t.to_json_dict() for t in self.leaderboard],
         }
 
@@ -723,15 +708,11 @@ def save_checkpoint(
     header = {
         "version": CHECKPOINT_VERSION,
         "schema_hash": schema.hash(),
-        "schema": schema.canonical(),
+        "schema": asdict(schema),
         "grid": {"n_bins": grid.n_bins, "t_max": grid.t_max},
-        "dims": {
-            "d_in": params.d_in,
-            "seq_len": params.seq_len,
-            "n_bins": params.n_bins,
-        },
-        "model_config": params.config.canonical(),
-        "train_config": train_config.canonical() if train_config else None,
+        "dims": {"d_in": params.d_in, "seq_len": params.seq_len, "n_bins": params.n_bins},
+        "model_config": asdict(params.config),
+        "train_config": asdict(train_config) if train_config else None,
         "transform": transform.canonical() if transform else None,
         "shapes": [[p.name, list(p.value.shape)] for p in plist],
     }
@@ -752,9 +733,11 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
 
     ``expected_schema`` guards use on a different dataset: a hash mismatch
     raises the incompatibility error rather than producing predictions on
-    misaligned features. A header whose schema or grid disagrees with its
-    dims or whose model or train config lacks a field or holds an unknown
-    one, and a non-finite weight, make the file corrupt.
+    misaligned features. The file is corrupt when its header keys are not
+    ``HEADER_KEYS`` plus an optional ``grid_search``, when its schema, grid
+    or a config does not hold exactly its dataclass's fields of their
+    declared kinds, when its schema or grid disagrees with its dims, and
+    when a weight is not finite.
     """
     try:
         with open(path, "rb") as fh:
@@ -781,32 +764,30 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
         raise CheckpointIncompatibleError(
             f"checkpoint version {header.get('version')} is not supported"
         )
+    if header.keys() - {"grid_search"} != HEADER_KEYS:
+        raise CheckpointCorruptError(f"checkpoint {path} header has keys {sorted(header)}")
     try:  # a field that is missing or of the wrong kind fails here
-        schema = FeatureSchema.from_canonical(header["schema"])
-        schema_hash = header["schema_hash"]
+        schema = dataclass_from_json(FeatureSchema, header["schema"])
         dims = header["dims"]
         params = init_dysurv_params(
             np.random.default_rng(0), dims["d_in"], dims["seq_len"], dims["n_bins"],
-            ModelConfig.from_canonical(header["model_config"]),
+            dataclass_from_json(ModelConfig, header["model_config"]),
         )
         stored = [(name, tuple(shape)) for name, shape in header["shapes"]]
-        grid = TimeGrid(n_bins=header["grid"]["n_bins"], t_max=header["grid"]["t_max"])
-        train_config = (
-            TrainConfig.from_canonical(header["train_config"])
-            if header.get("train_config") else None
-        )
-        transform = (
-            QuantileTransform.from_canonical(header["transform"])
-            if header.get("transform") else None
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        grid = dataclass_from_json(TimeGrid, header["grid"])
+        train_config, transform = header["train_config"], header["transform"]
+        if train_config is not None:
+            train_config = dataclass_from_json(TrainConfig, train_config)
+        if transform is not None:
+            transform = QuantileTransform.from_canonical(transform)
+    except (DySurvError, KeyError, TypeError, ValueError, AttributeError) as err:
         raise CheckpointCorruptError(f"checkpoint {path} header is malformed: {err!r}") from None
-    if schema.hash() != schema_hash:
+    if schema.hash() != header["schema_hash"]:
         raise CheckpointCorruptError("schema hash does not match the stored schema")
     why = _header_disagreement(schema, grid, params.d_in, params.n_bins)
     if why:
         raise CheckpointCorruptError(f"checkpoint {path} header disagrees with itself: {why}")
-    if expected_schema is not None and expected_schema.hash() != schema_hash:
+    if expected_schema is not None and expected_schema.hash() != header["schema_hash"]:
         raise CheckpointIncompatibleError(
             "checkpoint was trained against a different feature schema"
         )
@@ -823,15 +804,15 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
             f"weight block holds {len(block)} bytes, expected {n_weights * 8}"
         )
     digest = hashlib.sha256(block).hexdigest()
-    if digest != header.get("weights_sha256"):
+    if digest != header["weights_sha256"]:
         raise CheckpointCorruptError("weight block digest mismatch")
-    flat = np.frombuffer(block, dtype="<f8").astype(np.float64)
+    flat = np.frombuffer(block, dtype="<f8")
     if not all_finite(flat):  # the tape checks computed values, not weights
         raise CheckpointCorruptError(f"checkpoint {path} holds a non-finite weight")
     pos = 0
     for p in plist:
         size = p.value.size
-        p.value = flat[pos : pos + size].reshape(p.value.shape).copy()
+        p.value[...] = flat[pos : pos + size].reshape(p.value.shape)
         pos += size
     return Checkpoint(
         params=params,

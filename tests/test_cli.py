@@ -12,6 +12,7 @@ import dysurv
 from dysurv.cli import main
 from dysurv.data import SurvivalDataset, generate_synthetic, save_dataset_csv
 from dysurv.pipeline import Predictor
+from test_training import _rewritten
 
 SYNTH = "200,3,0.3"
 FAST = ["--hidden", "6", "--z-dim", "4", "--max-epochs", "3", "--n-bins", "6"]
@@ -60,6 +61,23 @@ def test_prepare_exports_splits_and_grid(tmp_path):
         lines = (tmp_path / f"{stem}_static.csv").read_text().strip().splitlines()
         assert len(lines) == size + 1
     assert (tmp_path / "transform.json").exists()
+
+
+def test_run_meta_lists_only_the_files_the_run_wrote(tmp_path):
+    # runs on a series dataset leave *_series.csv behind; static runs reuse the directory
+    out = tmp_path
+    ds = generate_synthetic(100, 2, 0.3, seed=0)
+    records = [replace(r, series=np.ones((1, 1)), series_mask=np.ones((1, 1), dtype=bool),
+                       series_times=np.zeros(1)) for r in ds.records]
+    schema = replace(ds.schema, time_varying=["hr"])
+    manifest = save_dataset_csv(SurvivalDataset(schema, records), out, stem="synthetic")
+    assert run("prepare", "--manifest", str(manifest), "--out", str(out)) == 0
+    assert (out / "synthetic_series.csv").exists() and (out / "train_series.csv").exists()
+    assert run("prepare", "--synth", SYNTH, "--out", str(out)) == 0
+    assert run("synth", "--synth", SYNTH, "--out", str(out)) == 0
+    for command in ("prepare", "synth"):
+        listed = json.loads((out / f"run_meta_{command}.json").read_text())["artifacts"]
+        assert listed and not [name for name in listed if name.endswith("_series.csv")]
 
 
 def test_train_writes_checkpoint_and_history(trained_dir):
@@ -233,6 +251,23 @@ def test_evaluate_refuses_fewer_than_one_seed(trained_dir, tmp_path, capsys, see
     assert err.startswith("E_CONFIG: --seeds")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_multi_seed_evaluate_refuses_a_mistyped_train_config(trained_dir, tmp_path, capsys):
+    def fractional_batch(header):
+        header["train_config"]["batch_size"] = 64.5
+        return header
+
+    damaged = tmp_path / "checkpoint.bin"
+    damaged.write_bytes(_rewritten((trained_dir / "checkpoint.bin").read_bytes(), fractional_batch))
+    out = tmp_path / "ev"
+    code = run("evaluate", "--synth", SYNTH, "--out", str(out), "--checkpoint", str(damaged),
+               "--seeds", "2")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_CORRUPT:") and "batch_size" in err
+    assert err.count("\n") == 1
+    assert not (out / "eval_report.json").exists()
 
 
 @pytest.mark.parametrize("bad", ["static.csv", "series.csv", "manifest.json"])

@@ -1,6 +1,7 @@
 """Ingestion, synthetic generation, splitting, and the preprocessing
 transforms: frozen hand cases plus the structural properties."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from dysurv.data import (
     _fit_table,
     apply_quantile_transform,
     build_time_grid,
+    dataclass_from_json,
     discretize,
     fill_dataset,
     fill_series,
@@ -122,6 +124,16 @@ def test_load_csv_error_contracts(tmp_path):
         load_csv(make)
 
 
+def test_manifest_with_an_unknown_key_is_refused(tmp_path):
+    # a misspelt series_csv must not load as a static-only dataset
+    path = make_manifest(tmp_path, STATIC, SERIES, categorical=["sex"])
+    manifest = json.loads(path.read_text())
+    manifest["series_file"] = manifest.pop("series_csv")
+    write(path, json.dumps(manifest))
+    with pytest.raises(SchemaError, match="series_file"):
+        load_csv(path)
+
+
 def test_csv_round_trip_preserves_everything(tmp_path):
     ds = load_csv(make_manifest(tmp_path, STATIC, SERIES, categorical=["sex"]))
     manifest = save_dataset_csv(ds, tmp_path / "out", stem="rt")
@@ -139,6 +151,38 @@ def test_csv_round_trip_preserves_everything(tmp_path):
         assert np.array_equal(np.sort(obs1), np.sort(obs2))
 
 
+def test_dataclass_from_json_reads_back_exactly_what_asdict_wrote():
+    from dysurv.model import ModelConfig
+    from dysurv.training import TrainConfig
+
+    saved = [
+        FeatureSchema(["age"], {"sex": ["f", "m"]}, ["hr"], "duration", "event"),
+        ModelConfig(hidden_size=8, z_dim=2, decoder_hidden=(8, 4), survival_hidden=()),
+        TrainConfig(learning_rate=0.01, alpha=1, deterministic_latent=True),
+    ]
+    for obj in saved:
+        back = dataclass_from_json(type(obj), json.loads(json.dumps(dataclasses.asdict(obj))))
+        assert back == obj
+    assert dataclass_from_json(TimeGrid, {"n_bins": 4, "t_max": 2}).t_max == 2
+
+    bad = [
+        (TimeGrid, {"n_bins": 4}),  # a missing field
+        (TimeGrid, {"n_bins": 4, "t_max": 2.0, "boundaries": [0.0, 2.0]}),  # not an init field
+        (TimeGrid, {"n_bins": 4.0, "t_max": 2.0}),
+        (TimeGrid, {"n_bins": True, "t_max": 2.0}),
+        (TimeGrid, {"n_bins": 4, "t_max": False}),
+        (TimeGrid, [4, 2.0]),
+        (TrainConfig, {**dataclasses.asdict(TrainConfig()), "deterministic_latent": 0}),
+        (ModelConfig, {**dataclasses.asdict(ModelConfig()), "decoder_hidden": [64.0]}),
+        (ModelConfig, {**dataclasses.asdict(ModelConfig()), "condition_mode": None}),
+        (FeatureSchema, {**dataclasses.asdict(saved[0]), "categorical_static": {"sex": "fm"}}),
+        (FeatureSchema, {**dataclasses.asdict(saved[0]), "time_varying": [1]}),
+    ]
+    for cls, d in bad:
+        with pytest.raises(SchemaError, match=cls.__name__):
+            dataclass_from_json(cls, d)
+
+
 def test_csv_round_trip_keeps_all_missing_visits(tmp_path):
     schema = FeatureSchema(["age"], {}, ["hr", "sbp"], "duration", "event")
     mask = np.array([[True, False], [False, False], [True, True]])
@@ -151,7 +195,7 @@ def test_csv_round_trip_keeps_all_missing_visits(tmp_path):
     ]
     ds = SurvivalDataset(schema, records)
     back = load_csv(save_dataset_csv(ds, tmp_path, stem="rt"))
-    assert back.schema.canonical() == schema.canonical()
+    assert back.schema == schema
     for r1, r2 in zip(ds.records, back.records, strict=True):
         assert r1.id == r2.id
         assert np.array_equal(r1.static_features, r2.static_features)

@@ -1,10 +1,15 @@
-"""The README's code examples run as written, and its dependency list holds."""
+"""The README's code examples run as written, its dependency list holds,
+and its data and checkpoint formats name what the loaders accept."""
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from dysurv.data import _MANIFEST_KEYS
+from dysurv.training import HEADER_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +32,14 @@ def test_numpy_is_the_only_runtime_dependency():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_manifest_example_has_the_keys_the_loader_accepts():
+    section = README.read_text(encoding="utf-8").split("## Data format", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    assert set(json.loads(example)) == _MANIFEST_KEYS
+
+
+def test_every_checkpoint_header_key_is_documented():
+    text = README.read_text(encoding="utf-8")
+    assert [key for key in sorted(HEADER_KEYS | {"grid_search"}) if f"`{key}`" not in text] == []

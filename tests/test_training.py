@@ -14,7 +14,7 @@ import pytest
 
 from dysurv import training
 from dysurv.autodiff import Param, Tape
-from dysurv.data import FeatureSchema, TimeGrid, generate_synthetic
+from dysurv.data import TimeGrid, generate_synthetic
 from dysurv.errors import (
     CheckpointCorruptError,
     CheckpointIncompatibleError,
@@ -521,6 +521,27 @@ def test_checkpoint_round_trip(prepared, trained, tmp_path):
     assert np.array_equal(vals, prepared.transform.transform_values("x0", np.array([0.0, 1.0])))
 
 
+def test_fit_and_load_write_into_the_arrays_init_made(prepared, tmp_path, monkeypatch):
+    init = training.init_dysurv_params
+    made = []
+
+    def kept(*args, **kwargs):
+        params = init(*args, **kwargs)
+        made.append([p.value for p in params.parameters()])
+        return params
+
+    monkeypatch.setattr(training, "init_dysurv_params", kept)
+    params, _ = fit(prepared.train, prepared.val, quick_config(max_epochs=3),
+                    model_config=TINY_MODEL)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params, schema=prepared.schema, grid=prepared.grid)
+    loaded = load_checkpoint(path).params
+    for got, arrays in zip((params, loaded), made, strict=True):
+        assert all(p.value is a for p, a in zip(got.parameters(), arrays, strict=True))
+    for p, q in zip(params.parameters(), loaded.parameters(), strict=True):
+        assert np.array_equal(p.value, q.value)
+
+
 def test_checkpoint_error_contracts(prepared, trained, tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
@@ -609,8 +630,7 @@ def test_checkpoint_refuses_version_two_header(prepared, trained, tmp_path):
 
 def test_checkpoint_header_must_agree_with_the_weights(prepared, trained, tmp_path):
     path = tmp_path / "model.bin"
-    wider = FeatureSchema.from_canonical(
-        {**prepared.schema.canonical(), "time_varying": ["extra"]})
+    wider = dataclasses.replace(prepared.schema, time_varying=["extra"])
     with pytest.raises(ContractError, match="bins"):
         save_checkpoint(path, trained, schema=prepared.schema,
                         grid=TimeGrid(trained.n_bins - 1, prepared.grid.t_max))
@@ -626,7 +646,7 @@ def test_checkpoint_header_must_agree_with_the_weights(prepared, trained, tmp_pa
         return header
 
     def wider_schema(header):
-        return {**header, "schema": wider.canonical(), "schema_hash": wider.hash()}
+        return {**header, "schema": dataclasses.asdict(wider), "schema_hash": wider.hash()}
 
     for edit in (fewer_bins, wider_schema):
         (tmp_path / "edited.bin").write_bytes(_rewritten(blob, edit))
@@ -666,6 +686,12 @@ HEADER_DAMAGE = {
     "model_config_without_z_dim": _edit_section("model_config", _without("z_dim")),
     "unknown_model_config_key":
         _edit_section("model_config", lambda cfg: {**cfg, "n_layers": 2}),
+    "fractional_batch_size": _edit_section("train_config", lambda cfg: {**cfg, "batch_size": 64.5}),
+    "boolean_alpha": _edit_section("train_config", lambda cfg: {**cfg, "alpha": True}),
+    "string_hidden_size": _edit_section("model_config", lambda cfg: {**cfg, "hidden_size": "8"}),
+    "unknown_schema_key": _edit_section("schema", lambda schema: {**schema, "id_col": "id"}),
+    "unknown_grid_key": _edit_section("grid", lambda grid: {**grid, "t_min": 0.0}),
+    "misspelt_grid_search_key": lambda header: {**header, "grid_searhc": None},
     "json_list": lambda header: [header],
 }
 
@@ -682,19 +708,17 @@ def test_checkpoint_with_an_incomplete_header_is_corrupt(prepared, trained, tmp_
         load_checkpoint(damaged)
 
 
-HEADER_KEYS = {"version", "schema_hash", "schema", "grid", "dims", "model_config",
-               "train_config", "transform", "shapes", "weights_sha256"}
-
-
 def test_checkpoint_header_has_the_documented_keys(prepared, trained, tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
-    assert set(load_checkpoint(path).header) == HEADER_KEYS
+    assert set(load_checkpoint(path).header) == training.HEADER_KEYS == {
+        "version", "schema_hash", "schema", "grid", "dims", "model_config",
+        "train_config", "transform", "shapes", "weights_sha256"}
     result = GridSearchResult(best_config=quick_config(), leaderboard=[])
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid,
                     train_config=quick_config(), grid_search=result)
     header = load_checkpoint(path).header
-    assert set(header) == HEADER_KEYS | {"grid_search"}
+    assert set(header) == training.HEADER_KEYS | {"grid_search"}
     assert header["grid_search"] == result.to_json_dict()
 
 
