@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
+import operator
 import warnings
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -279,29 +281,33 @@ def load_manifest(path: str | Path) -> dict:
     return raw
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+_SERIES_CHUNK = 8192  # series CSV rows parsed at a time; bounds the loader's transient memory
+
+
+def _csv_rows(path: Path):
+    """Yield the header of the CSV at ``path``, then ``(line, row)`` for each
+    non-blank row, ``line`` being its physical line number. A missing file,
+    bad UTF-8 and a ragged row are ParseErrors."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty CSV") from None
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty CSV")
+            yield header
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise ParseError(
-                        f"{path}:{lineno}: ragged row with {len(row)} cells, "
+                        f"{path}:{reader.line_num}: ragged row with {len(row)} cells, "
                         f"header has {len(header)}"
                     )
-                rows.append(row)
+                yield reader.line_num, row
     except FileNotFoundError as e:
         raise ParseError(f"CSV not found: {path}") from e
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
-    return header, rows
 
 
 def _parse_float(text: str, where: str) -> float:
@@ -309,7 +315,7 @@ def _parse_float(text: str, where: str) -> float:
         value = float(text)
     except ValueError as e:
         raise ParseError(f"{where}: cannot parse '{text}' as a number") from e
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"{where}: non-finite value '{text}'")
     return value
 
@@ -320,7 +326,9 @@ def load_csv(path: str | Path) -> SurvivalDataset:
     Categorical statics are one-hot encoded with categories discovered from
     the file in sorted order. Each distinct series time is a visit, even when
     all its values are empty; a subject without series rows gets a single
-    fully-missing visit at time 0.
+    fully-missing visit at time 0. The records' series, masks and times are
+    read-only views of three shared buffers. An error names the first
+    faulty row as ``file:line``.
     """
     manifest = load_manifest(path)
     base = Path(path).parent
@@ -329,7 +337,9 @@ def load_csv(path: str | Path) -> SurvivalDataset:
     evt_col = manifest["event_col"]
     cat_cols = list(manifest["categorical_cols"])
 
-    header, rows = _read_rows(base / manifest["static_csv"])
+    lines = _csv_rows(base / manifest["static_csv"])
+    header = next(lines)
+    rows = list(lines)
     col_index = {name: i for i, name in enumerate(header)}
     for col in (dur_col, evt_col, *cat_cols):
         if col not in col_index:
@@ -346,7 +356,7 @@ def load_csv(path: str | Path) -> SurvivalDataset:
     # collect categories from the data, sorted for a stable encoding
     categories: dict[str, list[str]] = {}
     for col in cat_cols:
-        seen = sorted({row[col_index[col]] for row in rows})
+        seen = sorted({row[col_index[col]] for _, row in rows})
         categories[col] = seen
 
     ids: list[str] = []
@@ -354,9 +364,9 @@ def load_csv(path: str | Path) -> SurvivalDataset:
     durations: list[float] = []
     events: list[int] = []
     seen_ids: set[str] = set()
-    for lineno, row in enumerate(rows, start=2):
+    for k, (lineno, row) in enumerate(rows, start=1):
         where = f"{manifest['static_csv']}:{lineno}"
-        rid = row[col_index[id_col]] if has_id else f"row{lineno - 1}"
+        rid = row[col_index[id_col]] if has_id else f"row{k}"
         if rid in seen_ids:
             raise SchemaError(f"{where}: duplicate subject id '{rid}'")
         seen_ids.add(rid)
@@ -382,33 +392,19 @@ def load_csv(path: str | Path) -> SurvivalDataset:
         durations.append(dur)
         events.append(evt)
 
-    series_by_id: dict[str, dict[float, dict[str, float]]] = {}
-    feature_names: list[str] = []
-    if manifest.get("series_csv"):
-        s_header, s_rows = _read_rows(base / manifest["series_csv"])
-        s_index = {name: i for i, name in enumerate(s_header)}
-        for col in (id_col, manifest["time_col"], manifest["feature_col"], manifest["value_col"]):
-            if col not in s_index:
-                raise SchemaError(f"series CSV lacks column '{col}'")
-        known = set(ids)
-        feats: set[str] = set()
-        for lineno, row in enumerate(s_rows, start=2):
-            where = f"{manifest['series_csv']}:{lineno}"
-            rid = row[s_index[id_col]]
-            if rid not in known:
-                raise ReferentialError(f"{where}: series row for unknown subject '{rid}'")
-            t = _parse_float(row[s_index[manifest["time_col"]]], f"{where} time")
-            feat = row[s_index[manifest["feature_col"]]]
-            raw_value = row[s_index[manifest["value_col"]]].strip()
-            feats.add(feat)
-            cell = series_by_id.setdefault(rid, {}).setdefault(t, {})
-            if raw_value == "":
-                continue  # the visit happened; this measurement is missing
-            value = _parse_float(raw_value, f"{where} value")
-            if feat in cell:
-                raise SchemaError(f"{where}: duplicate measurement ({rid}, {t}, {feat})")
-            cell[feat] = value
-        feature_names = sorted(feats)
+    if not manifest.get("series_csv"):
+        feature_names, buffers = [], _visit_buffers(len(ids), 0, *_NO_SERIES_ROWS)
+    else:
+        series_path = base / manifest["series_csv"]
+        cols = (id_col, manifest["time_col"], manifest["feature_col"], manifest["value_col"])
+        id_pos = {rid: i for i, rid in enumerate(ids)}
+        parsed = _series_columns(series_path, cols, id_pos)
+        buffers = parsed and _visit_buffers(len(ids), len(parsed[0]), *parsed[1])
+        if buffers is None:
+            _check_series_rows(series_path, manifest["series_csv"], cols, id_pos)
+            raise AssertionError(f"{series_path}: the column parse failed where the row check passes")
+        feature_names = parsed[0]
+    series, mask, times, offsets = buffers
 
     schema = FeatureSchema(
         numeric_static=numeric_cols,
@@ -417,31 +413,137 @@ def load_csv(path: str | Path) -> SurvivalDataset:
         duration_col=dur_col,
         event_col=evt_col,
     )
-
-    m = len(feature_names)
-    feat_pos = {f: i for i, f in enumerate(feature_names)}
-    records = []
-    for rid, vec, dur, evt in zip(ids, statics, durations, events):
-        per_time = series_by_id.get(rid, {0.0: {}})
-        times = np.array(sorted(per_time), dtype=np.float64)
-        ser = np.full((len(times), m), np.nan)
-        mask = np.zeros((len(times), m), dtype=bool)
-        for j, t in enumerate(times):
-            for feat, value in per_time[t].items():
-                ser[j, feat_pos[feat]] = value
-                mask[j, feat_pos[feat]] = True
-        records.append(
-            SubjectRecord(
-                id=rid,
-                static_features=vec,
-                series=ser,
-                series_mask=mask,
-                duration=dur,
-                event=evt,
-                series_times=times if m else None,
-            )
+    ends = offsets.tolist()
+    records = [
+        SubjectRecord(
+            id=rid,
+            static_features=vec,
+            series=series[a:b],
+            series_mask=mask[a:b],
+            duration=dur,
+            event=evt,
+            series_times=times[a:b] if feature_names else None,
         )
+        for rid, vec, dur, evt, a, b in zip(ids, statics, durations, events, ends, ends[1:])
+    ]
     return SurvivalDataset(schema=schema, records=records)
+
+
+_NO_SERIES_ROWS = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64),
+                   np.zeros(0, bool), np.zeros(0))
+
+
+def _series_columns(path: Path, cols: tuple[str, str, str, str], id_pos: dict[str, int]):
+    """Parse the series CSV at ``path`` into whole columns, ``_SERIES_CHUNK``
+    rows at a time. ``cols`` names its id, time, feature and value columns.
+    Returns the sorted feature names and ``(subject, time, feature,
+    observed, value)``: per row the subject's position in ``id_pos``, the
+    time, the feature's index and whether the value is non-empty, and the
+    non-empty values in row order. None if a row, cell or the file is
+    faulty; ``_check_series_rows`` then names the first fault."""
+    parts = [_NO_SERIES_ROWS]
+    codes: dict[str, int] = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            index = {name: i for i, name in enumerate(header or ())}
+            if not index.keys() >= set(cols):
+                return None
+            pick = operator.itemgetter(*(index[c] for c in cols))
+            while chunk := list(itertools.islice(reader, _SERIES_CHUNK)):
+                widths = set(map(len, chunk))
+                if widths - {0, len(header)}:
+                    return None
+                if 0 in widths:
+                    chunk = [row for row in chunk if row]
+                    if not chunk:
+                        continue
+                n = len(chunk)
+                rid, time, feat, raw = zip(*map(pick, chunk))
+                subject = np.fromiter(map(id_pos.get, rid, itertools.repeat(-1)), np.int64, n)
+                time = np.fromiter(map(float, time), np.float64, n)
+                raw = list(map(str.strip, raw))
+                observed = np.fromiter(map(bool, raw), bool, n)
+                value = np.fromiter(map(float, filter(None, raw)), np.float64)
+                if subject.min() < 0 or not (all_finite(time) and all_finite(value)):
+                    return None
+                for f in set(feat) - codes.keys():
+                    codes[f] = len(codes)
+                feature = np.fromiter(map(codes.__getitem__, feat), np.int64, n)
+                parts.append((subject, time, feature, observed, value))
+    except (OSError, ValueError, csv.Error):  # ValueError covers float() and bad UTF-8
+        return None
+    names = sorted(codes)
+    rank = np.empty(len(names), np.int64)
+    rank[[codes[f] for f in names]] = np.arange(len(names))
+    subject, time, feature, observed, value = (np.concatenate(c) for c in zip(*parts))
+    return names, (subject, time, rank[feature], observed, value)
+
+
+def _visit_buffers(n_subjects: int, n_features: int, subject: Array, time: Array,
+                   feature: Array, observed: Array, value: Array):
+    """Number the visits of the columns ``_series_columns`` returns and fill
+    the shared buffers: ``(series, mask, times, offsets)``, read-only, with
+    subject i's visits at rows ``offsets[i]:offsets[i + 1]``. Each distinct
+    (subject, time) is a visit; a subject without rows gets one empty visit
+    at time 0. None if a (visit, feature) cell is measured twice."""
+    order = np.lexsort((time, subject))
+    s, t = subject[order], time[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (s[1:] != s[:-1]) | (t[1:] != t[:-1])
+    visits = np.bincount(s[first], minlength=n_subjects)
+    offsets = np.zeros(n_subjects + 1, np.int64)
+    np.cumsum(np.maximum(visits, 1), out=offsets[1:])
+    # a row's buffer row: its visit's number, plus one per empty subject before it
+    row = np.empty(len(order), np.int64)
+    row[order] = np.cumsum(first) - 1 + np.cumsum(visits == 0)[s]
+    times = np.zeros(offsets[-1])
+    times[row[order[first]]] = t[first]
+    series = np.full((offsets[-1], n_features), np.nan)
+    mask = np.zeros(series.shape, dtype=bool)
+    cells = (row[observed], feature[observed])
+    series[cells] = value
+    mask[cells] = True
+    if np.count_nonzero(mask) != value.size:
+        return None
+    for buf in (series, mask, times):
+        buf.flags.writeable = False
+    return series, mask, times, offsets
+
+
+def _check_series_rows(path: Path, name: str, cols: tuple[str, str, str, str],
+                       known: dict[str, int]) -> None:
+    """Raise the error of the first fault in the series CSV at ``path``, in
+    the order a row-by-row read meets them: a missing file, bad UTF-8 or a
+    ragged row anywhere; then a missing column; then, row by row, an unknown
+    subject, a bad time, a bad value or a repeated measurement. Builds
+    nothing; ``load_csv`` calls it only when the column parse fails."""
+    lines = _csv_rows(path)
+    index = {col: i for i, col in enumerate(next(lines))}
+    for _ in lines:
+        pass
+    for col in cols:
+        if col not in index:
+            raise SchemaError(f"series CSV lacks column '{col}'")
+    i_id, i_time, i_feat, i_value = (index[c] for c in cols)
+    lines = _csv_rows(path)
+    next(lines)
+    measured = set()
+    for lineno, row in lines:
+        where = f"{name}:{lineno}"
+        rid = row[i_id]
+        if rid not in known:
+            raise ReferentialError(f"{where}: series row for unknown subject '{rid}'")
+        t = _parse_float(row[i_time], f"{where} time")
+        feat = row[i_feat]
+        raw_value = row[i_value].strip()
+        if raw_value == "":
+            continue
+        _parse_float(raw_value, f"{where} value")
+        if (rid, t, feat) in measured:
+            raise SchemaError(f"{where}: duplicate measurement ({rid}, {t}, {feat})")
+        measured.add((rid, t, feat))
 
 
 def _format_float(x: float) -> str:
@@ -705,15 +807,25 @@ class QuantileTransform:
 
     @staticmethod
     def from_canonical(d: dict) -> "QuantileTransform":
-        return QuantileTransform(
-            tables={
-                name: (
-                    np.asarray(entry["references"], dtype=np.float64),
-                    np.asarray(entry["targets"], dtype=np.float64),
+        """Read back what ``canonical`` wrote. Each entry holds exactly
+        ``references`` and ``targets``: equal-length, non-empty lists of
+        finite numbers, the references nondecreasing. Else SchemaError."""
+        tables = {}
+        for name, entry in d.items():
+            # a type scan, not _holds per number: a table holds up to 1000 of them
+            if not (isinstance(entry, dict) and entry.keys() == {"references", "targets"}
+                    and all(isinstance(v, list) and set(map(type, v)) <= {int, float}
+                            for v in entry.values())
+                    and 0 < len(entry["references"]) == len(entry["targets"])):
+                raise SchemaError(f"quantile table '{name}' is malformed: {entry!r}")
+            refs = np.array(entry["references"], dtype=np.float64)
+            targets = np.array(entry["targets"], dtype=np.float64)
+            if not (all_finite(refs) and all_finite(targets)) or np.any(np.diff(refs) < 0):
+                raise SchemaError(
+                    f"quantile table '{name}' needs finite values and nondecreasing references"
                 )
-                for name, entry in d.items()
-            }
-        )
+            tables[name] = (refs, targets)
+        return QuantileTransform(tables=tables)
 
 
 def _fit_table(values: Array) -> tuple[Array, Array]:

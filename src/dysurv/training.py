@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .autodiff import Param, Tape, all_finite, finite_difference_check
-from .data import FeatureSchema, QuantileTransform, TimeGrid, dataclass_from_json
+from .data import FeatureSchema, QuantileTransform, TimeGrid, _holds, dataclass_from_json
 from .errors import (
     CheckpointCorruptError,
     CheckpointIncompatibleError,
@@ -32,6 +32,7 @@ from .errors import (
     DySurvError,
     NoCheckpointError,
     NumericalError,
+    SchemaError,
     SearchFailureError,
 )
 from .metrics import EvalReport, SurvivalCurves, evaluate_all
@@ -736,8 +737,10 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
     misaligned features. The file is corrupt when its header keys are not
     ``HEADER_KEYS`` plus an optional ``grid_search``, when its schema, grid
     or a config does not hold exactly its dataclass's fields of their
-    declared kinds, when its schema or grid disagrees with its dims, and
-    when a weight is not finite.
+    declared kinds, when its dims are not exactly the ints ``d_in``,
+    ``seq_len`` and ``n_bins``, when a quantile table is malformed (see
+    ``QuantileTransform.from_canonical``), when its schema or grid
+    disagrees with its dims, and when a weight is not finite.
     """
     try:
         with open(path, "rb") as fh:
@@ -769,6 +772,8 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
     try:  # a field that is missing or of the wrong kind fails here
         schema = dataclass_from_json(FeatureSchema, header["schema"])
         dims = header["dims"]
+        if not (_holds(dict[str, int], dims) and dims.keys() == {"d_in", "seq_len", "n_bins"}):
+            raise SchemaError(f"dims holds exactly the ints d_in, seq_len and n_bins, got {dims!r}")
         params = init_dysurv_params(
             np.random.default_rng(0), dims["d_in"], dims["seq_len"], dims["n_bins"],
             dataclass_from_json(ModelConfig, header["model_config"]),

@@ -6,24 +6,37 @@ LSTM, dense, latent and loss nodes replace, the tape-recording inference
 that the forward-only one replaces, the per-parameter Adam loop that the
 flat update replaces, the serial grid search and seed refits that the
 worker pool replaces, the record-by-record data preparation that the
-stacked one replaces, and the synthetic generator's true cumulative
-incidence. Kept deliberately naive: different formulation, same
+stacked one replaces, the row-by-row CSV loader that the column parse
+replaces, and the synthetic generator's true cumulative incidence. Kept deliberately naive: different formulation, same
 definition as the fast paths."""
 
+import csv
+import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from dysurv import training
 from dysurv.autodiff import _ACTIVATIONS, Param, Tape, Tensor, _operand
-from dysurv.data import TimeGrid, discretize
+from dysurv.data import (
+    FeatureSchema,
+    SubjectRecord,
+    SurvivalDataset,
+    TimeGrid,
+    discretize,
+    load_manifest,
+)
 from dysurv.errors import (
     ContractError,
     DomainError,
     DySurvError,
     MetricUndefinedError,
     NumericalError,
+    ParseError,
+    ReferentialError,
+    SchemaError,
     SearchFailureError,
     WeightDegeneracyError,
 )
@@ -847,3 +860,168 @@ def dataset_to_arrays_reference(ds, qt, grid, condition_mode="both"):
         cond=condition_matrix(events, bins, grid.n_bins, condition_mode),
         durations=ds.durations(), n_bins=grid.n_bins,
     )
+
+
+# ---------------------------------------------------------------------------
+# CSV loading one row at a time
+# ---------------------------------------------------------------------------
+
+
+def _read_rows_reference(path: Path):
+    """Header and ``(line, row)`` for each non-blank row, whole file held."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty CSV") from None
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: ragged row with {len(row)} cells, "
+                        f"header has {len(header)}"
+                    )
+                rows.append((reader.line_num, row))
+    except FileNotFoundError as e:
+        raise ParseError(f"CSV not found: {path}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
+    return header, rows
+
+
+def _parse_float(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as e:
+        raise ParseError(f"{where}: cannot parse '{text}' as a number") from e
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: non-finite value '{text}'")
+    return value
+
+
+def load_csv_reference(path) -> SurvivalDataset:
+    """The row-by-row loader: nested dicts per subject and time, one record
+    built at a time. Errors name the physical line of the faulty row."""
+    manifest = load_manifest(path)
+    base = Path(path).parent
+    id_col = manifest["id_col"]
+    dur_col = manifest["duration_col"]
+    evt_col = manifest["event_col"]
+    cat_cols = list(manifest["categorical_cols"])
+
+    header, rows = _read_rows_reference(base / manifest["static_csv"])
+    col_index = {name: i for i, name in enumerate(header)}
+    for col in (dur_col, evt_col, *cat_cols):
+        if col not in col_index:
+            raise SchemaError(f"static CSV lacks column '{col}'")
+    has_id = id_col in col_index
+    if manifest.get("series_csv") and not has_id:
+        raise SchemaError(
+            f"series join requires id column '{id_col}' in the static CSV"
+        )
+
+    reserved = {dur_col, evt_col, id_col}
+    numeric_cols = [c for c in header if c not in reserved and c not in cat_cols]
+
+    categories: dict[str, list[str]] = {}
+    for col in cat_cols:
+        seen = sorted({row[col_index[col]] for _, row in rows})
+        categories[col] = seen
+
+    ids: list[str] = []
+    statics: list[Array] = []
+    durations: list[float] = []
+    events: list[int] = []
+    seen_ids: set[str] = set()
+    for k, (lineno, row) in enumerate(rows, start=1):
+        where = f"{manifest['static_csv']}:{lineno}"
+        rid = row[col_index[id_col]] if has_id else f"row{k}"
+        if rid in seen_ids:
+            raise SchemaError(f"{where}: duplicate subject id '{rid}'")
+        seen_ids.add(rid)
+        vec = [_parse_float(row[col_index[c]], f"{where} column '{c}'") for c in numeric_cols]
+        for col in cat_cols:
+            value = row[col_index[col]]
+            vec.extend(1.0 if value == cat else 0.0 for cat in categories[col])
+        dur = _parse_float(row[col_index[dur_col]], f"{where} column '{dur_col}'")
+        evt_raw = row[col_index[evt_col]].strip()
+        if evt_raw in ("0", "1"):
+            evt = int(evt_raw)
+        else:
+            evt_f = _parse_float(evt_raw, f"{where} column '{evt_col}'")
+            if evt_f not in (0.0, 1.0):
+                raise SchemaError(
+                    f"{where}: event code must be 0 or 1, got '{evt_raw}'"
+                )
+            evt = int(evt_f)
+        if dur < 0:
+            raise SchemaError(f"{where}: negative duration {dur}")
+        ids.append(rid)
+        statics.append(np.array(vec, dtype=np.float64))
+        durations.append(dur)
+        events.append(evt)
+
+    series_by_id: dict[str, dict[float, dict[str, float]]] = {}
+    feature_names: list[str] = []
+    if manifest.get("series_csv"):
+        s_header, s_rows = _read_rows_reference(base / manifest["series_csv"])
+        s_index = {name: i for i, name in enumerate(s_header)}
+        for col in (id_col, manifest["time_col"], manifest["feature_col"], manifest["value_col"]):
+            if col not in s_index:
+                raise SchemaError(f"series CSV lacks column '{col}'")
+        known = set(ids)
+        feats: set[str] = set()
+        for lineno, row in s_rows:
+            where = f"{manifest['series_csv']}:{lineno}"
+            rid = row[s_index[id_col]]
+            if rid not in known:
+                raise ReferentialError(f"{where}: series row for unknown subject '{rid}'")
+            t = _parse_float(row[s_index[manifest["time_col"]]], f"{where} time")
+            feat = row[s_index[manifest["feature_col"]]]
+            raw_value = row[s_index[manifest["value_col"]]].strip()
+            feats.add(feat)
+            cell = series_by_id.setdefault(rid, {}).setdefault(t, {})
+            if raw_value == "":
+                continue  # the visit happened; this measurement is missing
+            value = _parse_float(raw_value, f"{where} value")
+            if feat in cell:
+                raise SchemaError(f"{where}: duplicate measurement ({rid}, {t}, {feat})")
+            cell[feat] = value
+        feature_names = sorted(feats)
+
+    schema = FeatureSchema(
+        numeric_static=numeric_cols,
+        categorical_static=categories,
+        time_varying=feature_names,
+        duration_col=dur_col,
+        event_col=evt_col,
+    )
+
+    m = len(feature_names)
+    feat_pos = {f: i for i, f in enumerate(feature_names)}
+    records = []
+    for rid, vec, dur, evt in zip(ids, statics, durations, events):
+        per_time = series_by_id.get(rid, {0.0: {}})
+        times = np.array(sorted(per_time), dtype=np.float64)
+        ser = np.full((len(times), m), np.nan)
+        mask = np.zeros((len(times), m), dtype=bool)
+        for j, t in enumerate(times):
+            for feat, value in per_time[t].items():
+                ser[j, feat_pos[feat]] = value
+                mask[j, feat_pos[feat]] = True
+        records.append(
+            SubjectRecord(
+                id=rid,
+                static_features=vec,
+                series=ser,
+                series_mask=mask,
+                duration=dur,
+                event=evt,
+                series_times=times if m else None,
+            )
+        )
+    return SurvivalDataset(schema=schema, records=records)

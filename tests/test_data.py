@@ -2,13 +2,15 @@
 transforms: frozen hand cases plus the structural properties."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dysurv import data
 from dysurv.data import (
     FeatureSchema,
     QuantileTransform,
@@ -28,9 +30,9 @@ from dysurv.data import (
     save_dataset_csv,
     split_dataset,
 )
-from dysurv.errors import DomainError, ParseError, ReferentialError, SchemaError
+from dysurv.errors import DomainError, DySurvError, ParseError, ReferentialError, SchemaError
 from dysurv.pipeline import dataset_to_arrays
-from oracles import true_cif
+from oracles import load_csv_reference, true_cif
 
 
 def write(path, text):
@@ -122,6 +124,134 @@ def test_load_csv_error_contracts(tmp_path):
     with pytest.raises(ParseError):
         make = make_manifest(tmp_path, "id,age,duration,event\na,1,2\n")
         load_csv(make)
+
+
+@pytest.mark.parametrize("static, series, where", [
+    ("id,age,duration,event\na,1,2,1\n\nb,x,2,1\n", None, "static.csv:4"),
+    ("id,age,duration,event\na,1,2,1\n\n\nb,1,2,1\nb,1,2,1\n", None, "static.csv:6"),
+    ("id,age,duration,event\na,1,2,1\n", "id,t,feat,val\na,0,hr,80\n\na,1,hr,x\n",
+     "series.csv:4"),
+    ("id,age,duration,event\na,1,2,1\n", "id,t,feat,val\n\na,0,hr,80\na,0,hr,81\n",
+     "series.csv:4"),
+    ("id,age,duration,event\na,1,2,1\n", 'id,t,feat,val\na,0,"h\nr",80\nb,1,hr,80\n',
+     "series.csv:4"),
+])
+def test_load_csv_errors_name_the_physical_line(tmp_path, static, series, where):
+    # blank lines and quoted line breaks count: the error names the line in the file
+    with pytest.raises((ParseError, SchemaError, ReferentialError), match=f"^{where}\\b"):
+        load_csv(make_manifest(tmp_path, static, series))
+
+
+def _same_datasets(got, want):
+    assert got.schema == want.schema
+    for a, b in zip(got.records, want.records, strict=True):
+        assert (a.id, a.duration, a.event) == (b.id, b.duration, b.event)
+        for x, y in [(a.static_features, b.static_features), (a.series, b.series),
+                     (a.series_mask, b.series_mask), (a.series_times, b.series_times)]:
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+_TIME_TEXT = {0.0: ["0", "0.0", "-0.0"], 0.5: ["0.5"], 1.0: ["1", "1.0", " 1e0"],
+              2.0: ["2"], 7.25: ["7.25"]}
+
+
+@st.composite
+def _cohort_files(draw):
+    """A static and a series CSV, in any row order, with blank lines, empty
+    values, whole-day ties, subjects without rows and features observed
+    nowhere; no two measurements of one cell."""
+    n = draw(st.integers(1, 5))
+    cell = st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(_TIME_TEXT)),
+                     st.sampled_from(["hr", "sbp", "lac"]))
+    measured = draw(st.lists(cell, max_size=25, unique=True))
+    empty = draw(st.lists(cell, max_size=8))
+    values = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=len(measured),
+                           max_size=len(measured)))
+    rows = [(s, t, f, repr(v)) for (s, t, f), v in zip(measured, values)]
+    rows += [(s, t, f, draw(st.sampled_from(["", " "]))) for s, t, f in empty]
+    lines = [f"s{s},{draw(st.sampled_from(_TIME_TEXT[t]))},{f},{v}"
+             for s, t, f, v in draw(st.permutations(rows))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    static = "id,age,duration,event\n" + "".join(
+        f"s{i},{40 + i},{draw(st.floats(0, 50))},{i % 2}\n" for i in draw(st.permutations(range(n))))
+    return static, "id,t,feat,val\n" + "".join(line + "\n" for line in lines)
+
+
+@given(_cohort_files(), st.sampled_from([1, 2, 3, 7, data._SERIES_CHUNK]))
+@example(  # s2 has no rows, lac is observed nowhere, s0's visit at 1 has no value
+    files=("id,age,duration,event\ns1,2,5,1\ns0,1,4.5,0\ns2,3,6,1\n",
+     "id,t,feat,val\ns1,2,hr,7\n\ns0,1,lac,\ns0,-0.0,hr,3\ns1,2.0,sbp,8\ns0,0,sbp,1\n"
+     "\ns1,0.5,hr,6\ns0,2,hr,5\n"),
+    chunk=2,
+)
+def test_load_csv_equals_the_row_by_row_loader(tmp_path_factory, files, chunk):
+    manifest = make_manifest(tmp_path_factory.mktemp("cohort"), *files)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_SERIES_CHUNK", chunk)
+        got = load_csv(manifest)
+    _same_datasets(got, load_csv_reference(manifest))
+
+
+def test_load_csv_equals_the_row_by_row_loader_over_many_chunks(tmp_path):
+    rng = np.random.default_rng(0)
+    n_rows = 2 * data._SERIES_CHUNK + 5
+    subjects = rng.integers(0, 40, n_rows)
+    static = "id,age,duration,event\n" + "".join(f"s{i},{i},{i + 1},1\n" for i in range(41))
+    series = "id,t,feat,val\n" + "".join(
+        f"s{s},{j},{'hr' if j % 3 else 'sbp'},{'' if j % 5 == 0 else rng.random()}\n"
+        for j, s in enumerate(subjects))
+    manifest = make_manifest(tmp_path, static, series)
+    got, want = load_csv(manifest), load_csv_reference(manifest)
+    _same_datasets(got, want)
+    assert len(got.records[-1].series_times) == 1  # s40 has no rows
+    with pytest.raises(ValueError, match="read-only"):
+        got.records[0].series[0, 0] = 1.0
+
+
+# one faulty series row, or a fault of the whole file, per kind
+_SERIES_FAULTS = {
+    "long_row": ["a,5,hr,1,2"],
+    "short_row": ["a,6,hr"],
+    "unknown_subject": ["ghost,0,hr,1"],
+    "bad_time": ["a,soon,hr,1"],
+    "non_finite_time": ["a,inf,hr,1"],
+    "bad_value": ["a,3,hr,high"],
+    "non_finite_value": ["a,3,hr,nan"],
+    "duplicate": ["a,9,sbp,1", "b,1,sbp,2", "a,9.0,sbp,3"],
+    "bad_utf8": ["a,4,h\udcffr,1"],
+}
+
+
+def _faulty_series(first, second, gap):
+    header = "id,t,feat,val"
+    if "missing_column" in (first, second):
+        header = "id,t,feat,value"
+    good = [f"{'ab'[j % 2]},{10 + j},hr,{j}" for j in range(gap)]
+    rows = ["a,0,hr,80", ""]
+    for kind in (first, second):
+        rows += _SERIES_FAULTS.get(kind, []) + good
+    text = "\n".join([header, *rows]) + "\n"
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("chunk", [2, data._SERIES_CHUNK])
+def test_load_csv_raises_the_first_fault_of_the_row_by_row_loader(tmp_path, chunk):
+    kinds = [*_SERIES_FAULTS, "missing_column"]
+    cases = [*itertools.permutations(kinds, 2), *((kind, None) for kind in kinds)]
+    for (first, second), gap in itertools.product(cases, (0, 3)):
+        manifest = make_manifest(tmp_path, "id,age,duration,event\na,1,2,1\nb,1,2,0\n", "")
+        (tmp_path / "series.csv").write_bytes(_faulty_series(first, second, gap))
+        with pytest.raises(DySurvError) as want:
+            load_csv_reference(manifest)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_SERIES_CHUNK", chunk)
+            with pytest.raises(DySurvError) as got:
+                load_csv(manifest)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), (
+            first, second, gap)
 
 
 def test_manifest_with_an_unknown_key_is_refused(tmp_path):

@@ -677,6 +677,10 @@ def _edit_section(section, edit):
     return lambda header: {**header, section: edit(header[section])}
 
 
+def _with_table(entry):
+    return lambda header: {**header, "transform": {"x0": entry}}
+
+
 HEADER_DAMAGE = {
     **{f"missing_{key}": _without(key)
        for key in ("schema", "schema_hash", "grid", "dims", "model_config", "shapes")},
@@ -692,6 +696,15 @@ HEADER_DAMAGE = {
     "unknown_schema_key": _edit_section("schema", lambda schema: {**schema, "id_col": "id"}),
     "unknown_grid_key": _edit_section("grid", lambda grid: {**grid, "t_min": 0.0}),
     "misspelt_grid_search_key": lambda header: {**header, "grid_searhc": None},
+    "unknown_dims_key": _edit_section("dims", lambda dims: {**dims, "z_dim": 99}),
+    "fractional_dims_entry": _edit_section("dims", lambda dims: {**dims, "seq_len": 1.0}),
+    "transform_one_target_short": _with_table({"references": [0.0, 1.0], "targets": [-1.0]}),
+    "transform_empty_table": _with_table({"references": [], "targets": []}),
+    "transform_unsorted_references": _with_table({"references": [1.0, 0.0], "targets": [-1.0, 1.0]}),
+    "transform_non_finite_target": _with_table({"references": [0.0, 1.0], "targets": [-1.0, float("inf")]}),
+    "transform_string_reference": _with_table({"references": ["0", 1.0], "targets": [-1.0, 1.0]}),
+    "transform_unknown_table_key":
+        _with_table({"references": [0.0, 1.0], "targets": [-1.0, 1.0], "n_quantiles": 2}),
     "json_list": lambda header: [header],
 }
 
@@ -706,6 +719,16 @@ def test_checkpoint_with_an_incomplete_header_is_corrupt(prepared, trained, tmp_
     damaged.write_bytes(_rewritten(path.read_bytes(), HEADER_DAMAGE[damage]))
     with pytest.raises(CheckpointCorruptError):
         load_checkpoint(damaged)
+
+
+def test_checkpoint_with_a_well_formed_table_loads(prepared, trained, tmp_path):
+    # the control for the transform damages above: only the damage is refused
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
+    table = _with_table({"references": [0.0, 0.0, 1.0], "targets": [-1.0, 0.0, 1.0]})
+    (tmp_path / "table.bin").write_bytes(_rewritten(path.read_bytes(), table))
+    transform = load_checkpoint(tmp_path / "table.bin").transform
+    assert transform.transform_values("x0", np.array([0.5])) == 0.5
 
 
 def test_checkpoint_header_has_the_documented_keys(prepared, trained, tmp_path):
