@@ -21,7 +21,9 @@ Datasets are described by a JSON manifest::
       "id_col": "id"                     // optional, defaults to "id"
     }
 
-Any other key is a SchemaError. ``load_csv`` takes the manifest's path.
+Any other key is a SchemaError, as is a manifest whose id, duration, event
+and categorical columns are not distinct names. ``load_csv`` takes the
+manifest's path.
 CSV files are UTF-8 with a header row; the event column holds 1 for an
 observed event and 0 for censoring. The series file is long format, one
 measurement per row. Relative paths resolve against the manifest location.
@@ -98,9 +100,9 @@ class FeatureSchema:
 @dataclass
 class SubjectRecord:
     """One subject: encoded statics, a J x M series with observation mask,
-    and the right-censored outcome. ``series_times`` keeps the measurement
-    timestamps so the loss can condition on the end of the observation
-    window; it is None for static-only data."""
+    the J visit times and the right-censored outcome. The times let the
+    loss condition on the end of the observation window; static data has
+    one visit at time 0."""
 
     id: str
     static_features: Array
@@ -108,7 +110,7 @@ class SubjectRecord:
     series_mask: Array
     duration: float
     event: int
-    series_times: Array | None = None
+    series_times: Array
 
     def __post_init__(self):
         self.static_features = np.asarray(self.static_features, dtype=np.float64)
@@ -126,13 +128,13 @@ class SubjectRecord:
             )
         if self.event not in (0, 1):
             raise SchemaError(f"record {self.id}: event must be 0 or 1, got {self.event}")
-        if self.series_times is not None:
-            self.series_times = np.asarray(self.series_times, dtype=np.float64)
-            if self.series_times.shape != (self.n_steps,) or not all_finite(self.series_times):
-                raise SchemaError(
-                    f"record {self.id}: series_times must be {self.n_steps} finite values, "
-                    f"got shape {self.series_times.shape}"
-                )
+        times = self.series_times = np.asarray(self.series_times, dtype=np.float64)
+        # scanned in Python: a record has few visits, and a numpy call costs more
+        if times.shape != (self.n_steps,) or not all(map(math.isfinite, times.tolist())):
+            raise SchemaError(
+                f"record {self.id}: series_times must be {self.n_steps} finite values, "
+                f"got shape {times.shape}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -278,6 +280,14 @@ def load_manifest(path: str | Path) -> dict:
                 )
     raw.setdefault("categorical_cols", [])
     raw.setdefault("id_col", "id")
+    cats = raw["categorical_cols"]
+    if not isinstance(cats, list) or not all(isinstance(c, str) for c in cats):
+        raise SchemaError(f"manifest categorical_cols must be a list of names, got {cats!r}")
+    names = [raw["id_col"], raw["duration_col"], raw["event_col"], *cats]
+    for i, col in enumerate(names):
+        if col in names[:i]:
+            raise SchemaError(f"manifest names column '{col}' twice among the id, duration, "
+                              "event and categorical columns")
     return raw
 
 
@@ -360,7 +370,7 @@ def load_csv(path: str | Path) -> SurvivalDataset:
         categories[col] = seen
 
     ids: list[str] = []
-    statics: list[Array] = []
+    statics: list[list[float]] = []
     durations: list[float] = []
     events: list[int] = []
     seen_ids: set[str] = set()
@@ -388,7 +398,7 @@ def load_csv(path: str | Path) -> SurvivalDataset:
         if dur < 0:
             raise SchemaError(f"{where}: negative duration {dur}")
         ids.append(rid)
-        statics.append(np.array(vec, dtype=np.float64))
+        statics.append(vec)
         durations.append(dur)
         events.append(evt)
 
@@ -404,8 +414,6 @@ def load_csv(path: str | Path) -> SurvivalDataset:
             _check_series_rows(series_path, manifest["series_csv"], cols, id_pos)
             raise AssertionError(f"{series_path}: the column parse failed where the row check passes")
         feature_names = parsed[0]
-    series, mask, times, offsets = buffers
-
     schema = FeatureSchema(
         numeric_static=numeric_cols,
         categorical_static=categories,
@@ -413,20 +421,7 @@ def load_csv(path: str | Path) -> SurvivalDataset:
         duration_col=dur_col,
         event_col=evt_col,
     )
-    ends = offsets.tolist()
-    records = [
-        SubjectRecord(
-            id=rid,
-            static_features=vec,
-            series=series[a:b],
-            series_mask=mask[a:b],
-            duration=dur,
-            event=evt,
-            series_times=times[a:b] if feature_names else None,
-        )
-        for rid, vec, dur, evt, a, b in zip(ids, statics, durations, events, ends, ends[1:])
-    ]
-    return SurvivalDataset(schema=schema, records=records)
+    return _build_dataset(schema, ids, statics, durations, events, buffers)
 
 
 _NO_SERIES_ROWS = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64),
@@ -512,6 +507,21 @@ def _visit_buffers(n_subjects: int, n_features: int, subject: Array, time: Array
     return series, mask, times, offsets
 
 
+def _build_dataset(schema: FeatureSchema, ids: list[str], statics, durations: list[float],
+                   events: list[int], buffers,
+                   truth: SyntheticTruth | None = None) -> SurvivalDataset:
+    """The dataset whose record i is subject ``ids[i]`` with static row
+    ``statics[i]``, its outcome, and its rows of the shared read-only
+    ``buffers``, the ``(series, mask, times, offsets)`` of ``_visit_buffers``."""
+    series, mask, times, offsets = buffers
+    ends = offsets.tolist()
+    records = [
+        SubjectRecord(rid, vec, series[a:b], mask[a:b], dur, evt, times[a:b])
+        for rid, vec, dur, evt, a, b in zip(ids, statics, durations, events, ends, ends[1:])
+    ]
+    return SurvivalDataset(schema=schema, records=records, truth=truth)
+
+
 def _check_series_rows(path: Path, name: str, cols: tuple[str, str, str, str],
                        known: dict[str, int]) -> None:
     """Raise the error of the first fault in the series CSV at ``path``, in
@@ -555,9 +565,10 @@ def save_dataset_csv(ds: SurvivalDataset, out_dir: str | Path, stem: str = "data
 
     Static columns are written under their encoded names (one-hot expanded),
     so the emitted manifest has no categorical columns. Observed series
-    cells are written, plus one empty-value row for each visit with none,
-    so every visit loads back, and one under each feature observed nowhere,
-    so every feature loads back. Returns the manifest path.
+    cells are written at their visit times, plus one empty-value row for
+    each visit with none, so every visit loads back, and one under each
+    feature observed nowhere, so every feature loads back. Returns the
+    manifest path.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -588,9 +599,7 @@ def save_dataset_csv(ds: SurvivalDataset, out_dir: str | Path, stem: str = "data
             for r in ds.records:
                 observed |= r.series_mask.any(axis=0)
             for i, r in enumerate(ds.records):
-                times = np.arange(float(r.n_steps)) if r.series_times is None else r.series_times
-                for j in range(r.n_steps):
-                    t = _format_float(times[j])
+                for j, t in enumerate(map(_format_float, r.series_times)):
                     if i == 0 and j == 0:
                         for k in np.flatnonzero(~observed):
                             writer.writerow([r.id, t, ds.schema.time_varying[k], ""])
@@ -639,7 +648,8 @@ def generate_synthetic(
     the last bin are censored at the horizon; an additional independent
     uniform censoring time is applied to a subject with a probability tuned
     analytically so the expected censored fraction matches ``censor_frac``.
-    The returned dataset carries the true hazards for oracle comparisons.
+    Each record has one visit, at time 0. The returned dataset carries the
+    true hazards for oracle comparisons.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -694,25 +704,11 @@ def generate_synthetic(
         event_col="event",
     )
     width = max(6, len(str(n)))
-    records = [
-        SubjectRecord(
-            id=f"s{i:0{width}d}",
-            static_features=x[i],
-            series=np.zeros((1, 0)),
-            series_mask=np.zeros((1, 0), dtype=bool),
-            duration=float(duration[i]),
-            event=int(is_event[i]),
-        )
-        for i in range(n)
-    ]
-    truth = SyntheticTruth(
-        weights=weights,
-        bin_logits=bin_logits,
-        pmf=pmf,
-        survive_beyond=survive,
-        n_bins=k,
-    )
-    return SurvivalDataset(schema=schema, records=records, truth=truth)
+    truth = SyntheticTruth(weights=weights, bin_logits=bin_logits, pmf=pmf,
+                           survive_beyond=survive, n_bins=k)
+    return _build_dataset(schema, [f"s{i:0{width}d}" for i in range(n)], x, duration.tolist(),
+                          is_event.astype(int).tolist(), _visit_buffers(n, 0, *_NO_SERIES_ROWS),
+                          truth)
 
 
 # ---------------------------------------------------------------------------
@@ -843,14 +839,12 @@ def fit_quantile_transform(ds: SurvivalDataset) -> QuantileTransform:
     """Fit per-feature quantile tables. Call on the training split only."""
     if len(ds) == 0:
         raise DomainError("cannot fit a quantile transform on an empty dataset")
-    tables: dict[str, tuple[Array, Array]] = {}
-    for j, name in enumerate(ds.schema.numeric_static):
-        values = np.array([r.static_features[j] for r in ds.records])
-        tables[name] = _fit_table(values)
+    statics = np.stack([r.static_features for r in ds.records])
+    rows = np.concatenate([r.series for r in ds.records])
+    mask = np.concatenate([r.series_mask for r in ds.records])
+    tables = {name: _fit_table(statics[:, j]) for j, name in enumerate(ds.schema.numeric_static)}
     for k, name in enumerate(ds.schema.time_varying):
-        observed = [r.series[r.series_mask[:, k], k] for r in ds.records]
-        values = np.concatenate(observed) if observed else np.zeros(0)
-        tables[name] = _fit_table(values)
+        tables[name] = _fit_table(rows[mask[:, k], k])
     return QuantileTransform(tables=tables)
 
 

@@ -72,10 +72,9 @@ def dataset_to_arrays(
     durations = ds.durations()
     events = ds.events()
     bins = discretize(grid, durations)
-    # last observed visit per subject; untimed records have no window
-    times = [r.series_times for r in ds.records]
-    seen = mask.any(axis=2) & np.array([t is not None for t in times])[:, None]
-    times = np.stack([np.zeros(seen.shape[1]) if t is None else t for t in times])
+    # last observed visit per subject
+    seen = mask.any(axis=2)
+    times = np.stack([r.series_times for r in ds.records])
     last = seen.shape[1] - 1 - np.argmax(seen[:, ::-1], axis=1)
     t_last = times[np.arange(len(ds)), last]
     window = discretize(grid, np.maximum(t_last, 0.0))

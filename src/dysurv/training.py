@@ -739,8 +739,9 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
     or a config does not hold exactly its dataclass's fields of their
     declared kinds, when its dims are not exactly the ints ``d_in``,
     ``seq_len`` and ``n_bins``, when a quantile table is malformed (see
-    ``QuantileTransform.from_canonical``), when its schema or grid
-    disagrees with its dims, and when a weight is not finite.
+    ``QuantileTransform.from_canonical``) or the tables are not one per
+    numeric static and series feature of its schema, when its schema or
+    grid disagrees with its dims, and when a weight is not finite.
     """
     try:
         with open(path, "rb") as fh:
@@ -785,6 +786,9 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
             train_config = dataclass_from_json(TrainConfig, train_config)
         if transform is not None:
             transform = QuantileTransform.from_canonical(transform)
+            if transform.tables.keys() != {*schema.numeric_static, *schema.time_varying}:
+                raise SchemaError(f"quantile tables {sorted(transform.tables)} are not the "
+                                  "schema's numeric statics and series features")
     except (DySurvError, KeyError, TypeError, ValueError, AttributeError) as err:
         raise CheckpointCorruptError(f"checkpoint {path} header is malformed: {err!r}") from None
     if schema.hash() != header["schema_hash"]:

@@ -5,10 +5,11 @@ for the tape losses, the tape primitives and compositions that the fused
 LSTM, dense, latent and loss nodes replace, the tape-recording inference
 that the forward-only one replaces, the per-parameter Adam loop that the
 flat update replaces, the serial grid search and seed refits that the
-worker pool replaces, the record-by-record data preparation that the
-stacked one replaces, the row-by-row CSV loader that the column parse
-replaces, and the synthetic generator's true cumulative incidence. Kept deliberately naive: different formulation, same
-definition as the fast paths."""
+worker pool replaces, the record-by-record data preparation and quantile
+fit that the stacked ones replace, the row-by-row CSV loader that the
+column parse replaces, and the synthetic generator's true cumulative incidence. Kept deliberately naive: different formulation, same
+definition as the fast paths. ``static_record`` builds a hand-made record
+of static data."""
 
 import csv
 import math
@@ -22,9 +23,11 @@ from dysurv import training
 from dysurv.autodiff import _ACTIVATIONS, Param, Tape, Tensor, _operand
 from dysurv.data import (
     FeatureSchema,
+    QuantileTransform,
     SubjectRecord,
     SurvivalDataset,
     TimeGrid,
+    _fit_table,
     discretize,
     load_manifest,
 )
@@ -66,6 +69,12 @@ def true_cif(truth):
     """Cumulative incidence of a synthetic generator's ``SyntheticTruth``,
     shape (n, n_bins)."""
     return np.cumsum(truth.pmf, axis=1)
+
+
+def static_record(rid, statics, duration=1.0, event=1):
+    """A record with no series feature: one visit, at time 0."""
+    return SubjectRecord(rid, statics, np.zeros((1, 0)), np.zeros((1, 0), dtype=bool),
+                         duration, event, np.zeros(1))
 
 
 def max_rel_diff(got, want):
@@ -800,6 +809,17 @@ def multi_seed_report_reference(train, val, test, grid, config, seeds, model_con
 # ---------------------------------------------------------------------------
 
 
+def fit_quantile_transform_reference(ds):
+    """Each feature's values gathered record by record, then fitted."""
+    tables = {}
+    for j, name in enumerate(ds.schema.numeric_static):
+        tables[name] = _fit_table(np.array([r.static_features[j] for r in ds.records]))
+    for k, name in enumerate(ds.schema.time_varying):
+        observed = [r.series[r.series_mask[:, k], k] for r in ds.records]
+        tables[name] = _fit_table(np.concatenate(observed))
+    return QuantileTransform(tables=tables)
+
+
 def _transform_record(qt, schema, record):
     """Quantile-transform one record: one interp per numeric static value,
     one per observed cell column."""
@@ -831,8 +851,6 @@ def _fill_record(series, mask):
 
 def _last_observed_time(record):
     """Latest timestamp with at least one observed cell, or None."""
-    if record.series_times is None:
-        return None
     rows = np.where(record.series_mask.any(axis=1))[0]
     if rows.size == 0:
         return None
@@ -1021,7 +1039,7 @@ def load_csv_reference(path) -> SurvivalDataset:
                 series_mask=mask,
                 duration=dur,
                 event=evt,
-                series_times=times if m else None,
+                series_times=times,
             )
         )
     return SurvivalDataset(schema=schema, records=records)

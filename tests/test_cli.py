@@ -67,8 +67,8 @@ def test_run_meta_lists_only_the_files_the_run_wrote(tmp_path):
     # runs on a series dataset leave *_series.csv behind; static runs reuse the directory
     out = tmp_path
     ds = generate_synthetic(100, 2, 0.3, seed=0)
-    records = [replace(r, series=np.ones((1, 1)), series_mask=np.ones((1, 1), dtype=bool),
-                       series_times=np.zeros(1)) for r in ds.records]
+    records = [replace(r, series=np.ones((1, 1)), series_mask=np.ones((1, 1), dtype=bool))
+               for r in ds.records]
     schema = replace(ds.schema, time_varying=["hr"])
     manifest = save_dataset_csv(SurvivalDataset(schema, records), out, stem="synthetic")
     assert run("prepare", "--manifest", str(manifest), "--out", str(out)) == 0

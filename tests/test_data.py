@@ -32,7 +32,7 @@ from dysurv.data import (
 )
 from dysurv.errors import DomainError, DySurvError, ParseError, ReferentialError, SchemaError
 from dysurv.pipeline import dataset_to_arrays
-from oracles import load_csv_reference, true_cif
+from oracles import load_csv_reference, static_record, true_cif
 
 
 def write(path, text):
@@ -148,9 +148,7 @@ def _same_datasets(got, want):
         assert (a.id, a.duration, a.event) == (b.id, b.duration, b.event)
         for x, y in [(a.static_features, b.static_features), (a.series, b.series),
                      (a.series_mask, b.series_mask), (a.series_times, b.series_times)]:
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
 _TIME_TEXT = {0.0: ["0", "0.0", "-0.0"], 0.5: ["0.5"], 1.0: ["1", "1.0", " 1e0"],
@@ -264,6 +262,23 @@ def test_manifest_with_an_unknown_key_is_refused(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("edit, column", [
+    ({"categorical_cols": ["sex", "event"]}, "event"),
+    ({"duration_col": "event"}, "event"),
+    ({"categorical_cols": ["id", "sex"]}, "id"),
+    ({"categorical_cols": ["sex", "sex"]}, "sex"),
+    ({"categorical_cols": "sex"}, "sex"),
+    ({"categorical_cols": ["sex", 1]}, "sex"),
+], ids=["categorical_event", "duration_is_event", "categorical_id", "repeated_categorical",
+        "string_categorical", "non_string_categorical"])
+def test_manifest_cannot_make_an_outcome_or_id_an_input(tmp_path, edit, column):
+    # the id, duration and event columns are three names, and no categorical names one of them
+    path = make_manifest(tmp_path, STATIC, SERIES)
+    write(path, json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(SchemaError, match=f"'{column}'"):
+        load_csv(path)
+
+
 def test_csv_round_trip_preserves_everything(tmp_path):
     ds = load_csv(make_manifest(tmp_path, STATIC, SERIES, categorical=["sex"]))
     manifest = save_dataset_csv(ds, tmp_path / "out", stem="rt")
@@ -352,18 +367,54 @@ def test_csv_round_trip_keeps_a_feature_observed_nowhere(tmp_path):
         assert np.array_equal(r1.series[mask], r2.series[mask])
 
 
+def test_csv_round_trip_gives_the_same_model_arrays(tmp_path):
+    # visits without a measurement and a feature observed nowhere keep their
+    # place, so the observation window and every input come back the same
+    schema = FeatureSchema(["age"], {}, ["hr", "lac", "sbp"], "duration", "event")
+    rng = np.random.default_rng(2)
+    records = []
+    for i in range(8):
+        mask = rng.random((4, 3)) < 0.5
+        mask[:, 1] = False
+        mask[i % 4 if i else slice(None)] = False  # a visit, or every visit, without a measurement
+        records.append(SubjectRecord(
+            f"s{i}", [rng.normal(60, 10)], np.where(mask, rng.normal(80, 10, (4, 3)), np.nan),
+            mask, float(rng.uniform(0.5, 9.0)), i % 2, np.cumsum(rng.uniform(0.25, 2, 4)) - 0.25))
+    ds = SurvivalDataset(schema, records)
+    back = load_csv(save_dataset_csv(ds, tmp_path, stem="rt"))
+    assert back.schema == schema
+    qt, grid = fit_quantile_transform(ds), build_time_grid(ds.durations(), 10)
+    want, got = dataset_to_arrays(ds, qt, grid)[0], dataset_to_arrays(back, qt, grid)[0]
+    for name in ("x", "bins", "events", "last_obs", "durations"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (want.last_obs >= 0).any() and (want.last_obs == -1).any()
+
+
+def test_static_records_have_one_visit_at_time_zero(tmp_path):
+    ds = generate_synthetic(6, 2, 0.3, seed=0)
+    for r in ds.records:
+        assert r.series.shape == (1, 0) and r.series_times.tolist() == [0.0]
+        for buf in (r.series, r.series_mask, r.series_times):
+            assert not buf.flags.writeable
+    manifest = make_manifest(tmp_path, STATIC, categorical=["sex"])
+    _same_datasets(load_csv(manifest), load_csv_reference(manifest))
+    assert [r.series_times.tolist() for r in load_csv(manifest).records] == [[0.0]] * 3
+
+
 def test_record_width_is_checked_against_the_schema():
     schema = FeatureSchema(["age"], {"sex": ["f", "m"]}, ["hr"], "duration", "event")
     series, mask = np.zeros((2, 1)), np.ones((2, 1), dtype=bool)
-    ok = SubjectRecord("ok", [60.0, 1.0, 0.0], series, mask, 1.0, 1)
-    short = SubjectRecord("short", [60.0], series, mask, 1.0, 1)
+    ok = SubjectRecord("ok", [60.0, 1.0, 0.0], series, mask, 1.0, 1, np.zeros(2))
+    short = SubjectRecord("short", [60.0], series, mask, 1.0, 1, np.zeros(2))
     with pytest.raises(SchemaError, match="record short has 1 static values and 1 series"):
         SurvivalDataset(schema, [ok, short])
 
 
 def test_record_series_width_is_checked_against_the_schema():
     schema = FeatureSchema(["age"], {}, ["hr"], "duration", "event")
-    wide = SubjectRecord("wide", [60.0], np.zeros((2, 2)), np.ones((2, 2), dtype=bool), 1.0, 1)
+    wide = SubjectRecord("wide", [60.0], np.zeros((2, 2)), np.ones((2, 2), dtype=bool), 1.0, 1,
+                         np.zeros(2))
     with pytest.raises(SchemaError, match="record wide has 1 static values and 2 series columns"):
         SurvivalDataset(schema, [wide])
 
@@ -371,16 +422,22 @@ def test_record_series_width_is_checked_against_the_schema():
 @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
 def test_record_rejects_a_non_finite_or_negative_duration(duration):
     with pytest.raises(SchemaError, match="record bad: duration must be finite and nonnegative"):
-        SubjectRecord("bad", [0.0], np.zeros((2, 1)), np.ones((2, 1), dtype=bool), duration, 1)
+        SubjectRecord("bad", [0.0], np.zeros((2, 1)), np.ones((2, 1), dtype=bool), duration, 1,
+                      np.zeros(2))
 
 
 @pytest.mark.parametrize("times", [
-    [0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]], [0.0, float("nan")], [0.0, float("inf")],
+    [0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]], [0.0, float("nan")], [0.0, float("inf")], None,
 ])
 def test_record_rejects_series_times_that_do_not_fit_the_series(times):
     with pytest.raises(SchemaError, match="record bad: series_times must be 2 finite values"):
         SubjectRecord("bad", [0.0], np.zeros((2, 1)), np.ones((2, 1), dtype=bool), 1.0, 1,
-                      series_times=np.array(times))
+                      series_times=times)
+
+
+def test_record_without_times_is_refused():
+    with pytest.raises(TypeError, match="series_times"):
+        SubjectRecord("bad", [0.0], np.zeros((1, 1)), np.ones((1, 1), dtype=bool), 1.0, 1)
 
 
 def test_synthetic_censoring_fraction_and_determinism():
@@ -449,10 +506,8 @@ def test_quantile_transform_moments_and_clipping():
     # values beyond the fitted range clip to the extreme reference quantile
     lo = min(r.static_features[0] for r in train.records)
     probe = SurvivalDataset(ds.schema, [
-        SubjectRecord("p", [lo - 100.0, 0.0, 0.0], np.zeros((1, 0)),
-                      np.zeros((1, 0), dtype=bool), 1.0, 1),
-        SubjectRecord("q", [lo, 0.0, 0.0], np.zeros((1, 0)),
-                      np.zeros((1, 0), dtype=bool), 1.0, 1),
+        static_record("p", [lo - 100.0, 0.0, 0.0]),
+        static_record("q", [lo, 0.0, 0.0]),
     ])
     out = apply_quantile_transform(qt, probe)
     assert out.records[0].static_features[0] == out.records[1].static_features[0]
@@ -463,10 +518,7 @@ def test_quantile_transform_is_monotone(seed):
     rng = np.random.default_rng(seed)
     values = np.sort(rng.standard_normal(50) * 3.0)
     schema = FeatureSchema(["x"], {}, [], "duration", "event")
-    records = [
-        SubjectRecord(f"s{i}", [v], np.zeros((1, 0)), np.zeros((1, 0), dtype=bool), 1.0, 1)
-        for i, v in enumerate(rng.standard_normal(40))
-    ]
+    records = [static_record(f"s{i}", [v]) for i, v in enumerate(rng.standard_normal(40))]
     qt = fit_quantile_transform(SurvivalDataset(schema, records))
     out = qt.transform_values("x", values)
     assert np.all(np.diff(out) >= 0)
@@ -489,10 +541,7 @@ def test_quantile_targets_match_the_normal_quantile_function():
 
 def test_constant_feature_maps_to_zero():
     schema = FeatureSchema(["x"], {}, [], "duration", "event")
-    records = [
-        SubjectRecord(f"s{i}", [4.2], np.zeros((1, 0)), np.zeros((1, 0), dtype=bool), 1.0, 1)
-        for i in range(10)
-    ]
+    records = [static_record(f"s{i}", [4.2]) for i in range(10)]
     qt = fit_quantile_transform(SurvivalDataset(schema, records))
     assert np.array_equal(qt.transform_values("x", np.array([4.2, -3.0, 99.0])), np.zeros(3))
 
@@ -532,7 +581,7 @@ def test_fill_series_idempotent_and_preserves_observed(seed):
     assert np.array_equal(once, twice)
     assert np.array_equal(once[mask], series[mask])
     schema = FeatureSchema(["s"], {}, ["a", "b", "c"], "duration", "event")
-    ds = SurvivalDataset(schema, [SubjectRecord("r", [0.0], series, mask, 5.0, 1)])
+    ds = SurvivalDataset(schema, [SubjectRecord("r", [0.0], series, mask, 5.0, 1, np.arange(6.0))])
     filled = fill_dataset(ds).records[0]
     assert np.array_equal(filled.series, once) and filled.series_mask.all()
     assert np.array_equal(fill_dataset(fill_dataset(ds)).records[0].series, once)
@@ -547,7 +596,7 @@ def test_replicate_static_layout():
     schema = FeatureSchema(["a", "b"], {}, ["x"], "duration", "event")
     r = SubjectRecord(
         "r", [1.0, 2.0], [[10.0], [20.0], [30.0]],
-        np.ones((3, 1), dtype=bool), 5.0, 1,
+        np.ones((3, 1), dtype=bool), 5.0, 1, np.arange(3.0),
     )
     grid = TimeGrid(n_bins=10, t_max=10.0)
     arrays, _ = dataset_to_arrays(SurvivalDataset(schema, [r]),
@@ -556,8 +605,7 @@ def test_replicate_static_layout():
     assert out.shape == (3, 3)
     assert np.array_equal(out[:, :2], np.tile([1.0, 2.0], (3, 1)))
     assert np.array_equal(out[:, 2], [10.0, 20.0, 30.0])
-    single = SubjectRecord(
-        "s", [1.0], np.zeros((1, 0)), np.zeros((1, 0), dtype=bool), 1.0, 0)
+    single = static_record("s", [1.0], event=0)
     arrays, _ = dataset_to_arrays(
         SurvivalDataset(FeatureSchema(["a"], {}, [], "duration", "event"), [single]),
         identity_transform(["a"]), grid)

@@ -488,6 +488,7 @@ def test_permuting_a_static_moves_whole_blocks():
             f"s{i}",
             np.concatenate([[rng.normal()], np.eye(3)[rng.integers(3)], np.eye(2)[rng.integers(2)]]),
             rng.standard_normal((2, 1)), np.ones((2, 1), dtype=bool), 1.0 + i, i % 2,
+            np.arange(2.0),
         )
         for i in range(n)
     ]

@@ -19,7 +19,11 @@ from dysurv.model import ModelConfig, init_dysurv_params, predict_risk_batch
 from dysurv.pipeline import Predictor, dataset_to_arrays, prepare_splits
 from dysurv.training import EVAL_CHUNK
 
-from oracles import dataset_to_arrays_reference, predict_risk_batch_reference
+from oracles import (
+    dataset_to_arrays_reference,
+    fit_quantile_transform_reference,
+    predict_risk_batch_reference,
+)
 
 SMALL_MODEL = ModelConfig(hidden_size=5, z_dim=3, decoder_hidden=(4,),
                           survival_hidden=(4,), condition_mode="both")
@@ -73,6 +77,16 @@ def test_stacked_prep_matches_reference_on_a_visit_cohort():
     assert ((arrays.last_obs >= 0) & (arrays.last_obs < arrays.bins - 1)).any()
 
 
+@pytest.mark.parametrize("ds", [visit_cohort(200, seed=6), generate_synthetic(300, 4, 0.3, 6)],
+                         ids=["visit_cohort", "synthetic"])
+def test_quantile_fit_from_stacks_matches_the_per_record_gather(ds):
+    got, want = fit_quantile_transform(ds).tables, fit_quantile_transform_reference(ds).tables
+    assert list(got) == list(want)
+    for name, tables in want.items():
+        for a, b in zip(got[name], tables, strict=True):
+            assert a.tobytes() == b.tobytes(), name
+
+
 def test_stacked_prep_matches_reference_on_the_synthetic_benchmark():
     ds = generate_synthetic(500, 4, 0.3, seed=5)
     qt = fit_quantile_transform(ds)
@@ -92,9 +106,8 @@ def test_stacked_prep_hand_cases():
     grid = TimeGrid(n_bins=10, t_max=10.0)
     times = np.array([0.0, 2.0, 4.5])
 
-    def rec(rid, series, mask, duration, event, series_times=times):
-        return SubjectRecord(rid, [3.0], series, mask, duration, event,
-                             series_times=series_times)
+    def rec(rid, series, mask, duration, event):
+        return SubjectRecord(rid, [3.0], series, mask, duration, event, series_times=times)
 
     ds = SurvivalDataset(schema, [
         # leading gap backfills, the all-missing column v zero-fills
@@ -107,13 +120,10 @@ def test_stacked_prep_hand_cases():
         rec("censored", [[1, 2], [3, 4], [5, 6]], [[1, 1], [1, 1], [1, 1]], 4.8, 0),
         # nothing observed at all: no window
         rec("empty", [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], 3.0, 1),
-        # untimed series: no window even though cells are observed
-        rec("untimed", [[1, 2], [3, 4], [5, 6]], [[1, 1], [1, 1], [1, 1]], 9.0, 1,
-            series_times=None),
     ])
     arrays = assert_arrays_equal(ds, qt, grid)
-    assert arrays.last_obs.tolist() == [4, 2, 3, 4, -1, -1]
-    assert arrays.bins.tolist() == [9, 9, 4, 4, 3, 9]
+    assert arrays.last_obs.tolist() == [4, 2, 3, 4, -1]
+    assert arrays.bins.tolist() == [9, 9, 4, 4, 3]
     # every row is [static block | series row], the static block repeated
     s = qt.transform_values("s", np.array([3.0]))[0]
     assert np.all(arrays.x[:, :, 0] == s)
@@ -142,7 +152,8 @@ def test_mixed_lengths_keep_their_message():
     ds = visit_cohort(4, seed=1)
     short = ds.records[0]
     ds.records[0] = SubjectRecord(short.id, short.static_features, short.series[:3],
-                                  short.series_mask[:3], short.duration, short.event)
+                                  short.series_mask[:3], short.duration, short.event,
+                                  short.series_times[:3])
     qt = fit_quantile_transform(ds)
     with pytest.raises(ContractError, match=r"mixed sequence lengths \[3, 12\]"):
         dataset_to_arrays(ds, qt, build_time_grid(ds.durations(), 4))

@@ -677,8 +677,14 @@ def _edit_section(section, edit):
     return lambda header: {**header, section: edit(header[section])}
 
 
-def _with_table(entry):
-    return lambda header: {**header, "transform": {"x0": entry}}
+GOOD_TABLE = {"references": [0.0, 1.0], "targets": [-1.0, 1.0]}
+
+
+def _with_table(entry, names=("x1", "x2")):
+    """The header with a transform: ``entry`` as the table of x0, a good
+    table for each other feature in ``names``."""
+    tables = {"x0": entry, **dict.fromkeys(names, GOOD_TABLE)}
+    return lambda header: {**header, "transform": tables}
 
 
 HEADER_DAMAGE = {
@@ -703,8 +709,9 @@ HEADER_DAMAGE = {
     "transform_unsorted_references": _with_table({"references": [1.0, 0.0], "targets": [-1.0, 1.0]}),
     "transform_non_finite_target": _with_table({"references": [0.0, 1.0], "targets": [-1.0, float("inf")]}),
     "transform_string_reference": _with_table({"references": ["0", 1.0], "targets": [-1.0, 1.0]}),
-    "transform_unknown_table_key":
-        _with_table({"references": [0.0, 1.0], "targets": [-1.0, 1.0], "n_quantiles": 2}),
+    "transform_unknown_table_key": _with_table({**GOOD_TABLE, "n_quantiles": 2}),
+    "transform_missing_table": _with_table(GOOD_TABLE, names=("x1",)),
+    "transform_extra_table": _with_table(GOOD_TABLE, names=("x1", "x2", "x3")),
     "json_list": lambda header: [header],
 }
 
