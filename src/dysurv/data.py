@@ -18,6 +18,7 @@ Datasets are described by a JSON manifest::
       "time_col": "time",                // required with series_csv
       "feature_col": "feature",
       "value_col": "value",
+      "time_varying": ["hr", "sbp"],     // optional, the series column order
       "id_col": "id"                     // optional, defaults to "id"
     }
 
@@ -26,12 +27,15 @@ and categorical columns are not distinct names. ``load_csv`` takes the
 manifest's path.
 CSV files are UTF-8 with a header row; the event column holds 1 for an
 observed event and 0 for censoring. The series file is long format, one
-measurement per row. Relative paths resolve against the manifest location.
+measurement per row; its features become series columns in the order of
+``time_varying``, or sorted by name without it. Relative paths resolve
+against the manifest location.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -252,7 +256,7 @@ def _holds(kind, value) -> bool:
 
 
 _MANIFEST_KEYS = {"static_csv", "series_csv", "duration_col", "event_col", "categorical_cols",
-                  "time_col", "feature_col", "value_col", "id_col"}
+                  "time_col", "feature_col", "value_col", "time_varying", "id_col"}
 
 
 def load_manifest(path: str | Path) -> dict:
@@ -288,6 +292,12 @@ def load_manifest(path: str | Path) -> dict:
         if col in names[:i]:
             raise SchemaError(f"manifest names column '{col}' twice among the id, duration, "
                               "event and categorical columns")
+    order = raw.get("time_varying", [])
+    if not (isinstance(order, list) and all(isinstance(f, str) for f in order)
+            and len(set(order)) == len(order)):
+        raise SchemaError(f"manifest time_varying must be a list of distinct names, got {order!r}")
+    if order and not raw.get("series_csv"):
+        raise SchemaError("manifest lists time_varying features but names no series_csv")
     return raw
 
 
@@ -334,22 +344,58 @@ def load_csv(path: str | Path) -> SurvivalDataset:
     """Load the dataset described by the manifest at ``path``.
 
     Categorical statics are one-hot encoded with categories discovered from
-    the file in sorted order. Each distinct series time is a visit, even when
-    all its values are empty; a subject without series rows gets a single
-    fully-missing visit at time 0. The records' series, masks and times are
-    read-only views of three shared buffers. An error names the first
-    faulty row as ``file:line``.
+    the file in sorted order. Series columns follow the manifest's
+    ``time_varying``, or sorted feature names without it. Each distinct
+    series time is a visit, even when all its values are empty; a subject
+    without series rows gets a single fully-missing visit at time 0. Both
+    CSVs are parsed in whole columns, and the records' statics, series,
+    masks and times are read-only views of shared buffers. An error names
+    the first faulty row as ``file:line``; only then are the rows read one
+    by one, to find it.
     """
     manifest = load_manifest(path)
     base = Path(path).parent
+    numeric_cols, categories, ids, statics, durations, events = _static_columns(
+        base / manifest["static_csv"], manifest)
+    n = len(ids)
+
+    order = manifest.get("time_varying")
+    if not manifest.get("series_csv"):
+        feature_names, buffers = [], _visit_buffers(n, 0, *_NO_SERIES_ROWS)
+    else:
+        series_path = base / manifest["series_csv"]
+        cols = (manifest["id_col"], manifest["time_col"], manifest["feature_col"],
+                manifest["value_col"])
+        id_pos = {rid: i for i, rid in enumerate(ids)}
+        parsed = _series_columns(series_path, cols, id_pos, order)
+        buffers = parsed and _visit_buffers(n, len(parsed[0]), *parsed[1])
+        if buffers is None:
+            _check_series_rows(series_path, manifest["series_csv"], cols, id_pos, order)
+            raise AssertionError(f"{series_path}: the column parse failed where the row check passes")
+        feature_names = parsed[0]
+    schema = FeatureSchema(
+        numeric_static=numeric_cols,
+        categorical_static=categories,
+        time_varying=feature_names,
+        duration_col=manifest["duration_col"],
+        event_col=manifest["event_col"],
+    )
+    return _build_dataset(schema, ids, statics, durations, events, buffers)
+
+
+def _static_columns(path: Path, manifest: dict):
+    """Parse the static CSV at ``path`` into whole columns: the numeric
+    column names, the categories of each categorical column, the ids, the
+    encoded ``(n, S)`` statics, the durations and the event codes. The
+    file's rows are dropped on return."""
     id_col = manifest["id_col"]
     dur_col = manifest["duration_col"]
     evt_col = manifest["event_col"]
     cat_cols = list(manifest["categorical_cols"])
 
-    lines = _csv_rows(base / manifest["static_csv"])
+    lines = _csv_rows(path)
     header = next(lines)
-    rows = list(lines)
+    numbered = list(lines)
     col_index = {name: i for i, name in enumerate(header)}
     for col in (dur_col, evt_col, *cat_cols):
         if col not in col_index:
@@ -362,80 +408,80 @@ def load_csv(path: str | Path) -> SurvivalDataset:
 
     reserved = {dur_col, evt_col, id_col}
     numeric_cols = [c for c in header if c not in reserved and c not in cat_cols]
+    rows = [row for _, row in numbered]
+    n = len(rows)
+
+    def column(col: str) -> list[str]:
+        return list(map(operator.itemgetter(col_index[col]), rows))
 
     # collect categories from the data, sorted for a stable encoding
-    categories: dict[str, list[str]] = {}
+    categories = {col: sorted(set(column(col))) for col in cat_cols}
+    ids = column(id_col) if has_id else [f"row{k}" for k in range(1, n + 1)]
+    statics = np.empty((n, len(numeric_cols) + sum(map(len, categories.values()))))
+    try:
+        for j, col in enumerate(numeric_cols):
+            statics[:, j] = np.fromiter(map(float, column(col)), np.float64, n)
+        durations = np.fromiter(map(float, column(dur_col)), np.float64, n)
+        events = np.fromiter(map(float, column(evt_col)), np.float64, n)
+    except ValueError:
+        durations = events = None
+    if (durations is None or len(set(ids)) < n
+            or not (all_finite(statics[:, : len(numeric_cols)]) and all_finite(durations))
+            or np.any(durations < 0) or not np.all((events == 0) | (events == 1))):
+        _check_static_rows(numbered, manifest, col_index, numeric_cols)
+        raise AssertionError(f"{manifest['static_csv']}: the column parse failed where the "
+                             "row check passes")
+    j = len(numeric_cols)
     for col in cat_cols:
-        seen = sorted({row[col_index[col]] for _, row in rows})
-        categories[col] = seen
+        values = column(col)
+        for cat in categories[col]:
+            statics[:, j] = np.fromiter(map(cat.__eq__, values), bool, n)
+            j += 1
+    return (numeric_cols, categories, ids, statics, durations.tolist(),
+            events.astype(np.int64).tolist())
 
-    ids: list[str] = []
-    statics: list[list[float]] = []
-    durations: list[float] = []
-    events: list[int] = []
+
+def _check_static_rows(rows: list, manifest: dict, col_index: dict[str, int],
+                       numeric_cols: list[str]) -> None:
+    """Raise the error of the first faulty row of the static CSV, whose
+    ``(line, row)`` pairs are ``rows``: per row, a repeated id, then an
+    unparsable or non-finite number in column order, then a bad event code
+    or a negative duration. Builds nothing; ``load_csv`` calls it only when
+    the column parse fails."""
+    id_col, dur_col, evt_col = manifest["id_col"], manifest["duration_col"], manifest["event_col"]
     seen_ids: set[str] = set()
-    for k, (lineno, row) in enumerate(rows, start=1):
+    for lineno, row in rows:
         where = f"{manifest['static_csv']}:{lineno}"
-        rid = row[col_index[id_col]] if has_id else f"row{k}"
-        if rid in seen_ids:
-            raise SchemaError(f"{where}: duplicate subject id '{rid}'")
-        seen_ids.add(rid)
-        vec = [_parse_float(row[col_index[c]], f"{where} column '{c}'") for c in numeric_cols]
-        for col in cat_cols:
-            value = row[col_index[col]]
-            vec.extend(1.0 if value == cat else 0.0 for cat in categories[col])
+        if id_col in col_index:
+            rid = row[col_index[id_col]]
+            if rid in seen_ids:
+                raise SchemaError(f"{where}: duplicate subject id '{rid}'")
+            seen_ids.add(rid)
+        for c in numeric_cols:
+            _parse_float(row[col_index[c]], f"{where} column '{c}'")
         dur = _parse_float(row[col_index[dur_col]], f"{where} column '{dur_col}'")
         evt_raw = row[col_index[evt_col]].strip()
-        if evt_raw in ("0", "1"):
-            evt = int(evt_raw)
-        else:
-            evt_f = _parse_float(evt_raw, f"{where} column '{evt_col}'")
-            if evt_f not in (0.0, 1.0):
-                raise SchemaError(
-                    f"{where}: event code must be 0 or 1, got '{evt_raw}'"
-                )
-            evt = int(evt_f)
+        if evt_raw not in ("0", "1"):
+            if _parse_float(evt_raw, f"{where} column '{evt_col}'") not in (0.0, 1.0):
+                raise SchemaError(f"{where}: event code must be 0 or 1, got '{evt_raw}'")
         if dur < 0:
             raise SchemaError(f"{where}: negative duration {dur}")
-        ids.append(rid)
-        statics.append(vec)
-        durations.append(dur)
-        events.append(evt)
-
-    if not manifest.get("series_csv"):
-        feature_names, buffers = [], _visit_buffers(len(ids), 0, *_NO_SERIES_ROWS)
-    else:
-        series_path = base / manifest["series_csv"]
-        cols = (id_col, manifest["time_col"], manifest["feature_col"], manifest["value_col"])
-        id_pos = {rid: i for i, rid in enumerate(ids)}
-        parsed = _series_columns(series_path, cols, id_pos)
-        buffers = parsed and _visit_buffers(len(ids), len(parsed[0]), *parsed[1])
-        if buffers is None:
-            _check_series_rows(series_path, manifest["series_csv"], cols, id_pos)
-            raise AssertionError(f"{series_path}: the column parse failed where the row check passes")
-        feature_names = parsed[0]
-    schema = FeatureSchema(
-        numeric_static=numeric_cols,
-        categorical_static=categories,
-        time_varying=feature_names,
-        duration_col=dur_col,
-        event_col=evt_col,
-    )
-    return _build_dataset(schema, ids, statics, durations, events, buffers)
 
 
 _NO_SERIES_ROWS = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64),
                    np.zeros(0, bool), np.zeros(0))
 
 
-def _series_columns(path: Path, cols: tuple[str, str, str, str], id_pos: dict[str, int]):
+def _series_columns(path: Path, cols: tuple[str, str, str, str], id_pos: dict[str, int],
+                    order: list[str] | None):
     """Parse the series CSV at ``path`` into whole columns, ``_SERIES_CHUNK``
     rows at a time. ``cols`` names its id, time, feature and value columns.
-    Returns the sorted feature names and ``(subject, time, feature,
-    observed, value)``: per row the subject's position in ``id_pos``, the
-    time, the feature's index and whether the value is non-empty, and the
-    non-empty values in row order. None if a row, cell or the file is
-    faulty; ``_check_series_rows`` then names the first fault."""
+    Returns the feature names, ``order`` or else sorted, and ``(subject,
+    time, feature, observed, value)``: per row the subject's position in
+    ``id_pos``, the time, the feature's index and whether the value is
+    non-empty, and the non-empty values in row order. None if a row, cell
+    or the file is faulty, or the file's features are not those of
+    ``order``; ``_check_series_rows`` then names the first fault."""
     parts = [_NO_SERIES_ROWS]
     codes: dict[str, int] = {}
     try:
@@ -445,7 +491,7 @@ def _series_columns(path: Path, cols: tuple[str, str, str, str], id_pos: dict[st
             index = {name: i for i, name in enumerate(header or ())}
             if not index.keys() >= set(cols):
                 return None
-            pick = operator.itemgetter(*(index[c] for c in cols))
+            get_id, get_time, get_feat, get_value = (operator.itemgetter(index[c]) for c in cols)
             while chunk := list(itertools.islice(reader, _SERIES_CHUNK)):
                 widths = set(map(len, chunk))
                 if widths - {0, len(header)}:
@@ -455,21 +501,24 @@ def _series_columns(path: Path, cols: tuple[str, str, str, str], id_pos: dict[st
                     if not chunk:
                         continue
                 n = len(chunk)
-                rid, time, feat, raw = zip(*map(pick, chunk))
-                subject = np.fromiter(map(id_pos.get, rid, itertools.repeat(-1)), np.int64, n)
-                time = np.fromiter(map(float, time), np.float64, n)
-                raw = list(map(str.strip, raw))
+                subject = np.fromiter(map(id_pos.get, map(get_id, chunk), itertools.repeat(-1)),
+                                      np.int64, n)
+                time = np.fromiter(map(float, map(get_time, chunk)), np.float64, n)
+                raw = list(map(str.strip, map(get_value, chunk)))
                 observed = np.fromiter(map(bool, raw), bool, n)
                 value = np.fromiter(map(float, filter(None, raw)), np.float64)
                 if subject.min() < 0 or not (all_finite(time) and all_finite(value)):
                     return None
+                feat = list(map(get_feat, chunk))
                 for f in set(feat) - codes.keys():
                     codes[f] = len(codes)
                 feature = np.fromiter(map(codes.__getitem__, feat), np.int64, n)
                 parts.append((subject, time, feature, observed, value))
     except (OSError, ValueError, csv.Error):  # ValueError covers float() and bad UTF-8
         return None
-    names = sorted(codes)
+    names = sorted(codes) if order is None else order
+    if codes.keys() != set(names):
+        return None
     rank = np.empty(len(names), np.int64)
     rank[[codes[f] for f in names]] = np.arange(len(names))
     subject, time, feature, observed, value = (np.concatenate(c) for c in zip(*parts))
@@ -507,13 +556,15 @@ def _visit_buffers(n_subjects: int, n_features: int, subject: Array, time: Array
     return series, mask, times, offsets
 
 
-def _build_dataset(schema: FeatureSchema, ids: list[str], statics, durations: list[float],
-                   events: list[int], buffers,
+def _build_dataset(schema: FeatureSchema, ids: list[str], statics: Array,
+                   durations: list[float], events: list[int], buffers,
                    truth: SyntheticTruth | None = None) -> SurvivalDataset:
     """The dataset whose record i is subject ``ids[i]`` with static row
-    ``statics[i]``, its outcome, and its rows of the shared read-only
-    ``buffers``, the ``(series, mask, times, offsets)`` of ``_visit_buffers``."""
+    ``statics[i]``, its outcome, and its rows of the shared ``buffers``, the
+    ``(series, mask, times, offsets)`` of ``_visit_buffers``. The ``(n, S)``
+    float array ``statics`` is made read-only like the buffers."""
     series, mask, times, offsets = buffers
+    statics.flags.writeable = False
     ends = offsets.tolist()
     records = [
         SubjectRecord(rid, vec, series[a:b], mask[a:b], dur, evt, times[a:b])
@@ -523,12 +574,13 @@ def _build_dataset(schema: FeatureSchema, ids: list[str], statics, durations: li
 
 
 def _check_series_rows(path: Path, name: str, cols: tuple[str, str, str, str],
-                       known: dict[str, int]) -> None:
+                       known: dict[str, int], order: list[str] | None) -> None:
     """Raise the error of the first fault in the series CSV at ``path``, in
     the order a row-by-row read meets them: a missing file, bad UTF-8 or a
     ragged row anywhere; then a missing column; then, row by row, an unknown
-    subject, a bad time, a bad value or a repeated measurement. Builds
-    nothing; ``load_csv`` calls it only when the column parse fails."""
+    subject, a bad time, a bad value or a repeated measurement; then
+    features other than those of ``order``. Builds nothing; ``load_csv``
+    calls it only when the column parse fails."""
     lines = _csv_rows(path)
     index = {col: i for i, col in enumerate(next(lines))}
     for _ in lines:
@@ -540,6 +592,7 @@ def _check_series_rows(path: Path, name: str, cols: tuple[str, str, str, str],
     lines = _csv_rows(path)
     next(lines)
     measured = set()
+    features = set()
     for lineno, row in lines:
         where = f"{name}:{lineno}"
         rid = row[i_id]
@@ -547,6 +600,7 @@ def _check_series_rows(path: Path, name: str, cols: tuple[str, str, str, str],
             raise ReferentialError(f"{where}: series row for unknown subject '{rid}'")
         t = _parse_float(row[i_time], f"{where} time")
         feat = row[i_feat]
+        features.add(feat)
         raw_value = row[i_value].strip()
         if raw_value == "":
             continue
@@ -554,6 +608,9 @@ def _check_series_rows(path: Path, name: str, cols: tuple[str, str, str, str],
         if (rid, t, feat) in measured:
             raise SchemaError(f"{where}: duplicate measurement ({rid}, {t}, {feat})")
         measured.add((rid, t, feat))
+    if order is not None and features != set(order):
+        raise SchemaError(f"{name} holds the features {sorted(features)}, but the manifest's "
+                          f"time_varying lists {order}")
 
 
 def _format_float(x: float) -> str:
@@ -564,7 +621,8 @@ def save_dataset_csv(ds: SurvivalDataset, out_dir: str | Path, stem: str = "data
     """Write a dataset back to manifest + CSV form.
 
     Static columns are written under their encoded names (one-hot expanded),
-    so the emitted manifest has no categorical columns. Observed series
+    so the emitted manifest has no categorical columns; it lists the series
+    features in the schema's order, so they load back in it. Observed series
     cells are written at their visit times, plus one empty-value row for
     each visit with none, so every visit loads back, and one under each
     feature observed nowhere, so every feature loads back. Returns the
@@ -610,7 +668,7 @@ def save_dataset_csv(ds: SurvivalDataset, out_dir: str | Path, stem: str = "data
                             writer.writerow([r.id, t, feat, _format_float(r.series[j, k])])
         manifest.update(
             series_csv=series_path.name, time_col="time",
-            feature_col="feature", value_col="value",
+            feature_col="feature", value_col="value", time_varying=ds.schema.time_varying,
         )
     manifest_path = out_dir / f"{stem}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
@@ -824,22 +882,29 @@ class QuantileTransform:
         return QuantileTransform(tables=tables)
 
 
+@functools.cache
+def _table_levels(n_q: int) -> tuple[Array, Array]:
+    """The probabilities and normal targets of an ``n_q``-entry table,
+    read-only and shared by every table of that length."""
+    probs = np.linspace(0.0, 1.0, n_q) if n_q > 1 else np.array([0.5])
+    targets = np.array([_NORMAL.inv_cdf(p) for p in np.clip(probs, _PPF_CLIP, 1 - _PPF_CLIP)])
+    probs.flags.writeable = targets.flags.writeable = False
+    return probs, targets
+
+
 def _fit_table(values: Array) -> tuple[Array, Array]:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return np.zeros(1), np.zeros(1)
-    n_q = min(_MAX_QUANTILES, values.size)
-    probs = np.linspace(0.0, 1.0, n_q) if n_q > 1 else np.array([0.5])
-    refs = np.quantile(values, probs)
-    targets = np.array([_NORMAL.inv_cdf(p) for p in np.clip(probs, _PPF_CLIP, 1 - _PPF_CLIP)])
-    return refs, targets
+    probs, targets = _table_levels(min(_MAX_QUANTILES, values.size))
+    return np.quantile(values, probs), targets
 
 
 def fit_quantile_transform(ds: SurvivalDataset) -> QuantileTransform:
     """Fit per-feature quantile tables. Call on the training split only."""
     if len(ds) == 0:
         raise DomainError("cannot fit a quantile transform on an empty dataset")
-    statics = np.stack([r.static_features for r in ds.records])
+    statics = np.array([r.static_features for r in ds.records])
     rows = np.concatenate([r.series for r in ds.records])
     mask = np.concatenate([r.series_mask for r in ds.records])
     tables = {name: _fit_table(statics[:, j]) for j, name in enumerate(ds.schema.numeric_static)}
@@ -855,7 +920,7 @@ def apply_quantile_transform(qt: QuantileTransform, ds: SurvivalDataset) -> Surv
     if not ds.records:
         return replace(ds, records=[])
     schema = ds.schema
-    statics = np.stack([r.static_features for r in ds.records])
+    statics = np.array([r.static_features for r in ds.records])
     rows = np.concatenate([r.series for r in ds.records])
     mask = np.concatenate([r.series_mask for r in ds.records])
     qt.apply(schema.numeric_static, statics[:, : len(schema.numeric_static)])

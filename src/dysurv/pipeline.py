@@ -51,9 +51,9 @@ def _stacked_inputs(ds: SurvivalDataset, transform: QuantileTransform) -> tuple[
             f"subjects have mixed sequence lengths {sorted(lengths)}; batching "
             "needs one shared length per dataset"
         )
-    statics = np.stack([r.static_features for r in ds.records])
-    series = np.stack([r.series for r in ds.records])
-    mask = np.stack([r.series_mask for r in ds.records])
+    statics = np.array([r.static_features for r in ds.records])
+    series = np.array([r.series for r in ds.records])
+    mask = np.array([r.series_mask for r in ds.records])
     transform.apply(ds.schema.numeric_static, statics[:, : len(ds.schema.numeric_static)])
     transform.apply(ds.schema.time_varying, series, mask)
     n, j_steps, _ = series.shape
@@ -74,7 +74,7 @@ def dataset_to_arrays(
     bins = discretize(grid, durations)
     # last observed visit per subject
     seen = mask.any(axis=2)
-    times = np.stack([r.series_times for r in ds.records])
+    times = np.array([r.series_times for r in ds.records])
     last = seen.shape[1] - 1 - np.argmax(seen[:, ::-1], axis=1)
     t_last = times[np.arange(len(ds)), last]
     window = discretize(grid, np.maximum(t_last, 0.0))

@@ -1009,7 +1009,11 @@ def load_csv_reference(path) -> SurvivalDataset:
             if feat in cell:
                 raise SchemaError(f"{where}: duplicate measurement ({rid}, {t}, {feat})")
             cell[feat] = value
-        feature_names = sorted(feats)
+        order = manifest.get("time_varying")
+        if order is not None and feats != set(order):
+            raise SchemaError(f"{manifest['series_csv']} holds the features {sorted(feats)}, "
+                              f"but the manifest's time_varying lists {order}")
+        feature_names = sorted(feats) if order is None else list(order)
 
     schema = FeatureSchema(
         numeric_static=numeric_cols,

@@ -1,7 +1,9 @@
 """Ingestion, synthetic generation, splitting, and the preprocessing
 transforms: frozen hand cases plus the structural properties."""
 
+import csv
 import dataclasses
+import io
 import itertools
 import json
 
@@ -40,7 +42,7 @@ def write(path, text):
     return path
 
 
-def make_manifest(tmp_path, static, series=None, categorical=()):
+def make_manifest(tmp_path, static, series=None, categorical=(), order=None):
     write(tmp_path / "static.csv", static)
     manifest = {
         "static_csv": "static.csv",
@@ -53,6 +55,8 @@ def make_manifest(tmp_path, static, series=None, categorical=()):
         manifest.update(
             series_csv="series.csv", time_col="t", feature_col="feat", value_col="val"
         )
+    if order is not None:
+        manifest["time_varying"] = order
     path = tmp_path / "manifest.json"
     write(path, json.dumps(manifest))
     return path
@@ -153,44 +157,68 @@ def _same_datasets(got, want):
 
 _TIME_TEXT = {0.0: ["0", "0.0", "-0.0"], 0.5: ["0.5"], 1.0: ["1", "1.0", " 1e0"],
               2.0: ["2"], 7.25: ["7.25"]}
+_EVENT_TEXT = {0: ["0", " 0", "0.0"], 1: ["1", "1.0"]}
+_FEATURES = ["hr", "s\nbp", "lac, mmol/l"]  # quoted in the file: a line break and a comma
+
+
+def _csv_line(cells):
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)  # quotes a cell holding a comma or a line break
+    return out.getvalue().removesuffix("\r\n")
 
 
 @st.composite
 def _cohort_files(draw):
-    """A static and a series CSV, in any row order, with blank lines, empty
-    values, whole-day ties, subjects without rows and features observed
-    nowhere; no two measurements of one cell."""
-    n = draw(st.integers(1, 5))
+    """A static and a series CSV, in any row order, with blank lines, LF or
+    CRLF line ends, quoted cells holding commas and line breaks, a
+    categorical column, event codes in several spellings, empty values,
+    whole-day ties, subjects without rows and features observed nowhere;
+    no two measurements of one cell. Also a series column order for the
+    manifest, or None."""
+    n = draw(st.integers(2, 5))
+    ids = [draw(st.sampled_from([f"s{i}", f"s{i}, jr"])) for i in range(n)]
     cell = st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(_TIME_TEXT)),
-                     st.sampled_from(["hr", "sbp", "lac"]))
+                     st.sampled_from(_FEATURES))
     measured = draw(st.lists(cell, max_size=25, unique=True))
     empty = draw(st.lists(cell, max_size=8))
     values = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=len(measured),
                            max_size=len(measured)))
     rows = [(s, t, f, repr(v)) for (s, t, f), v in zip(measured, values)]
     rows += [(s, t, f, draw(st.sampled_from(["", " "]))) for s, t, f in empty]
-    lines = [f"s{s},{draw(st.sampled_from(_TIME_TEXT[t]))},{f},{v}"
+    lines = [_csv_line([ids[s], draw(st.sampled_from(_TIME_TEXT[t])), f, v])
              for s, t, f, v in draw(st.permutations(rows))]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), "")
-    static = "id,age,duration,event\n" + "".join(
-        f"s{i},{40 + i},{draw(st.floats(0, 50))},{i % 2}\n" for i in draw(st.permutations(range(n))))
-    return static, "id,t,feat,val\n" + "".join(line + "\n" for line in lines)
+    wards = ["icu", "ward, 2"] + draw(st.lists(st.sampled_from(["icu", "ward, 2", "er"]),
+                                               min_size=n - 2, max_size=n - 2))
+    static = ["id,age,ward,duration,event"] + [
+        _csv_line([ids[i], 40 + i, wards[i], draw(st.floats(0, 50)),
+                   draw(st.sampled_from(_EVENT_TEXT[i % 2]))])
+        for i in draw(st.permutations(range(n)))]
+    features = sorted({f for _, _, f, _ in rows})
+    order = draw(st.none() | st.permutations(features))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return ("".join(line + end for line in static),
+            "".join(line + end for line in ["id,t,feat,val", *lines]), order)
 
 
 @given(_cohort_files(), st.sampled_from([1, 2, 3, 7, data._SERIES_CHUNK]))
 @example(  # s2 has no rows, lac is observed nowhere, s0's visit at 1 has no value
-    files=("id,age,duration,event\ns1,2,5,1\ns0,1,4.5,0\ns2,3,6,1\n",
+    files=("id,age,ward,duration,event\ns1,2,a,5,1\ns0,1,b,4.5,0\ns2,3,a,6,1\n",
      "id,t,feat,val\ns1,2,hr,7\n\ns0,1,lac,\ns0,-0.0,hr,3\ns1,2.0,sbp,8\ns0,0,sbp,1\n"
-     "\ns1,0.5,hr,6\ns0,2,hr,5\n"),
+     "\ns1,0.5,hr,6\ns0,2,hr,5\n", None),
     chunk=2,
 )
 def test_load_csv_equals_the_row_by_row_loader(tmp_path_factory, files, chunk):
-    manifest = make_manifest(tmp_path_factory.mktemp("cohort"), *files)
+    static, series, order = files
+    manifest = make_manifest(tmp_path_factory.mktemp("cohort"), static, series,
+                             categorical=["ward"], order=order)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data, "_SERIES_CHUNK", chunk)
         got = load_csv(manifest)
     _same_datasets(got, load_csv_reference(manifest))
+    if order is not None:
+        assert got.schema.time_varying == order
 
 
 def test_load_csv_equals_the_row_by_row_loader_over_many_chunks(tmp_path):
@@ -252,6 +280,41 @@ def test_load_csv_raises_the_first_fault_of_the_row_by_row_loader(tmp_path, chun
             first, second, gap)
 
 
+# one faulty static row per kind; {0} stands for an id no other row has
+_STATIC_FAULTS = {
+    "duplicate_id": ["{0},1,2,1", "{0},1,2,0"],
+    "bad_number": ["{0},old,2,1"],
+    "nan": ["{0},nan,2,1"],
+    "inf": ["{0},1,inf,1"],
+    "event_2": ["{0},1,2,2"],
+    "negative_duration": ["{0},1,-2,1"],
+    "ragged_row": ["{0},1,2"],
+    "bad_utf8": ["{0}\udcff,1,2,1"],
+}
+
+
+def _faulty_static(first, second, gap):
+    rows = ["id,age,duration,event", "a,61,2,1", ""]
+    for kind in (first, second):
+        rows += [row.format(kind) for row in _STATIC_FAULTS.get(kind, [])]
+        rows += [f"{kind}{j},5{j},{j + 1},{j % 2}" for j in range(gap)]
+    return ("\n".join(rows) + "\n").encode("utf-8", "surrogateescape")
+
+
+def test_load_csv_raises_the_first_static_fault_of_the_row_by_row_loader(tmp_path):
+    kinds = list(_STATIC_FAULTS)
+    cases = [*itertools.permutations(kinds, 2), *((kind, None) for kind in kinds)]
+    for (first, second), gap in itertools.product(cases, (0, 3)):
+        manifest = make_manifest(tmp_path, "")
+        (tmp_path / "static.csv").write_bytes(_faulty_static(first, second, gap))
+        with pytest.raises(DySurvError) as want:
+            load_csv_reference(manifest)
+        with pytest.raises(DySurvError) as got:
+            load_csv(manifest)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), (
+            first, second, gap)
+
+
 def test_manifest_with_an_unknown_key_is_refused(tmp_path):
     # a misspelt series_csv must not load as a static-only dataset
     path = make_manifest(tmp_path, STATIC, SERIES, categorical=["sex"])
@@ -277,6 +340,57 @@ def test_manifest_cannot_make_an_outcome_or_id_an_input(tmp_path, edit, column):
     write(path, json.dumps({**json.loads(path.read_text()), **edit}))
     with pytest.raises(SchemaError, match=f"'{column}'"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("order, error", [
+    ("sbp", "time_varying must be a list"),
+    (["sbp", 1], "time_varying must be a list"),
+    (["sbp", "sbp"], "time_varying must be a list"),
+    (["sbp"], "holds the features \\['hr', 'sbp'\\]"),
+    (["sbp", "hr", "lac"], "holds the features"),
+])
+def test_manifest_time_varying_must_name_the_series_features(tmp_path, order, error):
+    path = make_manifest(tmp_path, STATIC, SERIES, order=order, categorical=["sex"])
+    with pytest.raises(SchemaError, match=error):
+        load_csv(path)
+    with pytest.raises(SchemaError, match=error):
+        load_csv_reference(path)
+
+
+def test_manifest_time_varying_orders_the_series_columns(tmp_path):
+    ds = load_csv(make_manifest(tmp_path, STATIC, SERIES, order=["sbp", "hr"], categorical=["sex"]))
+    assert ds.schema.time_varying == ["sbp", "hr"]
+    assert ds.records[0].series_mask.tolist() == [[False, True], [True, True]]
+    assert ds.records[0].series[1].tolist() == [120.0, 85.0]
+    with pytest.raises(SchemaError, match="names no series_csv"):
+        load_csv(make_manifest(tmp_path, STATIC, order=["hr"], categorical=["sex"]))
+    assert len(load_csv(make_manifest(tmp_path, STATIC, order=[], categorical=["sex"]))) == 3
+
+
+def test_csv_round_trip_keeps_the_series_feature_order(tmp_path):
+    from dysurv.model import ModelConfig, init_dysurv_params
+    from dysurv.training import load_checkpoint, save_checkpoint
+
+    schema = FeatureSchema(["age"], {}, ["hr", "sbp", "lac"], "duration", "event")
+    rng = np.random.default_rng(3)
+    records = []
+    for i in range(4):
+        mask = rng.random((2, 3)) < 0.7
+        mask[:, 2] = i != 1  # lac is missing from one subject
+        records.append(SubjectRecord(
+            f"s{i}", [rng.normal(60, 10)], np.where(mask, rng.normal(80, 10, (2, 3)), np.nan),
+            mask, float(i + 1), i % 2, np.array([0.0, 1.5 + i])))
+    ds = SurvivalDataset(schema, records)
+    manifest = save_dataset_csv(ds, tmp_path, stem="rt")
+    assert json.loads(manifest.read_text())["time_varying"] == ["hr", "sbp", "lac"]
+    back = load_csv(manifest)
+    assert back.schema == schema and back.schema.hash() == schema.hash()
+    _same_datasets(back, ds)
+    _same_datasets(load_csv_reference(manifest), ds)
+    params = init_dysurv_params(rng, 4, 2, 10, ModelConfig(hidden_size=4, z_dim=2))
+    save_checkpoint(tmp_path / "model.bin", params, schema=schema,
+                    grid=build_time_grid(ds.durations(), 10))
+    assert load_checkpoint(tmp_path / "model.bin", expected_schema=back.schema).schema == schema
 
 
 def test_csv_round_trip_preserves_everything(tmp_path):
