@@ -347,55 +347,24 @@ def load_csv(path: str | Path) -> SurvivalDataset:
     the file in sorted order. Series columns follow the manifest's
     ``time_varying``, or sorted feature names without it. Each distinct
     series time is a visit, even when all its values are empty; a subject
-    without series rows gets a single fully-missing visit at time 0. Both
-    CSVs are parsed in whole columns, and the records' statics, series,
-    masks and times are read-only views of shared buffers. An error names
-    the first faulty row as ``file:line``; only then are the rows read one
-    by one, to find it.
+    without series rows gets a single fully-missing visit at time 0. The
+    records' statics, series, masks and times are read-only views of shared
+    buffers. An error names the first faulty row as ``file:line``. The
+    static CSV is read row by row; the series CSV is parsed in whole
+    columns, and read row by row only when that parse fails, to name the
+    fault.
     """
     manifest = load_manifest(path)
     base = Path(path).parent
-    numeric_cols, categories, ids, statics, durations, events = _static_columns(
-        base / manifest["static_csv"], manifest)
-    n = len(ids)
-
-    order = manifest.get("time_varying")
-    if not manifest.get("series_csv"):
-        feature_names, buffers = [], _visit_buffers(n, 0, *_NO_SERIES_ROWS)
-    else:
-        series_path = base / manifest["series_csv"]
-        cols = (manifest["id_col"], manifest["time_col"], manifest["feature_col"],
-                manifest["value_col"])
-        id_pos = {rid: i for i, rid in enumerate(ids)}
-        parsed = _series_columns(series_path, cols, id_pos, order)
-        buffers = parsed and _visit_buffers(n, len(parsed[0]), *parsed[1])
-        if buffers is None:
-            _check_series_rows(series_path, manifest["series_csv"], cols, id_pos, order)
-            raise AssertionError(f"{series_path}: the column parse failed where the row check passes")
-        feature_names = parsed[0]
-    schema = FeatureSchema(
-        numeric_static=numeric_cols,
-        categorical_static=categories,
-        time_varying=feature_names,
-        duration_col=manifest["duration_col"],
-        event_col=manifest["event_col"],
-    )
-    return _build_dataset(schema, ids, statics, durations, events, buffers)
-
-
-def _static_columns(path: Path, manifest: dict):
-    """Parse the static CSV at ``path`` into whole columns: the numeric
-    column names, the categories of each categorical column, the ids, the
-    encoded ``(n, S)`` statics, the durations and the event codes. The
-    file's rows are dropped on return."""
+    static_name = manifest["static_csv"]
     id_col = manifest["id_col"]
     dur_col = manifest["duration_col"]
     evt_col = manifest["event_col"]
     cat_cols = list(manifest["categorical_cols"])
 
-    lines = _csv_rows(path)
+    lines = _csv_rows(base / static_name)
     header = next(lines)
-    numbered = list(lines)
+    rows = list(lines)
     col_index = {name: i for i, name in enumerate(header)}
     for col in (dur_col, evt_col, *cat_cols):
         if col not in col_index:
@@ -408,64 +377,81 @@ def _static_columns(path: Path, manifest: dict):
 
     reserved = {dur_col, evt_col, id_col}
     numeric_cols = [c for c in header if c not in reserved and c not in cat_cols]
-    rows = [row for _, row in numbered]
-    n = len(rows)
-
-    def column(col: str) -> list[str]:
-        return list(map(operator.itemgetter(col_index[col]), rows))
 
     # collect categories from the data, sorted for a stable encoding
-    categories = {col: sorted(set(column(col))) for col in cat_cols}
-    ids = column(id_col) if has_id else [f"row{k}" for k in range(1, n + 1)]
-    statics = np.empty((n, len(numeric_cols) + sum(map(len, categories.values()))))
-    try:
-        for j, col in enumerate(numeric_cols):
-            statics[:, j] = np.fromiter(map(float, column(col)), np.float64, n)
-        durations = np.fromiter(map(float, column(dur_col)), np.float64, n)
-        events = np.fromiter(map(float, column(evt_col)), np.float64, n)
-    except ValueError:
-        durations = events = None
-    if (durations is None or len(set(ids)) < n
-            or not (all_finite(statics[:, : len(numeric_cols)]) and all_finite(durations))
-            or np.any(durations < 0) or not np.all((events == 0) | (events == 1))):
-        _check_static_rows(numbered, manifest, col_index, numeric_cols)
-        raise AssertionError(f"{manifest['static_csv']}: the column parse failed where the "
-                             "row check passes")
-    j = len(numeric_cols)
+    categories: dict[str, list[str]] = {}
     for col in cat_cols:
-        values = column(col)
-        for cat in categories[col]:
-            statics[:, j] = np.fromiter(map(cat.__eq__, values), bool, n)
-            j += 1
-    return (numeric_cols, categories, ids, statics, durations.tolist(),
-            events.astype(np.int64).tolist())
+        seen = sorted({row[col_index[col]] for _, row in rows})
+        categories[col] = seen
 
+    numeric_at = [(col_index[c], c) for c in numeric_cols]
+    categories_at = [(col_index[c], cats) for c, cats in categories.items()]
+    i_dur, i_evt = col_index[dur_col], col_index[evt_col]
 
-def _check_static_rows(rows: list, manifest: dict, col_index: dict[str, int],
-                       numeric_cols: list[str]) -> None:
-    """Raise the error of the first faulty row of the static CSV, whose
-    ``(line, row)`` pairs are ``rows``: per row, a repeated id, then an
-    unparsable or non-finite number in column order, then a bad event code
-    or a negative duration. Builds nothing; ``load_csv`` calls it only when
-    the column parse fails."""
-    id_col, dur_col, evt_col = manifest["id_col"], manifest["duration_col"], manifest["event_col"]
+    ids: list[str] = []
+    statics: list[list[float]] = []
+    durations: list[float] = []
+    events: list[int] = []
     seen_ids: set[str] = set()
-    for lineno, row in rows:
-        where = f"{manifest['static_csv']}:{lineno}"
-        if id_col in col_index:
-            rid = row[col_index[id_col]]
-            if rid in seen_ids:
-                raise SchemaError(f"{where}: duplicate subject id '{rid}'")
-            seen_ids.add(rid)
-        for c in numeric_cols:
-            _parse_float(row[col_index[c]], f"{where} column '{c}'")
-        dur = _parse_float(row[col_index[dur_col]], f"{where} column '{dur_col}'")
-        evt_raw = row[col_index[evt_col]].strip()
-        if evt_raw not in ("0", "1"):
-            if _parse_float(evt_raw, f"{where} column '{evt_col}'") not in (0.0, 1.0):
-                raise SchemaError(f"{where}: event code must be 0 or 1, got '{evt_raw}'")
+    for k, (lineno, row) in enumerate(rows, start=1):
+        rid = row[col_index[id_col]] if has_id else f"row{k}"
+        if rid in seen_ids:
+            raise SchemaError(f"{static_name}:{lineno}: duplicate subject id '{rid}'")
+        seen_ids.add(rid)
+        vec = [_cell_float(row[i], static_name, lineno, c) for i, c in numeric_at]
+        for i, cats in categories_at:
+            vec.extend(1.0 if row[i] == cat else 0.0 for cat in cats)
+        dur = _cell_float(row[i_dur], static_name, lineno, dur_col)
+        evt_raw = row[i_evt].strip()
+        if evt_raw in ("0", "1"):
+            evt = int(evt_raw)
+        else:
+            evt_f = _cell_float(evt_raw, static_name, lineno, evt_col)
+            if evt_f not in (0.0, 1.0):
+                raise SchemaError(
+                    f"{static_name}:{lineno}: event code must be 0 or 1, got '{evt_raw}'"
+                )
+            evt = int(evt_f)
         if dur < 0:
-            raise SchemaError(f"{where}: negative duration {dur}")
+            raise SchemaError(f"{static_name}:{lineno}: negative duration {dur}")
+        ids.append(rid)
+        statics.append(vec)
+        durations.append(dur)
+        events.append(evt)
+
+    order = manifest.get("time_varying")
+    if not manifest.get("series_csv"):
+        feature_names, buffers = [], _visit_buffers(len(ids), 0, *_NO_SERIES_ROWS)
+    else:
+        series_path = base / manifest["series_csv"]
+        cols = (id_col, manifest["time_col"], manifest["feature_col"], manifest["value_col"])
+        id_pos = {rid: i for i, rid in enumerate(ids)}
+        parsed = _series_columns(series_path, cols, id_pos, order)
+        buffers = parsed and _visit_buffers(len(ids), len(parsed[0]), *parsed[1])
+        if buffers is None:
+            _check_series_rows(series_path, manifest["series_csv"], cols, id_pos, order)
+            raise AssertionError(f"{series_path}: the column parse failed where the row check passes")
+        feature_names = parsed[0]
+    schema = FeatureSchema(
+        numeric_static=numeric_cols,
+        categorical_static=categories,
+        time_varying=feature_names,
+        duration_col=dur_col,
+        event_col=evt_col,
+    )
+    width = len(numeric_cols) + sum(map(len, categories.values()))
+    return _build_dataset(schema, ids, np.array(statics, np.float64).reshape(len(ids), width),
+                          durations, events, buffers)
+
+
+def _cell_float(text: str, name: str, lineno: int, col: str) -> float:
+    """``_parse_float`` of a static cell; its ``name:lineno column 'col'``
+    location is built only when the cell is faulty."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    return value if math.isfinite(value) else _parse_float(text, f"{name}:{lineno} column '{col}'")
 
 
 _NO_SERIES_ROWS = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64),

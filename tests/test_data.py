@@ -158,7 +158,8 @@ def _same_datasets(got, want):
 _TIME_TEXT = {0.0: ["0", "0.0", "-0.0"], 0.5: ["0.5"], 1.0: ["1", "1.0", " 1e0"],
               2.0: ["2"], 7.25: ["7.25"]}
 _EVENT_TEXT = {0: ["0", " 0", "0.0"], 1: ["1", "1.0"]}
-_FEATURES = ["hr", "s\nbp", "lac, mmol/l"]  # quoted in the file: a line break and a comma
+# plain names, and names quoted in the file for a line break or a comma
+_FEATURES = ["hr", "sbp", "s\nbp", "lac", "lac, mmol/l"]
 
 
 def _csv_line(cells):
@@ -170,12 +171,13 @@ def _csv_line(cells):
 @st.composite
 def _cohort_files(draw):
     """A static and a series CSV, in any row order, with blank lines, LF or
-    CRLF line ends, quoted cells holding commas and line breaks, a
-    categorical column, event codes in several spellings, empty values,
-    whole-day ties, subjects without rows and features observed nowhere;
-    no two measurements of one cell. Also a series column order for the
-    manifest, or None."""
-    n = draw(st.integers(2, 5))
+    CRLF line ends, quoted cells holding commas and line breaks, event codes
+    in several spellings, empty values, whole-day ties, subjects without
+    rows and features observed nowhere; no two measurements of one cell.
+    Also a series column order for the manifest or None, and the manifest's
+    categorical columns: none, or a ``ward`` column when there are two
+    subjects or more."""
+    n = draw(st.integers(1, 5))
     ids = [draw(st.sampled_from([f"s{i}", f"s{i}, jr"])) for i in range(n)]
     cell = st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(_TIME_TEXT)),
                      st.sampled_from(_FEATURES))
@@ -189,30 +191,39 @@ def _cohort_files(draw):
              for s, t, f, v in draw(st.permutations(rows))]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), "")
-    wards = ["icu", "ward, 2"] + draw(st.lists(st.sampled_from(["icu", "ward, 2", "er"]),
-                                               min_size=n - 2, max_size=n - 2))
-    static = ["id,age,ward,duration,event"] + [
-        _csv_line([ids[i], 40 + i, wards[i], draw(st.floats(0, 50)),
-                   draw(st.sampled_from(_EVENT_TEXT[i % 2]))])
+    # a categorical column needs two categories, so two subjects
+    categorical = draw(st.sampled_from([[], ["ward"]])) if n >= 2 else []
+    wards = ["icu", "ward, 2"] + [draw(st.sampled_from(["icu", "ward, 2", "er"]))
+                                  for _ in range(n - 2)]
+    ward = [[w] if categorical else [] for w in wards]
+    static = [["id", "age", *categorical, "duration", "event"]] + [
+        [ids[i], 40 + i, *ward[i], draw(st.floats(0, 50)),
+         draw(st.sampled_from(_EVENT_TEXT[i % 2]))]
         for i in draw(st.permutations(range(n)))]
     features = sorted({f for _, _, f, _ in rows})
     order = draw(st.none() | st.permutations(features))
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    return ("".join(line + end for line in static),
-            "".join(line + end for line in ["id,t,feat,val", *lines]), order)
+    return ("".join(_csv_line(cells) + end for cells in static),
+            "".join(line + end for line in ["id,t,feat,val", *lines]), order, categorical)
 
 
 @given(_cohort_files(), st.sampled_from([1, 2, 3, 7, data._SERIES_CHUNK]))
 @example(  # s2 has no rows, lac is observed nowhere, s0's visit at 1 has no value
+    files=("id,age,duration,event\ns1,2,5,1\ns0,1,4.5,0\ns2,3,6,1\n",
+     "id,t,feat,val\ns1,2,hr,7\n\ns0,1,lac,\ns0,-0.0,hr,3\ns1,2.0,sbp,8\ns0,0,sbp,1\n"
+     "\ns1,0.5,hr,6\ns0,2,hr,5\n", None, []),
+    chunk=2,
+)
+@example(  # the same cohort with a categorical column
     files=("id,age,ward,duration,event\ns1,2,a,5,1\ns0,1,b,4.5,0\ns2,3,a,6,1\n",
      "id,t,feat,val\ns1,2,hr,7\n\ns0,1,lac,\ns0,-0.0,hr,3\ns1,2.0,sbp,8\ns0,0,sbp,1\n"
-     "\ns1,0.5,hr,6\ns0,2,hr,5\n", None),
+     "\ns1,0.5,hr,6\ns0,2,hr,5\n", None, ["ward"]),
     chunk=2,
 )
 def test_load_csv_equals_the_row_by_row_loader(tmp_path_factory, files, chunk):
-    static, series, order = files
+    static, series, order, categorical = files
     manifest = make_manifest(tmp_path_factory.mktemp("cohort"), static, series,
-                             categorical=["ward"], order=order)
+                             categorical=categorical, order=order)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data, "_SERIES_CHUNK", chunk)
         got = load_csv(manifest)
