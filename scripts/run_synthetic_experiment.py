@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from dysurv.data import generate_synthetic, split_dataset
-from dysurv.metrics import SurvivalCurves, TimeGrid, evaluate_all, permutation_importance
+from dysurv.metrics import SurvivalCurves, TimeGrid, concordance_td, permutation_importance
 from dysurv.model import ModelConfig
 from dysurv.pipeline import Predictor, prepare_splits
 from dysurv.training import GridSearchSpace, TrainConfig, fit, grid_search, multi_seed_report
@@ -41,7 +41,7 @@ def oracle_concordance(ds, prep):
     )
     grid = TimeGrid(truth.n_bins, float(truth.n_bins))
     curves = SurvivalCurves.from_bin_probs(probs, grid)
-    return evaluate_all(curves, prep.test.durations, prep.test.events).c_td
+    return concordance_td(curves, prep.test.durations, prep.test.events)
 
 
 def main():

@@ -43,7 +43,7 @@ import math
 import operator
 import warnings
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from statistics import NormalDist
 
@@ -904,7 +904,7 @@ def apply_quantile_transform(qt: QuantileTransform, ds: SurvivalDataset) -> Surv
     the range endpoints (the targets saturate). Records may be ragged: the
     series rows of all records are transformed as one block."""
     if not ds.records:
-        return replace(ds, records=[])
+        return SurvivalDataset(schema=ds.schema, records=[], truth=ds.truth)
     schema = ds.schema
     statics = np.array([r.static_features for r in ds.records])
     rows = np.concatenate([r.series for r in ds.records])
@@ -913,7 +913,7 @@ def apply_quantile_transform(qt: QuantileTransform, ds: SurvivalDataset) -> Surv
     qt.apply(schema.time_varying, rows, mask)
     ends = np.cumsum([r.n_steps for r in ds.records])[:-1]
     records = [
-        replace(r, static_features=s, series=x)
+        SubjectRecord(r.id, s, x, r.series_mask, r.duration, r.event, r.series_times)
         for r, s, x in zip(ds.records, statics, np.split(rows, ends))
     ]
     return SurvivalDataset(schema=schema, records=records, truth=ds.truth)
@@ -942,8 +942,8 @@ def fill_dataset(ds: SurvivalDataset) -> SurvivalDataset:
     """``fill_series`` on each record. Idempotent; the records come back
     with fully observed masks."""
     records = [
-        replace(r, series=fill_series(r.series, r.series_mask),
-                series_mask=np.ones_like(r.series_mask))
+        SubjectRecord(r.id, r.static_features, fill_series(r.series, r.series_mask),
+                      np.ones_like(r.series_mask), r.duration, r.event, r.series_times)
         for r in ds.records
     ]
     return SurvivalDataset(schema=ds.schema, records=records, truth=ds.truth)

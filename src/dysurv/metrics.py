@@ -1,7 +1,8 @@
 """Censoring-aware evaluation for discrete-time survival predictions.
 
 Implements the Kaplan-Meier product-limit estimator, time-dependent
-concordance over comparable pairs (counted once per distinct event time),
+concordance over comparable pairs (event times with one event subject are
+counted in blocks of rows, times shared by several once per time),
 the inverse-probability-of-censoring weighted (IPCW) Brier score and
 binomial log likelihood with their integrated forms (one sweep over the
 evaluation times yields both), fixed-horizon binary classification
@@ -12,11 +13,11 @@ on shared knots and extend as constants outside the knot range.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset, TimeGrid
+from .data import SubjectRecord, SurvivalDataset, TimeGrid
 from .errors import (
     ContractError,
     DomainError,
@@ -29,7 +30,7 @@ Array = np.ndarray
 EVAL_TIMES = 100  # equally spaced times behind IBS and INBLL
 LOG_CLAMP = 1e-12
 # most (event subject, other) pairs that concordance compares in one array
-CONCORDANCE_BLOCK = 1 << 20
+CONCORDANCE_BLOCK = 1 << 16
 
 
 def _validate_outcomes(durations, events, curves=None) -> tuple[Array, Array]:
@@ -154,22 +155,50 @@ class SurvivalCurves:
 
 def _concordance(curves: SurvivalCurves, durations: Array, events: Array) -> float:
     is_event = events == 1
+    event_idx = np.flatnonzero(is_event)
+    times, inverse, counts = np.unique(
+        durations[event_idx], return_inverse=True, return_counts=True
+    )
     concordant = tied = comparable = 0
-    # every event subject at time t reads the same curve column and the same
-    # comparable set, so the pairs are counted once per distinct event time
-    for t in np.unique(durations[is_event]):
+    # an event time with one event subject is one row of pairs, and blocks
+    # of such rows are counted as whole arrays. Subject j is comparable with
+    # an event at t when T_j > t, or T_j = t and j is censored; a censored
+    # duration moved up by one float turns that into the one test later > t
+    lone = event_idx[counts[inverse] == 1]
+    later = np.where(is_event, durations, np.nextafter(durations, np.inf))
+    knots, values = curves.times, curves.values
+    # SurvivalCurves.at for a block of times, in its arithmetic: left + w *
+    # (right - left) inside the knot range, the end columns copied outside
+    lefts = np.ascontiguousarray(values[:, :-1].T)
+    rises = np.ascontiguousarray((values[:, 1:] - values[:, :-1]).T)
+    step = max(1, CONCORDANCE_BLOCK // durations.size)
+    for lo in range(0, lone.size, step):
+        idx = lone[lo : lo + step]
+        ts = durations[idx]
+        k = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 2)
+        w = (ts - knots[k]) / (knots[k + 1] - knots[k])
+        rows = lefts[k] + w[:, None] * rises[k]
+        rows[ts <= knots[0]] = values[:, 0]
+        rows[ts >= knots[-1]] = values[:, -1]
+        own = rows[np.arange(idx.size), idx][:, None]
+        pairs = later > ts[:, None]
+        comparable += int(np.count_nonzero(pairs))
+        concordant += int(np.count_nonzero((own < rows) & pairs))
+        tied += int(np.count_nonzero((own == rows) & pairs))
+    # every event subject at a shared time t reads the same curve column and
+    # the same comparable set, so those pairs are counted once per such time
+    for t in times[counts > 1]:
         row = curves.at(t)
-        same = durations == t
-        own = row[same & is_event]
-        others = row[(durations > t) | (same & ~is_event)]
+        own = row[(durations == t) & is_event]
+        others = row[later > t]
         if others.size == 0:
             continue
         comparable += own.size * others.size
         step = max(1, CONCORDANCE_BLOCK // others.size)
         for lo in range(0, own.size, step):
             block = own[lo : lo + step, None]
-            concordant += int((block < others).sum())
-            tied += int((block == others).sum())
+            concordant += int(np.count_nonzero(block < others))
+            tied += int(np.count_nonzero(block == others))
     if comparable == 0:
         raise MetricUndefinedError("no comparable pairs; concordance is undefined")
     return (concordant + 0.5 * tied) / comparable
@@ -386,7 +415,9 @@ def _permute_feature(
             statics[:, cols] = statics[rng.permutation(n), cols]
             return SurvivalDataset(
                 schema=schema,
-                records=[replace(r, static_features=s) for r, s in zip(records, statics)],
+                records=[SubjectRecord(r.id, s, r.series, r.series_mask, r.duration, r.event,
+                                       r.series_times)
+                         for r, s in zip(records, statics)],
             )
         offset += width
     if feature in schema.time_varying:
@@ -405,7 +436,8 @@ def _permute_feature(
                 mask = r.series_mask.copy()
                 series[:, col] = records[j].series[:, col]
                 mask[:, col] = records[j].series_mask[:, col]
-                new_records[i] = replace(r, series=series, series_mask=mask)
+                new_records[i] = SubjectRecord(r.id, r.static_features, series, mask,
+                                               r.duration, r.event, r.series_times)
         return SurvivalDataset(schema=schema, records=new_records)
     raise ContractError(f"unknown feature '{feature}'")
 

@@ -7,7 +7,8 @@ that the forward-only one replaces, the per-parameter Adam loop that the
 flat update replaces, the serial grid search and seed refits that the
 worker pool replaces, the record-by-record data preparation and quantile
 fit that the stacked ones replace, the row-by-row CSV loader that the
-column parse replaces, and the synthetic generator's true cumulative incidence. Kept deliberately naive: different formulation, same
+column parse replaces, the ``dataclasses.replace`` shuffle of permutation
+importance, and the synthetic generator's true cumulative incidence. Kept deliberately naive: different formulation, same
 definition as the fast paths. ``static_record`` builds a hand-made record
 of static data."""
 
@@ -154,9 +155,9 @@ def naive_brier(curves, durations, events, t):
 
 
 # The per-event-subject concordance and the per-time IPCW functions that
-# the metrics module replaced with one pass per distinct event time and one
-# sweep over the evaluation times, kept verbatim; the fast paths must match
-# them bit for bit, errors included.
+# the metrics module replaced with whole-array counts over event times and
+# one sweep over the evaluation times, kept verbatim; the fast paths must
+# match them bit for bit, errors included.
 
 
 def concordance_td_reference(curves: SurvivalCurves, durations, events) -> float:
@@ -286,6 +287,52 @@ def integrated_bll_reference(
         [binomial_ll_reference(curves, durations, events, t, censor_sf) for t in times]
     )
     return float(-np.trapezoid(lls, times) / (times[-1] - times[0]))
+
+
+# The shuffle that permutation importance scores, as it was before the
+# records were built with the constructor, kept verbatim.
+
+
+def permute_feature_reference(
+    ds: SurvivalDataset, feature: str, rng: np.random.Generator
+) -> SurvivalDataset:
+    """The shuffled copy of ``ds`` that ``permutation_importance`` scores,
+    each record rebuilt with ``dataclasses.replace``."""
+    schema = ds.schema
+    n = len(ds)
+    records = list(ds.records)
+    blocks = [(name, 1) for name in schema.numeric_static]
+    blocks += [(name, len(cats)) for name, cats in schema.categorical_static.items()]
+    offset = 0
+    for name, width in blocks:
+        if name == feature:
+            statics = np.stack([r.static_features for r in records])
+            cols = slice(offset, offset + width)
+            statics[:, cols] = statics[rng.permutation(n), cols]
+            return SurvivalDataset(
+                schema=schema,
+                records=[replace(r, static_features=s) for r, s in zip(records, statics)],
+            )
+        offset += width
+    if feature in schema.time_varying:
+        col = schema.time_varying.index(feature)
+        # whole trajectories swap only between subjects with equal length
+        by_len: dict[int, list[int]] = {}
+        for i, r in enumerate(records):
+            by_len.setdefault(r.n_steps, []).append(i)
+        new_records = list(records)
+        for _, idxs in sorted(by_len.items()):
+            idxs = np.array(idxs)
+            perm = idxs[rng.permutation(len(idxs))]
+            for i, j in zip(idxs, perm):
+                r = new_records[i]
+                series = r.series.copy()
+                mask = r.series_mask.copy()
+                series[:, col] = records[j].series[:, col]
+                mask[:, col] = records[j].series_mask[:, col]
+                new_records[i] = replace(r, series=series, series_mask=mask)
+        return SurvivalDataset(schema=schema, records=new_records)
+    raise ContractError(f"unknown feature '{feature}'")
 
 
 def constant_curves(value: float, n: int, t_max: float) -> SurvivalCurves:

@@ -3,6 +3,7 @@ and slow brute-force implementations written independently of the fast
 paths (different formulation, same definition)."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from oracles import (
     naive_brier,
     naive_concordance,
     naive_km_value,
+    permute_feature_reference,
     random_instance,
 )
 
@@ -348,6 +350,53 @@ def test_concordance_blocks_do_not_change_the_count(monkeypatch, cap):
         assert concordance_td(*inst) == w == concordance_td_reference(*inst)
 
 
+def lone_time_instance(seed, censored_ties, event_ties):
+    """Distinct durations on curves whose knots lie inside (0, 10): event
+    times before the first knot, on the first and last knots and past the
+    last, then ``censored_ties`` censored subjects moved onto event times and
+    up to ``event_ties`` event subjects moved onto other event times. A
+    quarter of the curves copy another curve and a quarter copy another's
+    end values, so some pairs tie, some only outside the knot range."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 80))
+    knots = np.sort(rng.choice(np.arange(1, 100) / 10, int(rng.integers(2, 9)), replace=False))
+    values = np.sort(rng.random((n, knots.size)), axis=1)[:, ::-1]
+    values[rng.integers(0, n, n // 4)] = values[rng.integers(0, n, n // 4)]
+    ends = rng.integers(0, n, (2, n // 4))
+    values[ends[0][:, None], [0, -1]] = values[ends[1][:, None], [0, -1]]
+    durations = rng.uniform(0.0, 12.0, size=n)
+    durations[:4] = [knots[0] * rng.random(), knots[0], knots[-1], knots[-1] + rng.random()]
+    assert np.unique(durations).size == n
+    events = rng.integers(0, 2, size=n)
+    events[:4] = 1
+    event_idx = np.flatnonzero(events)
+    for i in rng.choice(np.flatnonzero(events == 0), min(censored_ties, n - event_idx.size),
+                        replace=False):
+        durations[i] = durations[rng.choice(event_idx)]
+    movers = event_idx[4:]  # the first subject's time stays a lone event time
+    for i in rng.choice(movers, min(event_ties, movers.size), replace=False):
+        durations[i] = durations[rng.choice(event_idx[1:])]
+    return SurvivalCurves(knots, values), durations, events
+
+
+@given(seed=st.integers(0, 10_000), censored_ties=st.integers(0, 6),
+       event_ties=st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_concordance_over_lone_event_times_equals_the_references(seed, censored_ties,
+                                                                  event_ties):
+    curves, durations, events = lone_time_instance(seed, censored_ties, event_ties)
+    times, counts = np.unique(durations[events == 1], return_counts=True)
+    assert np.any(counts == 1) and times[0] < curves.times[0] < curves.times[-1] < times[-1]
+    naive = naive_concordance(curves, durations, events)
+    want = outcome(concordance_td_reference, curves, durations, events)
+    assert want == (naive if naive is not None else
+                    (MetricUndefinedError, "no comparable pairs; concordance is undefined"))
+    for cap in (1, 7, metrics.CONCORDANCE_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "CONCORDANCE_BLOCK", cap)
+            assert outcome(concordance_td, curves, durations, events) == want
+
+
 def test_evaluate_all_checks_and_fits_once(monkeypatch):
     rng = np.random.default_rng(14)
     durations, events, curves = random_instance(rng, 60)
@@ -540,3 +589,63 @@ def test_permuting_a_series_feature_moves_whole_trajectories_within_a_length():
         assert np.array_equal(r_out.series_times, r_in.series_times)
     for r, (series, mask) in zip(records, snapshot):
         assert np.array_equal(r.series, series) and np.array_equal(r.series_mask, mask)
+
+
+def ragged_dataset(seed, n=40):
+    """Numeric, categorical and series features, with 1 to 4 visits per
+    subject."""
+    rng = np.random.default_rng(seed)
+    schema = FeatureSchema(["age", "bmi"], {"site": ["a", "b", "c"], "sex": ["f", "m"]},
+                           ["hr", "map"], "duration", "event")
+    records = []
+    for i in range(n):
+        j = int(rng.integers(1, 5))
+        statics = np.concatenate([rng.normal(size=2), np.eye(3)[rng.integers(3)],
+                                  np.eye(2)[rng.integers(2)]])
+        records.append(SubjectRecord(f"s{i}", statics, rng.standard_normal((j, 2)),
+                                     rng.random((j, 2)) < 0.7, float(rng.uniform(1, 9)),
+                                     int(rng.integers(2)), np.sort(rng.uniform(0, 1, j))))
+    return SurvivalDataset(schema, records)
+
+
+def test_permuted_records_equal_the_replace_reference():
+    ds = ragged_dataset(2)
+    fast, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(2):  # a second round draws from the advanced generators
+        for feature in ds.schema.feature_names():
+            got = _permute_feature(ds, feature, fast)
+            want = permute_feature_reference(ds, feature, ref)
+            assert got.schema is want.schema and got.truth is want.truth
+            assert len(got.records) == len(want.records) == len(ds.records)
+            for g, w, r in zip(got.records, want.records, ds.records):
+                for f in fields(SubjectRecord):
+                    a, b, orig = getattr(g, f.name), getattr(w, f.name), getattr(r, f.name)
+                    if isinstance(b, np.ndarray):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                        # an array the shuffle leaves alone is the input's own
+                        assert (a is orig) == (b is orig)
+                    else:
+                        assert type(a) is type(b) and a == b
+            assert fast.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(ContractError, match="unknown feature 'nope'"):
+        _permute_feature(ds, "nope", fast)
+
+
+def test_permutation_importance_ranking_equals_the_replace_reference(monkeypatch):
+    ds = ragged_dataset(3, n=120)
+    w_static = np.random.default_rng(4).normal(size=7)
+
+    def predict(d):
+        last = np.array([np.where(r.series_mask[-1], r.series[-1], 0.0) for r in d.records])
+        x = np.stack([r.static_features for r in d.records]) @ w_static + last @ [1.5, -0.5]
+        s = 1.0 / (1.0 + np.exp(x))
+        return SurvivalCurves(np.array([0.0, 10.0]), np.stack([s, s * 0.5], axis=1))
+
+    got = permutation_importance(predict, ds, n_repeats=3, seed=6)
+    monkeypatch.setattr(metrics, "_permute_feature", permute_feature_reference)
+    assert got == permutation_importance(predict, ds, n_repeats=3, seed=6)
+    static = generate_synthetic(200, 4, 0.3, seed=8)
+    predict = truth_predictor(static.truth.weights, float(static.durations().max()))
+    want = permutation_importance(predict, static, n_repeats=2, seed=1)
+    monkeypatch.undo()
+    assert permutation_importance(predict, static, n_repeats=2, seed=1) == want
