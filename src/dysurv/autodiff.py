@@ -113,11 +113,17 @@ def _check_finite(value: Array, op: str) -> None:
         raise NumericalError(f"non-finite value produced by op '{op}'")
 
 
-def _sigmoid(x: Array) -> Array:
-    # split by sign so exp never overflows
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+def _sigmoid(x: Array, out: Array | None = None) -> Array:
+    """1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    so exp never overflows; written into ``out`` when given, which may be
+    ``x`` itself. With e = exp(-|x|) <= 1, the numerator max(e, x >= 0) is
+    1 or e as the sign asks, so each entry takes the IEEE operations of
+    ``where(x >= 0, 1 / (1 + e), e / (1 + e))`` in six array passes."""
+    e = np.copysign(x, -1.0)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    return np.divide(num, e, out=out)
 
 
 def _softmax(x: Array) -> Array:
@@ -160,23 +166,53 @@ def dense_values(x: Array, w: Array, b: Array, activation: str) -> Array:
     return out
 
 
-def lstm_values(xs: Sequence[Array], wx: Array, wh: Array, b: Array, keep: bool = False):
-    """Single-layer LSTM over float64 (batch, d_in) steps; the forward of
+def _steps_array(steps, d_in: int) -> Array:
+    """The LSTM input as one float64 (T, batch, d_in) array.
+
+    ``steps`` is either that array, used as it is (a view such as
+    ``x.transpose(1, 0, 2)`` of a (batch, T, d_in) stack included), or a
+    sequence of T numpy arrays of shape (batch, d_in), stacked once into a
+    new array. Anything else, or no step at all, raises ``ContractError``
+    listing the shapes it got.
+    """
+    if isinstance(steps, np.ndarray):
+        x, shapes = steps, steps.shape
+    else:
+        shapes = [getattr(s, "shape", type(s).__name__) for s in steps]
+        ok = shapes and all(isinstance(s, np.ndarray) and s.ndim == 2 for s in steps) \
+            and all(shape == shapes[0] for shape in shapes)
+        x = np.stack(steps) if ok else None
+    if x is None or x.ndim != 3 or x.shape[0] == 0 or x.shape[2] != d_in:
+        raise ContractError(
+            f"lstm needs one or more (batch, {d_in}) steps, given as a list or "
+            f"stacked (T, batch, {d_in}), got shapes {shapes}"
+        )
+    return x if x.dtype == np.float64 else x.astype(np.float64)
+
+
+def lstm_values(steps, wx: Array, wh: Array, b: Array, keep: bool = False):
+    """Single-layer LSTM over T steps of (batch, d_in); the forward of
     :meth:`Tape.lstm` and of tape-free inference.
 
-    Gate weights are stacked in the order i, f, o, g: ``wx`` is (d_in, 4
-    hidden), ``wh`` (hidden, 4 hidden) and ``b`` (4 hidden). h and c start
-    at zero, so the first step has no recurrent term and its forget gate
-    multiplies nothing. Every step input, every step's pre-activation and
-    the final h are checked, and a non-finite one raises
-    ``NumericalError`` naming ``'lstm'``.
+    ``steps`` is one (T, batch, d_in) array, which may be a strided view,
+    or a list of (batch, d_in) arrays, stacked once (see
+    :func:`_steps_array`). Gate weights are stacked in the order i, f, o,
+    g: ``wx`` is (d_in, 4 hidden), ``wh`` (hidden, 4 hidden) and ``b`` (4
+    hidden). h and c start at zero, so the first step has no recurrent
+    term and its forget gate multiplies nothing. The input is checked once
+    as a whole, then every step's pre-activation and the final h are
+    checked, and a non-finite one raises ``NumericalError`` naming
+    ``'lstm'``.
 
     Returns the final hidden state (batch, hidden). With ``keep`` it
     returns ``(h, gates, cells, tanh_cells)``, what backpropagation through
     time reads: the gate activations, written over their pre-activations
     in one (T, batch, 4 hidden) buffer (step 0 leaves its unused forget
     block as it is), and c_t and tanh(c_t) as (T, batch, hidden).
-    Without it every step reuses one step's buffers.
+    Without it every step reuses one step's gate, cell and tanh-cell
+    buffers. Either way the products ``h @ wh`` and i * g and the hidden
+    state are written into buffers allocated once per call, and no step
+    allocates an array of its own beyond the sigmoid's work arrays.
     """
     hid = wh.shape[0]
     if wx.ndim != 2 or wx.shape[1] != 4 * hid or wh.shape != (hid, 4 * hid) \
@@ -185,41 +221,39 @@ def lstm_values(xs: Sequence[Array], wx: Array, wh: Array, b: Array, keep: bool 
             f"lstm weights {wx.shape}, {wh.shape}, {b.shape} are not stacked "
             f"(d_in, 4h), (h, 4h), (4h,)"
         )
-    if not xs or any(x.ndim != 2 or x.shape != (xs[0].shape[0], wx.shape[0]) for x in xs):
-        raise ContractError(
-            f"lstm needs one or more (batch, {wx.shape[0]}) steps, "
-            f"got shapes {[x.shape for x in xs]}"
-        )
-    for x in xs:
-        _check_finite(x, "lstm")
-    batch = xs[0].shape[0]
+    x = _steps_array(steps, wx.shape[0])
+    _check_finite(x, "lstm")
+    n, batch = x.shape[:2]
     gi, gf, go, gg = (slice(k * hid, (k + 1) * hid) for k in range(4))
-    n = len(xs) if keep else 1
-    gates = np.empty((n, batch, 4 * hid))
-    cells = np.empty((n, batch, hid))
-    tanh_cells = np.empty((n, batch, hid))
-    h = c_prev = None
-    for t, x in enumerate(xs):
+    ifo = slice(0, 3 * hid)  # i, f and o are one contiguous column block
+    m = n if keep else 1
+    gates = np.empty((m, batch, 4 * hid))
+    cells = np.empty((m, batch, hid))
+    tanh_cells = np.empty((m, batch, hid))
+    h = np.empty((batch, hid))
+    if n > 1:
+        rec, gain = np.empty((batch, 4 * hid)), np.empty((batch, hid))
+    for t in range(n):
         k = t if keep else 0
         z, c, tc = gates[k], cells[k], tanh_cells[k]
-        np.matmul(x, wx, out=z)
+        np.matmul(x[t], wx, out=z)
         z += b
         if t:
-            z += h @ wh
+            z += np.matmul(h, wh, out=rec)
         _check_finite(z, "lstm")
-        if t:  # i, f and o are one contiguous column block
-            z[:, : 3 * hid] = _sigmoid(z[:, : 3 * hid])
+        if t:
+            _sigmoid(z[:, ifo], out=z[:, ifo])
         else:
             for blk in (gi, go):
-                z[:, blk] = _sigmoid(z[:, blk])
+                _sigmoid(z[:, blk], out=z[:, blk])
         np.tanh(z[:, gg], out=z[:, gg])
-        if t:
-            np.add(z[:, gf] * c_prev, z[:, gi] * z[:, gg], out=c)
+        if t:  # c = f * c_prev + i * g; without keep, cells[-1] is c itself
+            np.multiply(z[:, gf], cells[k - 1], out=c)
+            c += np.multiply(z[:, gi], z[:, gg], out=gain)
         else:
             np.multiply(z[:, gi], z[:, gg], out=c)
         np.tanh(c, out=tc)
-        h = z[:, go] * tc
-        c_prev = c
+        np.multiply(z[:, go], tc, out=h)
     _check_finite(h, "lstm")
     return (h, gates, cells, tanh_cells) if keep else h
 
@@ -317,51 +351,76 @@ class Tape:
 
         return self._push(out, (a,), vjp, "dropout")
 
-    def lstm(self, steps: Sequence[Array], w_x, w_h, b) -> Tensor:
-        """Single-layer LSTM over (batch, d_in) steps; returns the final
-        hidden state (batch, hidden) as one node, computed by
-        :func:`lstm_values`, whose docstring gives the weight layout.
+    def lstm(self, steps, w_x, w_h, b) -> Tensor:
+        """Single-layer LSTM over T steps of (batch, d_in); returns the
+        final hidden state (batch, hidden) as one node, computed by
+        :func:`lstm_values`, whose docstring gives the step layouts and
+        the weight layout.
 
         The steps are constants: the node's parents are the three weights
-        and backward computes no input gradient.
+        and backward computes no input gradient. The node holds the
+        (T, batch, d_in) input, a strided view when given one, and the
+        kernel's gate, cell and tanh-cell buffers. Its vector-Jacobian
+        product allocates its buffers once per call: the (T, batch, 4
+        hidden) gate gradients, two dc buffers it alternates between, four
+        (batch, hidden) work buffers, one of which holds h_{t-1} for the
+        weight gradients, and one per weight-gradient term.
         """
         (wx, w_x), (wh, w_h), (bv, b) = _operand(w_x), _operand(w_h), _operand(b)
-        xs = [np.asarray(x, dtype=np.float64) for x in steps]
-        h, gates, cells, tanh_cells = lstm_values(xs, wx, wh, bv, keep=True)
-        hid, n = wh.shape[0], len(xs)
+        x = _steps_array(steps, wx.shape[0])
+        h, gates, cells, tanh_cells = lstm_values(x, wx, wh, bv, keep=True)
+        n, batch, hid = cells.shape
         gi, gf, go, gg = (slice(k * hid, (k + 1) * hid) for k in range(4))
 
         def vjp(g):
             # every product and sum is taken in the order the per-gate
             # composition of tape ops takes it, so the gradients equal that
-            # graph's wherever BLAS sums a column block as it would alone
+            # graph's wherever BLAS sums a column block as it would alone;
+            # the buffers only drop the temporaries
             dz = np.empty_like(gates)
+            work, tmp, prod, dh_buf = (np.empty((batch, hid)) for _ in range(4))
+            dcs = (np.empty((batch, hid)), np.empty((batch, hid)))
+
+            def sigmoid_gate(block, u, v, a):
+                # ((u * v) * a) * (1 - a), formed in a contiguous buffer and
+                # copied into its column block once: in-place products on a
+                # strided block run row by row
+                np.multiply(np.multiply(u, v, out=work), a, out=work)
+                block[...] = np.multiply(work, np.subtract(1.0, a, out=tmp), out=work)
+
             dh, dc_next, f_next = g, None, None
             for t in range(n - 1, -1, -1):
                 a, d, tc = gates[t], dz[t], tanh_cells[t]
                 i, f, o, cand = a[:, gi], a[:, gf], a[:, go], a[:, gg]
-                d[:, go] = dh * tc * o * (1.0 - o)
-                dc = dh * o * (1.0 - tc * tc)
+                sigmoid_gate(d[:, go], dh, tc, o)
+                dc = dcs[t % 2]  # (dh * o) * (1 - tc * tc) + dc_next * f_next
+                np.multiply(dh, o, out=dc)
+                dc *= np.subtract(1.0, np.multiply(tc, tc, out=tmp), out=tmp)
                 if dc_next is not None:
-                    dc = dc_next * f_next + dc
-                d[:, gi] = dc * cand * i * (1.0 - i)
-                d[:, gg] = dc * i * (1.0 - cand * cand)
+                    dc += np.multiply(dc_next, f_next, out=tmp)
+                sigmoid_gate(d[:, gi], dc, cand, i)
+                np.multiply(dc, i, out=work)  # (dc * i) * (1 - cand * cand)
+                work *= np.subtract(1.0, np.multiply(cand, cand, out=tmp), out=tmp)
+                d[:, gg] = work
                 if t:
-                    d[:, gf] = dc * cells[t - 1] * f * (1.0 - f)
-                    dh = d[:, gf] @ wh[:, gf].T
+                    sigmoid_gate(d[:, gf], dc, cells[t - 1], f)
+                    dh = np.matmul(d[:, gf], wh[:, gf].T, out=dh_buf)
                     for blk in (gg, go, gi):
-                        dh += d[:, blk] @ wh[:, blk].T
+                        dh += np.matmul(d[:, blk], wh[:, blk].T, out=prod)
                 else:
                     d[:, gf] = 0.0
                 dc_next, f_next = dc, f
             # weight gradients accumulate over steps in forward order
-            d_wx, d_b = xs[0].T @ dz[0], dz[0].sum(axis=0)
+            d_wx, d_b = x[0].T @ dz[0], dz[0].sum(axis=0)
             d_wh = np.zeros_like(wh)
+            if n > 1:
+                p_wx, p_wh, p_b = np.empty_like(d_wx), np.empty_like(d_wh), np.empty_like(d_b)
+            h_prev = prod
             for t in range(1, n):
-                d_wx = d_wx + xs[t].T @ dz[t]
-                d_b = d_b + dz[t].sum(axis=0)
-                h_prev = gates[t - 1][:, go] * tanh_cells[t - 1]
-                d_wh = d_wh + h_prev.T @ dz[t]
+                d_wx += np.matmul(x[t].T, dz[t], out=p_wx)
+                d_b += dz[t].sum(axis=0, out=p_b)
+                np.multiply(gates[t - 1][:, go], tanh_cells[t - 1], out=h_prev)
+                d_wh += np.matmul(h_prev.T, dz[t], out=p_wh)
             return d_wx, d_wh, d_b
 
         return self._append(h, (w_x, w_h, b), vjp)

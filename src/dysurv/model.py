@@ -190,7 +190,7 @@ def draw_dropout_masks(
 def forward_graph(
     tape: Tape,
     params: DySurvParams,
-    x_steps: list[Array],
+    x_steps: Array | list[Array],
     *,
     cond: Array | None = None,
     eps: Array | None = None,
@@ -200,7 +200,12 @@ def forward_graph(
 ):
     """Build the full forward pass on the tape for a batch.
 
-    ``x_steps`` is the input split per timestep, each (batch, d_in).
+    ``x_steps`` is the encoder input: one (seq_len, batch, d_in) array,
+    which may be a view such as ``x.transpose(1, 0, 2)`` of a (batch,
+    seq_len, d_in) stack and is then read in place, or a list of
+    (batch, d_in) steps, which the encoder stacks once. The encoder's tape
+    node holds that array and its gate and cell buffers until the tape
+    goes.
     The survival head always reads mu. Passing ``eps`` samples
     z = mu + eps * sigma for the decoder; without it z is mu. Passing
     ``cond`` builds the reconstruction branch. Returns (mu, logvar, z,
@@ -280,8 +285,7 @@ def predict_risk_batch(params: DySurvParams, x: Array) -> Array:
             f"expected (batch, {params.seq_len}, {params.d_in}) inputs, got {x.shape}"
         )
     enc = params.encoder
-    steps = [x[:, j, :] for j in range(params.seq_len)]
-    s = lstm_values(steps, enc.w_x.value, enc.w_h.value, enc.b.value)
+    s = lstm_values(x.transpose(1, 0, 2), enc.w_x.value, enc.w_h.value, enc.b.value)
     for layer in (params.mu_head, *params.survival):
         s = dense_values(s, layer.weight.value, layer.bias.value, layer.activation)
     return s

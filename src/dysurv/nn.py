@@ -113,9 +113,13 @@ def init_lstm(rng: np.random.Generator, d_in: int, hidden: int, name: str) -> LS
     )
 
 
-def lstm_forward(tape: Tape, cell: LSTMCellParams, steps: list[Array]) -> Tensor:
-    """Run the cell over a sequence of (batch, d_in) inputs; returns the
-    final hidden state (batch, hidden), recorded as one fused tape node.
-    Raises ContractError for an empty sequence or a step of another shape.
+def lstm_forward(tape: Tape, cell: LSTMCellParams, steps: Array | list[Array]) -> Tensor:
+    """Run the cell over T steps of (batch, d_in) inputs, given as one
+    (T, batch, d_in) array (a strided view is read in place) or as a list
+    of (batch, d_in) arrays, stacked once; returns the final hidden state
+    (batch, hidden), recorded as one fused tape node that holds the input
+    and the (T, batch, ·) gate and cell buffers its backward reads.
+    Raises ContractError for no step, a step that is not a 2-D numpy
+    array, or steps of different or wrong shapes.
     """
     return tape.lstm(steps, cell.w_x, cell.w_h, cell.b)

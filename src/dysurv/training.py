@@ -231,7 +231,7 @@ def _batch_graph(
     evaluation: z = mu, dropout off. Returns (total, l1, l2) tensors."""
     xb = data.x[idx]
     batch = xb.shape[0]
-    steps = [np.ascontiguousarray(xb[:, j, :]) for j in range(data.seq_len)]
+    steps = xb.transpose(1, 0, 2)
     use_vae = config.alpha < 1.0
     training = rng is not None
     masks = None

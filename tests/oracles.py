@@ -3,7 +3,9 @@ tests and the acceptance gate, the per-event-subject concordance and
 per-time IPCW scores that the batched metrics replace, numpy references
 for the tape losses, the tape primitives and compositions that the fused
 LSTM, dense, latent and loss nodes replace, the tape-recording inference
-that the forward-only one replaces, the per-parameter Adam loop that the
+that the forward-only one replaces, the fused LSTM kernel and its
+backpropagation through time as they ran before their buffers were
+reused, the per-parameter Adam loop that the
 flat update replaces, the serial grid search and seed refits that the
 worker pool replaces, the record-by-record data preparation and quantile
 fit that the stacked ones replace, the row-by-row CSV loader that the
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from dysurv import training
-from dysurv.autodiff import _ACTIVATIONS, Param, Tape, Tensor, _operand
+from dysurv.autodiff import _ACTIVATIONS, Param, Tape, Tensor, _check_finite, _operand
 from dysurv.data import (
     FeatureSchema,
     QuantileTransform,
@@ -678,6 +680,101 @@ def lstm_forward_reference(tape, gates, steps):
             c = tape.add(tape.mul(f, c), gain)
         h = tape.mul(o, tape.tanh(c))
     return h
+
+
+def _sigmoid_reference(x):
+    # split by sign so exp never overflows
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def lstm_values_reference(xs, wx, wh, b, keep=False):
+    """The fused LSTM forward over a list of (batch, d_in) steps as it ran
+    before its buffers were reused: the ``where`` sigmoid, one input
+    check per step, and a new array for every product."""
+    hid = wh.shape[0]
+    if wx.ndim != 2 or wx.shape[1] != 4 * hid or wh.shape != (hid, 4 * hid) \
+            or b.shape != (4 * hid,):
+        raise ContractError(
+            f"lstm weights {wx.shape}, {wh.shape}, {b.shape} are not stacked "
+            f"(d_in, 4h), (h, 4h), (4h,)"
+        )
+    if not xs or any(x.ndim != 2 or x.shape != (xs[0].shape[0], wx.shape[0]) for x in xs):
+        raise ContractError(
+            f"lstm needs one or more (batch, {wx.shape[0]}) steps, "
+            f"got shapes {[x.shape for x in xs]}"
+        )
+    for x in xs:
+        _check_finite(x, "lstm")
+    batch = xs[0].shape[0]
+    gi, gf, go, gg = (slice(k * hid, (k + 1) * hid) for k in range(4))
+    n = len(xs) if keep else 1
+    gates = np.empty((n, batch, 4 * hid))
+    cells = np.empty((n, batch, hid))
+    tanh_cells = np.empty((n, batch, hid))
+    h = c_prev = None
+    for t, x in enumerate(xs):
+        k = t if keep else 0
+        z, c, tc = gates[k], cells[k], tanh_cells[k]
+        np.matmul(x, wx, out=z)
+        z += b
+        if t:
+            z += h @ wh
+        _check_finite(z, "lstm")
+        if t:  # i, f and o are one contiguous column block
+            z[:, : 3 * hid] = _sigmoid_reference(z[:, : 3 * hid])
+        else:
+            for blk in (gi, go):
+                z[:, blk] = _sigmoid_reference(z[:, blk])
+        np.tanh(z[:, gg], out=z[:, gg])
+        if t:
+            np.add(z[:, gf] * c_prev, z[:, gi] * z[:, gg], out=c)
+        else:
+            np.multiply(z[:, gi], z[:, gg], out=c)
+        np.tanh(c, out=tc)
+        h = z[:, go] * tc
+        c_prev = c
+    _check_finite(h, "lstm")
+    return (h, gates, cells, tanh_cells) if keep else h
+
+
+def lstm_vjp_reference(steps, wx, wh, b, g):
+    """``(d_wx, d_wh, d_b)`` for upstream gradient ``g`` on the final h:
+    the fused node's backpropagation through time as it ran before its
+    buffers were reused, over ``lstm_values_reference``'s kept buffers."""
+    xs = [np.asarray(x, dtype=np.float64) for x in steps]
+    h, gates, cells, tanh_cells = lstm_values_reference(xs, wx, wh, b, keep=True)
+    hid, n = wh.shape[0], len(xs)
+    gi, gf, go, gg = (slice(k * hid, (k + 1) * hid) for k in range(4))
+    dz = np.empty_like(gates)
+    dh, dc_next, f_next = g, None, None
+    for t in range(n - 1, -1, -1):
+        a, d, tc = gates[t], dz[t], tanh_cells[t]
+        i, f, o, cand = a[:, gi], a[:, gf], a[:, go], a[:, gg]
+        d[:, go] = dh * tc * o * (1.0 - o)
+        dc = dh * o * (1.0 - tc * tc)
+        if dc_next is not None:
+            dc = dc_next * f_next + dc
+        d[:, gi] = dc * cand * i * (1.0 - i)
+        d[:, gg] = dc * i * (1.0 - cand * cand)
+        if t:
+            d[:, gf] = dc * cells[t - 1] * f * (1.0 - f)
+            dh = d[:, gf] @ wh[:, gf].T
+            for blk in (gg, go, gi):
+                dh += d[:, blk] @ wh[:, blk].T
+        else:
+            d[:, gf] = 0.0
+        dc_next, f_next = dc, f
+    # weight gradients accumulate over steps in forward order
+    d_wx, d_b = xs[0].T @ dz[0], dz[0].sum(axis=0)
+    d_wh = np.zeros_like(wh)
+    for t in range(1, n):
+        d_wx = d_wx + xs[t].T @ dz[t]
+        d_b = d_b + dz[t].sum(axis=0)
+        h_prev = gates[t - 1][:, go] * tanh_cells[t - 1]
+        d_wh = d_wh + h_prev.T @ dz[t]
+    return d_wx, d_wh, d_b
 
 
 # ---------------------------------------------------------------------------

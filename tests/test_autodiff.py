@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dysurv.autodiff import Param, _check_finite, finite_difference_check
+from dysurv.autodiff import Param, _check_finite, _sigmoid, finite_difference_check
 from dysurv.errors import (
     ContractError,
     DomainError,
@@ -49,6 +49,24 @@ def test_sigmoid_matches_the_three_exp_formula_bit_for_bit():
     got = ReferenceTape().sigmoid(x).value
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_sigmoid_writes_over_the_strided_block_it_reads():
+    rng = np.random.default_rng(17)
+    wide = 50.0 * rng.standard_normal((64, 40))
+    wide[0, 8:20] = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 709.0, -709.0,
+                     745.0, -745.0, 746.0, -746.0]
+    before = wide.copy()
+    block = wide[:, 8:32]
+    assert _sigmoid(block, out=block) is block
+    x = before[:, 8:32]
+    e = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert np.array_equal(block, want)
+    assert np.array_equal(np.signbit(block), np.signbit(want))
+    # the columns around the block are untouched
+    assert np.array_equal(wide[:, :8], before[:, :8])
+    assert np.array_equal(wide[:, 32:], before[:, 32:])
 
 
 @pytest.mark.parametrize(

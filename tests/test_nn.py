@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dysurv import autodiff
-from dysurv.autodiff import Param, Tape, finite_difference_check
+from dysurv.autodiff import Param, Tape, finite_difference_check, lstm_values
 from dysurv.errors import ContractError, NumericalError
 from dysurv.nn import (
     ACTIVATIONS,
@@ -21,6 +21,8 @@ from oracles import (
     dense_forward_reference,
     init_lstm_reference,
     lstm_forward_reference,
+    lstm_values_reference,
+    lstm_vjp_reference,
     max_rel_diff,
     split_lstm_cell,
     stack_lstm_grads,
@@ -203,6 +205,30 @@ def test_lstm_step_shape_errors():
         lstm_forward(tape, cell, [np.ones((2, 5))])
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [np.ones((2, 3)), np.ones((2, 4))],  # ragged widths
+        [np.ones((2, 3)), np.ones((3, 3))],  # ragged batch sizes
+        [np.ones((2, 3)), np.ones((2, 3, 1))],  # a step of the wrong rank
+        np.ones((2, 3)),  # a stacked input of the wrong rank
+        [[[1.0, 2.0, 3.0]]],  # a step that is not an array
+        [np.ones((1, 3)), 1.0],  # a number among the steps
+        np.ones((0, 2, 3)),  # no step, stacked
+        np.ones((4, 2, 5)),  # the wrong width for the weights, stacked
+    ],
+    ids=["widths", "batches", "step_rank", "stacked_rank", "nested_list", "number",
+         "empty_array", "stacked_width"],
+)
+def test_lstm_steps_that_do_not_stack_raise_contract_error(steps):
+    cell = init_lstm(np.random.default_rng(8), 3, 4, "enc")
+    values = [p.value for p in cell.parameters()]
+    with pytest.raises(ContractError, match="got shapes"):
+        lstm_values(steps, *values)
+    with pytest.raises(ContractError, match="got shapes"):
+        Tape().lstm(steps, *cell.parameters())
+
+
 def test_lstm_non_finite_step_input_raises():
     cell = init_lstm(np.random.default_rng(9), 3, 4, "enc")
     x = np.ones((2, 3))
@@ -238,5 +264,74 @@ def test_lstm_node_checks_each_value_once(monkeypatch):
     cell = init_lstm(np.random.default_rng(13), 3, 4, "enc")
     calls = count_checks(monkeypatch)
     Tape().lstm([np.ones((2, 3))] * 5, *cell.parameters())
-    # each step input, each step's pre-activation, then h
-    assert calls == [(2, 3)] * 5 + [(2, 16)] * 5 + [(2, 4)]
+    # the stacked input once, each step's pre-activation, then h
+    assert calls == [(5, 2, 3)] + [(2, 16)] * 5 + [(2, 4)]
+
+
+# the encoder kernel against its frozen pre-buffer form, bit for bit
+
+LAYOUTS = ("strided_list", "contiguous_list", "stacked_view", "stacked")
+
+
+def steps_in_layout(x, layout):
+    """A (batch, T, d_in) stack as the steps in one of the accepted layouts."""
+    if layout == "strided_list":
+        return [x[:, t, :] for t in range(x.shape[1])]
+    if layout == "contiguous_list":
+        return [np.ascontiguousarray(x[:, t, :]) for t in range(x.shape[1])]
+    if layout == "stacked_view":
+        return x.transpose(1, 0, 2)
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+
+def kernel_case(batch, n_steps, d_in=9, hidden=24):
+    """A cell with noisy biases, inputs that saturate some gates, and an
+    upstream gradient on h; the reference reads contiguous steps, as
+    training passed them."""
+    rng = np.random.default_rng(1000 * batch + n_steps)
+    cell = init_lstm(rng, d_in, hidden, "enc")
+    cell.b.value += 0.5 * rng.standard_normal(cell.b.value.shape)
+    x = 3.0 * rng.standard_normal((batch, n_steps, d_in))
+    g = rng.standard_normal((batch, hidden))
+    return cell, x, g, steps_in_layout(x, "contiguous_list")
+
+
+def without_step0_forget(gates):
+    # step 0 leaves its forget block unwritten, so its content is arbitrary
+    gates = gates.copy()
+    hid = gates.shape[-1] // 4
+    gates[0, :, hid : 2 * hid] = 0.0
+    return gates
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("n_steps", [1, 12])
+@pytest.mark.parametrize("batch", [1, 2, 3, 128, 1024])
+def test_lstm_kernel_equals_the_frozen_reference(batch, n_steps, keep, layout):
+    cell, x, _, ref_steps = kernel_case(batch, n_steps)
+    values = [p.value for p in cell.parameters()]
+    got = lstm_values(steps_in_layout(x, layout), *values, keep=keep)
+    want = lstm_values_reference(ref_steps, *values, keep=keep)
+    if not keep:
+        assert np.array_equal(got, want)
+        return
+    (h, gates, cells, tanh_cells), (rh, rgates, rcells, rtanh) = got, want
+    assert np.array_equal(h, rh)
+    assert np.array_equal(without_step0_forget(gates), without_step0_forget(rgates))
+    assert np.array_equal(cells, rcells)
+    assert np.array_equal(tanh_cells, rtanh)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("n_steps", [1, 12])
+@pytest.mark.parametrize("batch", [1, 2, 3, 128, 1024])
+def test_lstm_vjp_equals_the_frozen_reference(batch, n_steps, layout):
+    cell, x, g, ref_steps = kernel_case(batch, n_steps)
+    tape = ReferenceTape()
+    h = tape.lstm(steps_in_layout(x, layout), cell.w_x, cell.w_h, cell.b)
+    # the sum of h * g hands the lstm node g itself
+    grads = tape.backward(tape.sum(tape.mul(h, g)), cell.parameters())
+    want = lstm_vjp_reference(ref_steps, *(p.value for p in cell.parameters()), g)
+    for p, ref in zip(cell.parameters(), want, strict=True):
+        assert np.array_equal(grads[p.name], ref), p.name
