@@ -67,6 +67,7 @@ from .training import (
     History,
     MultiSeedReport,
     SplitArrays,
+    SplitRecord,
     TrainConfig,
     adam_step,
     fit,

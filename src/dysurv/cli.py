@@ -44,6 +44,8 @@ from .metrics import (
 from .model import ModelConfig
 from .pipeline import DEFAULT_BINS, Predictor, prepare_splits
 from .training import (
+    Checkpoint,
+    SplitRecord,
     TrainConfig,
     fit,
     gradient_check,
@@ -121,6 +123,20 @@ def _checkpoint_path(args, out: Path) -> Path:
     return out / "checkpoint.bin"
 
 
+def _scored_split(args, out: Path) -> tuple[SurvivalDataset, Checkpoint, SurvivalDataset]:
+    """The data, the checkpoint and the test split of ``--seed``. Refuses a
+    split whose training subjects are not the ones the checkpoint records:
+    its test split would hold training subjects. A checkpoint that records
+    no split is scored as it is."""
+    ds = _load_dataset(args)
+    ckpt = load_checkpoint(_checkpoint_path(args, out), expected_schema=ds.schema)
+    train_ds, _, test_ds = split_dataset(ds, args.seed)
+    if ckpt.split not in (None, SplitRecord.of(args.seed, [r.id for r in train_ds.records])):
+        raise ConfigError(f"the checkpoint was trained on the split of --seed {ckpt.split.seed}; "
+                          f"--seed {args.seed} on this data gives other training subjects")
+    return ds, ckpt, test_ds
+
+
 def _model_config(args) -> ModelConfig:
     return ModelConfig(hidden_size=args.hidden, z_dim=args.z_dim)
 
@@ -195,7 +211,7 @@ def cmd_train(args) -> int:
     save_checkpoint(
         ckpt_path, params,
         schema=prep.schema, grid=prep.grid, train_config=config, transform=prep.transform,
-        grid_search=grid_result,
+        grid_search=grid_result, split=SplitRecord.of(args.seed, prep.train_ids),
     )
     artifacts.append(ckpt_path)
     history.to_csv(out / "history.csv")
@@ -219,9 +235,7 @@ def cmd_evaluate(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     out = _out_dir(args)
-    ds = _load_dataset(args)
-    ckpt = load_checkpoint(_checkpoint_path(args, out), expected_schema=ds.schema)
-    _, _, test_ds = split_dataset(ds, args.seed)
+    ds, ckpt, test_ds = _scored_split(args, out)
     if args.horizon is not None:  # a bad horizon fails before any file is written
         labels, include = horizon_labels(test_ds.durations(), test_ds.events(), args.horizon)
     artifacts: list[Path] = []
@@ -312,10 +326,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_importance(args) -> int:
     out = _out_dir(args)
-    ds = _load_dataset(args)
-    ckpt = load_checkpoint(_checkpoint_path(args, out), expected_schema=ds.schema)
+    _, ckpt, test_ds = _scored_split(args, out)
     predictor = Predictor.from_checkpoint(ckpt)
-    _, _, test_ds = split_dataset(ds, args.seed)
     baseline = concordance_td(
         predictor.curves(test_ds), test_ds.durations(), test_ds.events()
     )

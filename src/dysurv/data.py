@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import itertools
 import json
 import math
 import operator
 import warnings
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from statistics import NormalDist
 
@@ -95,10 +94,6 @@ class FeatureSchema:
             + list(self.categorical_static)
             + list(self.time_varying)
         )
-
-    def hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass
@@ -815,18 +810,19 @@ _NORMAL = NormalDist()
 class QuantileTransform:
     """Per-feature empirical-CDF map to a standard normal.
 
-    ``tables`` maps feature name to (reference quantiles, normal targets).
-    Features constant in the fit data map to 0. Applies to numeric statics
-    and observed series cells; one-hot indicator columns pass through.
+    ``tables`` maps feature name to its reference quantiles; the normal
+    targets follow from a table's length (``_table_levels``). Features
+    constant in the fit data map to 0. Applies to numeric statics and
+    observed series cells; one-hot indicator columns pass through.
     """
 
-    tables: dict[str, tuple[Array, Array]]
+    tables: dict[str, Array]
 
     def transform_values(self, name: str, values: Array) -> Array:
-        refs, targets = self.tables[name]
+        refs = self.tables[name]
         if refs[0] == refs[-1]:
             return np.zeros_like(np.asarray(values, dtype=np.float64))
-        return np.interp(values, refs, targets)
+        return np.interp(values, refs, _table_levels(refs.size)[1])
 
     def apply(self, names: list[str], values: Array, mask: Array | None = None) -> None:
         """Transform ``values`` in place, last-axis column k by the table of
@@ -840,50 +836,43 @@ class QuantileTransform:
             col[obs] = self.transform_values(name, col[obs])
 
     def canonical(self) -> dict:
-        return {
-            name: {"references": refs.tolist(), "targets": targets.tolist()}
-            for name, (refs, targets) in self.tables.items()
-        }
+        return {name: refs.tolist() for name, refs in self.tables.items()}
 
     @staticmethod
     def from_canonical(d: dict) -> "QuantileTransform":
-        """Read back what ``canonical`` wrote. Each entry holds exactly
-        ``references`` and ``targets``: equal-length, non-empty lists of
-        finite numbers, the references nondecreasing. Else SchemaError."""
+        """Read back what ``canonical`` wrote. Each entry is a non-empty list
+        of finite, nondecreasing numbers. Else SchemaError."""
         tables = {}
         for name, entry in d.items():
             # a type scan, not _holds per number: a table holds up to 1000 of them
-            if not (isinstance(entry, dict) and entry.keys() == {"references", "targets"}
-                    and all(isinstance(v, list) and set(map(type, v)) <= {int, float}
-                            for v in entry.values())
-                    and 0 < len(entry["references"]) == len(entry["targets"])):
+            if not (isinstance(entry, list) and entry and set(map(type, entry)) <= {int, float}):
                 raise SchemaError(f"quantile table '{name}' is malformed: {entry!r}")
-            refs = np.array(entry["references"], dtype=np.float64)
-            targets = np.array(entry["targets"], dtype=np.float64)
-            if not (all_finite(refs) and all_finite(targets)) or np.any(np.diff(refs) < 0):
+            refs = np.array(entry, dtype=np.float64)
+            if not all_finite(refs) or np.any(np.diff(refs) < 0):
                 raise SchemaError(
-                    f"quantile table '{name}' needs finite values and nondecreasing references"
+                    f"quantile table '{name}' needs finite, nondecreasing references"
                 )
-            tables[name] = (refs, targets)
+            tables[name] = refs
         return QuantileTransform(tables=tables)
 
 
 @functools.cache
 def _table_levels(n_q: int) -> tuple[Array, Array]:
-    """The probabilities and normal targets of an ``n_q``-entry table,
-    read-only and shared by every table of that length."""
+    """The probabilities and normal targets of an ``n_q``-entry table, shared
+    by every table of that length. Only the probabilities are read-only:
+    ``np.interp`` copies a read-only ``fp`` on every call."""
     probs = np.linspace(0.0, 1.0, n_q) if n_q > 1 else np.array([0.5])
     targets = np.array([_NORMAL.inv_cdf(p) for p in np.clip(probs, _PPF_CLIP, 1 - _PPF_CLIP)])
-    probs.flags.writeable = targets.flags.writeable = False
+    probs.flags.writeable = False
     return probs, targets
 
 
-def _fit_table(values: Array) -> tuple[Array, Array]:
+def _fit_table(values: Array) -> Array:
+    """The reference quantiles of ``values``; one 0 when there are none."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
-        return np.zeros(1), np.zeros(1)
-    probs, targets = _table_levels(min(_MAX_QUANTILES, values.size))
-    return np.quantile(values, probs), targets
+        return np.zeros(1)
+    return np.quantile(values, _table_levels(min(_MAX_QUANTILES, values.size))[0])
 
 
 def fit_quantile_transform(ds: SurvivalDataset) -> QuantileTransform:

@@ -54,14 +54,15 @@ from .model import (
 Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"DYSURV1\x00"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+DIGEST_BYTES = 32  # the sha256 trailer
 EVAL_CHUNK = 1024
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # every checkpoint header's keys; one written after a grid search adds "grid_search"
-HEADER_KEYS = frozenset({"version", "schema_hash", "schema", "grid", "dims", "model_config",
-                         "train_config", "transform", "shapes", "weights_sha256"})
+HEADER_KEYS = frozenset({"version", "schema", "grid", "seq_len", "model_config",
+                         "train_config", "transform", "split"})
 
 
 @dataclass
@@ -659,6 +660,20 @@ def gradient_check(seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SplitRecord:
+    """The split a model was trained on: its seed and the sha256 of the
+    sorted training subject ids as a JSON list."""
+
+    seed: int
+    train_ids_sha256: str
+
+    @staticmethod
+    def of(seed: int, train_ids) -> "SplitRecord":
+        blob = json.dumps(sorted(train_ids)).encode("utf-8")
+        return SplitRecord(seed, hashlib.sha256(blob).hexdigest())
+
+
 @dataclass
 class Checkpoint:
     params: DySurvParams
@@ -666,22 +681,15 @@ class Checkpoint:
     grid: TimeGrid
     train_config: TrainConfig | None
     transform: QuantileTransform | None
-    header: dict
+    split: SplitRecord | None
 
     @property
     def model_config(self) -> ModelConfig:
         return self.params.config
 
 
-def _header_disagreement(schema: FeatureSchema, grid: TimeGrid, d_in, n_bins) -> str | None:
-    """Why ``schema`` and ``grid`` cannot describe a model of this input
-    width and bin count, or None when they can."""
-    width = len(schema.static_columns()) + len(schema.time_varying)
-    if width != d_in:
-        return f"the schema encodes {width} features, the weights read {d_in}"
-    if grid.n_bins != n_bins:
-        return f"the grid has {grid.n_bins} bins, the weights {n_bins}"
-    return None
+def _input_width(schema: FeatureSchema) -> int:  # static columns, then series features
+    return len(schema.static_columns()) + len(schema.time_varying)
 
 
 def save_checkpoint(
@@ -693,14 +701,20 @@ def save_checkpoint(
     train_config: TrainConfig | None = None,
     transform: QuantileTransform | None = None,
     grid_search: GridSearchResult | None = None,
+    split: SplitRecord | None = None,
 ) -> None:
-    """Versioned binary checkpoint: magic, JSON header, float64 weights.
-    Raises ContractError when ``schema`` or ``grid`` does not fit ``params``
-    and NumericalError when a weight is NaN or ±inf, before any file is
-    opened."""
-    why = _header_disagreement(schema, grid, params.d_in, params.n_bins)
-    if why:
-        raise ContractError(f"cannot save this checkpoint: {why}")
+    """Versioned binary checkpoint: magic, header length, JSON header,
+    float64 weights, then the sha256 of all those bytes. ``split`` records
+    the split the model was trained on. Raises ContractError when
+    ``schema`` or ``grid`` does not fit ``params`` and NumericalError when
+    a weight is NaN or ±inf, before any file is opened."""
+    width = _input_width(schema)
+    if width != params.d_in:
+        raise ContractError(f"cannot save this checkpoint: the schema encodes {width} "
+                            f"features, the weights read {params.d_in}")
+    if grid.n_bins != params.n_bins:
+        raise ContractError(f"cannot save this checkpoint: the grid has {grid.n_bins} bins, "
+                            f"the weights {params.n_bins}")
     plist = params.parameters()
     weights = np.concatenate([p.value.ravel() for p in plist]).astype("<f8")
     if not all_finite(weights):
@@ -708,40 +722,39 @@ def save_checkpoint(
         raise NumericalError(f"cannot save this checkpoint: parameter '{bad.name}' is not finite")
     header = {
         "version": CHECKPOINT_VERSION,
-        "schema_hash": schema.hash(),
         "schema": asdict(schema),
         "grid": {"n_bins": grid.n_bins, "t_max": grid.t_max},
-        "dims": {"d_in": params.d_in, "seq_len": params.seq_len, "n_bins": params.n_bins},
+        "seq_len": params.seq_len,
         "model_config": asdict(params.config),
         "train_config": asdict(train_config) if train_config else None,
         "transform": transform.canonical() if transform else None,
-        "shapes": [[p.name, list(p.value.shape)] for p in plist],
+        "split": asdict(split) if split else None,
     }
     if grid_search is not None:
         header["grid_search"] = grid_search.to_json_dict()
-    weight_bytes = weights.tobytes()
-    header["weights_sha256"] = hashlib.sha256(weight_bytes).hexdigest()
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + weights.tobytes()
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(weight_bytes)
+        fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
 
 
 def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Checkpoint:
-    """Read a checkpoint back; reconstruction is bit-exact.
+    """Read a checkpoint back; reconstruction is bit-exact. The input width
+    comes from the schema, the bin count from the grid and the weight
+    shapes from those, ``seq_len`` and the model config.
 
-    ``expected_schema`` guards use on a different dataset: a hash mismatch
-    raises the incompatibility error rather than producing predictions on
-    misaligned features. The file is corrupt when its header keys are not
-    ``HEADER_KEYS`` plus an optional ``grid_search``, when its schema, grid
-    or a config does not hold exactly its dataclass's fields of their
-    declared kinds, when its dims are not exactly the ints ``d_in``,
-    ``seq_len`` and ``n_bins``, when a quantile table is malformed (see
-    ``QuantileTransform.from_canonical``) or the tables are not one per
-    numeric static and series feature of its schema, when its schema or
-    grid disagrees with its dims, and when a weight is not finite.
+    ``expected_schema`` guards use on a different dataset: a schema other
+    than the stored one raises the incompatibility error rather than
+    producing predictions on misaligned features. The file is corrupt when
+    its header keys are not ``HEADER_KEYS`` plus an optional
+    ``grid_search``, when its sha256 trailer does not match the bytes
+    before it, when its schema, grid, a config or its split does not hold
+    exactly its dataclass's fields of their declared kinds, when
+    ``seq_len`` is not a positive int, when a quantile table is malformed
+    (see ``QuantileTransform.from_canonical``) or the tables are not one
+    per numeric static and series feature of its schema, when the weight
+    block does not fit that architecture, and when a weight is not finite.
     """
     try:
         with open(path, "rb") as fh:
@@ -770,18 +783,19 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
         )
     if header.keys() - {"grid_search"} != HEADER_KEYS:
         raise CheckpointCorruptError(f"checkpoint {path} header has keys {sorted(header)}")
+    body, trailer = raw[:-DIGEST_BYTES], raw[-DIGEST_BYTES:]
+    if hashlib.sha256(body).digest() != trailer:
+        raise CheckpointCorruptError(f"checkpoint {path} does not match its sha256 digest")
     try:  # a field that is missing or of the wrong kind fails here
         schema = dataclass_from_json(FeatureSchema, header["schema"])
-        dims = header["dims"]
-        if not (_holds(dict[str, int], dims) and dims.keys() == {"d_in", "seq_len", "n_bins"}):
-            raise SchemaError(f"dims holds exactly the ints d_in, seq_len and n_bins, got {dims!r}")
+        grid = dataclass_from_json(TimeGrid, header["grid"])
+        if not _holds(int, header["seq_len"]):
+            raise SchemaError(f"seq_len must be an int, got {header['seq_len']!r}")
         params = init_dysurv_params(
-            np.random.default_rng(0), dims["d_in"], dims["seq_len"], dims["n_bins"],
+            np.random.default_rng(0), _input_width(schema), header["seq_len"], grid.n_bins,
             dataclass_from_json(ModelConfig, header["model_config"]),
         )
-        stored = [(name, tuple(shape)) for name, shape in header["shapes"]]
-        grid = dataclass_from_json(TimeGrid, header["grid"])
-        train_config, transform = header["train_config"], header["transform"]
+        train_config, transform, split = map(header.get, ("train_config", "transform", "split"))
         if train_config is not None:
             train_config = dataclass_from_json(TrainConfig, train_config)
         if transform is not None:
@@ -789,32 +803,21 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
             if transform.tables.keys() != {*schema.numeric_static, *schema.time_varying}:
                 raise SchemaError(f"quantile tables {sorted(transform.tables)} are not the "
                                   "schema's numeric statics and series features")
+        if split is not None:
+            split = dataclass_from_json(SplitRecord, split)
     except (DySurvError, KeyError, TypeError, ValueError, AttributeError) as err:
         raise CheckpointCorruptError(f"checkpoint {path} header is malformed: {err!r}") from None
-    if schema.hash() != header["schema_hash"]:
-        raise CheckpointCorruptError("schema hash does not match the stored schema")
-    why = _header_disagreement(schema, grid, params.d_in, params.n_bins)
-    if why:
-        raise CheckpointCorruptError(f"checkpoint {path} header disagrees with itself: {why}")
-    if expected_schema is not None and expected_schema.hash() != header["schema_hash"]:
+    if expected_schema is not None and expected_schema != schema:
         raise CheckpointIncompatibleError(
             "checkpoint was trained against a different feature schema"
         )
     plist = params.parameters()
-    built = [(p.name, p.value.shape) for p in plist]
-    if stored != built:
-        raise CheckpointIncompatibleError(
-            "stored parameter shapes do not match this architecture"
-        )
-    n_weights = sum(int(np.prod(s)) for _, s in stored)
-    block = raw[offset:]
+    n_weights = sum(p.value.size for p in plist)
+    block = body[offset:]
     if len(block) != n_weights * 8:
         raise CheckpointCorruptError(
             f"weight block holds {len(block)} bytes, expected {n_weights * 8}"
         )
-    digest = hashlib.sha256(block).hexdigest()
-    if digest != header["weights_sha256"]:
-        raise CheckpointCorruptError("weight block digest mismatch")
     flat = np.frombuffer(block, dtype="<f8")
     if not all_finite(flat):  # the tape checks computed values, not weights
         raise CheckpointCorruptError(f"checkpoint {path} holds a non-finite weight")
@@ -823,11 +826,4 @@ def load_checkpoint(path, expected_schema: FeatureSchema | None = None) -> Check
         size = p.value.size
         p.value[...] = flat[pos : pos + size].reshape(p.value.shape)
         pos += size
-    return Checkpoint(
-        params=params,
-        schema=schema,
-        grid=grid,
-        train_config=train_config,
-        transform=transform,
-        header=header,
-    )
+    return Checkpoint(params, schema, grid, train_config, transform, split)

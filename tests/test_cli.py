@@ -214,7 +214,7 @@ def test_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("horizon", ["nan", "inf", "0"])
 def test_unusable_horizon_is_a_domain_error(trained_dir, tmp_path, capsys, horizon):
-    code = run("evaluate", "--synth", "400,3,0.3", "--out", str(tmp_path),
+    code = run("evaluate", "--synth", SYNTH, "--out", str(tmp_path),
                "--checkpoint", str(trained_dir / "checkpoint.bin"), "--horizon", horizon)
     assert code == 1
     err = capsys.readouterr().err
@@ -224,7 +224,7 @@ def test_unusable_horizon_is_a_domain_error(trained_dir, tmp_path, capsys, horiz
 
 def test_unusable_horizon_writes_no_report(trained_dir, tmp_path):
     out = tmp_path / "ev"
-    code = run("evaluate", "--synth", "400,3,0.3", "--out", str(out),
+    code = run("evaluate", "--synth", SYNTH, "--out", str(out),
                "--checkpoint", str(trained_dir / "checkpoint.bin"), "--horizon", "nan")
     assert code == 1
     assert not (out / "eval_report.json").exists()
@@ -234,7 +234,7 @@ def test_unusable_horizon_writes_no_report(trained_dir, tmp_path):
 def test_undefined_horizon_metric_writes_no_report(trained_dir, tmp_path, capsys):
     # a horizon before every test event leaves no positive label
     out = tmp_path / "ev"
-    code = run("evaluate", "--synth", "400,3,0.3", "--seed", "1", "--out", str(out),
+    code = run("evaluate", "--synth", SYNTH, "--out", str(out),
                "--checkpoint", str(trained_dir / "checkpoint.bin"), "--horizon", "0.000001")
     assert code == 1
     assert capsys.readouterr().err.startswith("E_METRIC_UNDEFINED:")
@@ -268,6 +268,45 @@ def test_multi_seed_evaluate_refuses_a_mistyped_train_config(trained_dir, tmp_pa
     assert err.startswith("E_CORRUPT:") and "batch_size" in err
     assert err.count("\n") == 1
     assert not (out / "eval_report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def leak_run(tmp_path_factory):
+    """The 3000-subject synthetic manifest and a checkpoint trained on its
+    split of --seed 0."""
+    root = tmp_path_factory.mktemp("leak")
+    assert run("synth", "--synth", "3000,5,0.37", "--seed", "7", "--out", str(root)) == 0
+    manifest = root / "synthetic_manifest.json"
+    assert run("train", "--manifest", str(manifest), "--seed", "0", "--out", str(root / "train"),
+               *FAST[:4], "--max-epochs", "1") == 0
+    return manifest, root / "train" / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("argv", [["evaluate"], ["evaluate", "--seeds", "2"], ["importance"]],
+                         ids=["evaluate", "multi_seed", "importance"])
+def test_scoring_another_split_than_the_trained_one_is_refused(leak_run, tmp_path, capsys, argv):
+    # --seed 1 puts training subjects of the --seed 0 checkpoint into the test split
+    manifest, ckpt = leak_run
+    out = tmp_path / "ev"
+    code = run(*argv, "--manifest", str(manifest), "--seed", "1", "--out", str(out),
+               "--checkpoint", str(ckpt))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_CONFIG: the checkpoint was trained on the split of --seed 0;")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_the_trained_split_and_an_unrecorded_split_are_scored(leak_run, tmp_path):
+    manifest, ckpt = leak_run
+    assert run("evaluate", "--manifest", str(manifest), "--seed", "0", "--out", str(tmp_path / "a"),
+               "--checkpoint", str(ckpt)) == 0
+    assert (tmp_path / "a" / "eval_report.json").exists()
+    unrecorded = tmp_path / "unrecorded.bin"
+    unrecorded.write_bytes(_rewritten(ckpt.read_bytes(), lambda header: {**header, "split": None}))
+    assert run("evaluate", "--manifest", str(manifest), "--seed", "1", "--out", str(tmp_path / "b"),
+               "--checkpoint", str(unrecorded)) == 0
+    assert (tmp_path / "b" / "eval_report.json").exists()
 
 
 @pytest.mark.parametrize("bad", ["static.csv", "series.csv", "manifest.json"])

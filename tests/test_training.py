@@ -14,7 +14,7 @@ import pytest
 
 from dysurv import training
 from dysurv.autodiff import Param, Tape
-from dysurv.data import TimeGrid, generate_synthetic
+from dysurv.data import TimeGrid, _table_levels, generate_synthetic
 from dysurv.errors import (
     CheckpointCorruptError,
     CheckpointIncompatibleError,
@@ -30,6 +30,7 @@ from dysurv.training import (
     GridSearchResult,
     GridSearchSpace,
     SplitArrays,
+    SplitRecord,
     TrainConfig,
     _batch_graph,
     _map_jobs,
@@ -505,8 +506,9 @@ def trained(prepared):
 def test_checkpoint_round_trip(prepared, trained, tmp_path):
     path = tmp_path / "model.bin"
     cfg = quick_config(max_epochs=2)
+    split = SplitRecord.of(0, prepared.train_ids)
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid,
-                    train_config=cfg, transform=prepared.transform)
+                    train_config=cfg, transform=prepared.transform, split=split)
     ckpt = load_checkpoint(path, expected_schema=prepared.schema)
     before = predict_risk_batch(trained, prepared.test.x)
     after = predict_risk_batch(ckpt.params, prepared.test.x)
@@ -514,8 +516,9 @@ def test_checkpoint_round_trip(prepared, trained, tmp_path):
     assert ckpt.grid.n_bins == prepared.grid.n_bins
     assert ckpt.grid.t_max == prepared.grid.t_max
     assert ckpt.model_config == TINY_MODEL
-    assert set(ckpt.header["dims"]) == {"d_in", "seq_len", "n_bins"}
+    assert (ckpt.params.d_in, ckpt.params.seq_len) == (trained.d_in, trained.seq_len)
     assert ckpt.train_config == cfg
+    assert ckpt.split == split
     assert ckpt.transform is not None
     vals = ckpt.transform.transform_values("x0", np.array([0.0, 1.0]))
     assert np.array_equal(vals, prepared.transform.transform_values("x0", np.array([0.0, 1.0])))
@@ -558,7 +561,7 @@ def test_checkpoint_error_contracts(prepared, trained, tmp_path):
         load_checkpoint(tmp_path / "short.bin")
 
     flipped = bytearray(blob)
-    flipped[-1] ^= 0xFF  # corrupt the weight block, header stays valid
+    flipped[-1] ^= 0xFF  # corrupt the digest, header stays valid
     (tmp_path / "bits.bin").write_bytes(bytes(flipped))
     with pytest.raises(CheckpointCorruptError):
         load_checkpoint(tmp_path / "bits.bin")
@@ -581,13 +584,38 @@ def test_checkpoint_rebuilds_the_stored_architecture(prepared, tmp_path):
                           predict_risk_batch(ckpt.params, prepared.test.x))
 
 
+def _header(blob):
+    """The JSON header of the checkpoint ``blob``."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16 : 16 + header_len])
+
+
 def _rewritten(blob, edit=lambda header: header, weights=None):
     """The checkpoint ``blob`` with its header replaced by ``edit(header)``
-    and, if given, ``weights`` as its block under a matching digest."""
+    and, if given, ``weights`` as its block, under a matching sha256 trailer."""
     (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16 : 16 + header_len])
-    block = blob[16 + header_len :] if weights is None else weights.astype("<f8").tobytes()
-    header["weights_sha256"] = hashlib.sha256(block).hexdigest()
+    block = blob[16 + header_len : -32] if weights is None else weights.astype("<f8").tobytes()
+    new_header = json.dumps(edit(_header(blob)), sort_keys=True).encode("utf-8")
+    body = blob[:8] + struct.pack("<Q", len(new_header)) + new_header + block
+    return body + hashlib.sha256(body).digest()
+
+
+def _version_three(blob, params, edit):
+    """``blob`` of ``params`` in the version 3 layout, its header changed by
+    ``edit``: no trailer, and a header that also stores the schema hash, the
+    dims, the weight shapes and the sha256 of the weights."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    block = blob[16 + header_len : -32]
+    header = _header(blob)
+    del header["seq_len"], header["split"]
+    schema = json.dumps(header["schema"], sort_keys=True).encode("utf-8")
+    header.update(
+        version=3,
+        schema_hash=hashlib.sha256(schema).hexdigest(),
+        dims={"d_in": params.d_in, "seq_len": params.seq_len, "n_bins": params.n_bins},
+        shapes=[[p.name, list(p.value.shape)] for p in params.parameters()],
+        weights_sha256=hashlib.sha256(block).hexdigest(),
+    )
     new_header = json.dumps(edit(header), sort_keys=True).encode("utf-8")
     return blob[:8] + struct.pack("<Q", len(new_header)) + new_header + block
 
@@ -602,7 +630,7 @@ def test_checkpoint_refuses_version_one_header(prepared, trained, tmp_path):
         return header
 
     old = tmp_path / "v1.bin"
-    old.write_bytes(_rewritten(path.read_bytes(), version_one))
+    old.write_bytes(_version_three(path.read_bytes(), trained, version_one))
     with pytest.raises(CheckpointIncompatibleError, match="version 1"):
         load_checkpoint(old)
 
@@ -623,8 +651,18 @@ def test_checkpoint_refuses_version_two_header(prepared, trained, tmp_path):
         return header
 
     old = tmp_path / "v2.bin"
-    old.write_bytes(_rewritten(path.read_bytes(), version_two))
+    old.write_bytes(_version_three(path.read_bytes(), trained, version_two))
     with pytest.raises(CheckpointIncompatibleError, match="version 2"):
+        load_checkpoint(old)
+
+
+def test_checkpoint_refuses_version_three_file(prepared, trained, tmp_path):
+    # version 3 stored derivable keys and a digest of the weights only
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
+    old = tmp_path / "v3.bin"
+    old.write_bytes(_version_three(path.read_bytes(), trained, lambda header: header))
+    with pytest.raises(CheckpointIncompatibleError, match="version 3"):
         load_checkpoint(old)
 
 
@@ -646,11 +684,12 @@ def test_checkpoint_header_must_agree_with_the_weights(prepared, trained, tmp_pa
         return header
 
     def wider_schema(header):
-        return {**header, "schema": dataclasses.asdict(wider), "schema_hash": wider.hash()}
+        return {**header, "schema": dataclasses.asdict(wider)}
 
+    # under a valid trailer, the architecture the header describes is not the weights'
     for edit in (fewer_bins, wider_schema):
         (tmp_path / "edited.bin").write_bytes(_rewritten(blob, edit))
-        with pytest.raises(CheckpointCorruptError, match="disagrees"):
+        with pytest.raises(CheckpointCorruptError, match="weight block holds"):
             load_checkpoint(tmp_path / "edited.bin")
 
 
@@ -677,7 +716,7 @@ def _edit_section(section, edit):
     return lambda header: {**header, section: edit(header[section])}
 
 
-GOOD_TABLE = {"references": [0.0, 1.0], "targets": [-1.0, 1.0]}
+GOOD_TABLE = [0.0, 1.0]
 
 
 def _with_table(entry, names=("x1", "x2")):
@@ -687,67 +726,108 @@ def _with_table(entry, names=("x1", "x2")):
     return lambda header: {**header, "transform": tables}
 
 
+KEYS = "header has keys"
+MALFORMED_TABLE = "quantile table 'x0' is malformed"
+BAD_REFERENCES = "quantile table 'x0' needs finite, nondecreasing references"
+OTHER_TABLES = "quantile tables .* are not the schema's numeric statics and series features"
+
+# each damage and the message that names it
 HEADER_DAMAGE = {
-    **{f"missing_{key}": _without(key)
-       for key in ("schema", "schema_hash", "grid", "dims", "model_config", "shapes")},
-    "unknown_train_config_key":
+    **{f"missing_{key}": (_without(key), KEYS)
+       for key in ("schema", "grid", "seq_len", "model_config", "split")},
+    "unknown_train_config_key": (
         _edit_section("train_config", lambda cfg: {**cfg, "momentum": 0.9}),
-    "train_config_without_alpha": _edit_section("train_config", _without("alpha")),
-    "model_config_without_z_dim": _edit_section("model_config", _without("z_dim")),
-    "unknown_model_config_key":
+        "TrainConfig holds exactly"),
+    "train_config_without_alpha": (
+        _edit_section("train_config", _without("alpha")), "TrainConfig holds exactly"),
+    "model_config_without_z_dim": (
+        _edit_section("model_config", _without("z_dim")), "ModelConfig holds exactly"),
+    "unknown_model_config_key": (
         _edit_section("model_config", lambda cfg: {**cfg, "n_layers": 2}),
-    "fractional_batch_size": _edit_section("train_config", lambda cfg: {**cfg, "batch_size": 64.5}),
-    "boolean_alpha": _edit_section("train_config", lambda cfg: {**cfg, "alpha": True}),
-    "string_hidden_size": _edit_section("model_config", lambda cfg: {**cfg, "hidden_size": "8"}),
-    "unknown_schema_key": _edit_section("schema", lambda schema: {**schema, "id_col": "id"}),
-    "unknown_grid_key": _edit_section("grid", lambda grid: {**grid, "t_min": 0.0}),
-    "misspelt_grid_search_key": lambda header: {**header, "grid_searhc": None},
-    "unknown_dims_key": _edit_section("dims", lambda dims: {**dims, "z_dim": 99}),
-    "fractional_dims_entry": _edit_section("dims", lambda dims: {**dims, "seq_len": 1.0}),
-    "transform_one_target_short": _with_table({"references": [0.0, 1.0], "targets": [-1.0]}),
-    "transform_empty_table": _with_table({"references": [], "targets": []}),
-    "transform_unsorted_references": _with_table({"references": [1.0, 0.0], "targets": [-1.0, 1.0]}),
-    "transform_non_finite_target": _with_table({"references": [0.0, 1.0], "targets": [-1.0, float("inf")]}),
-    "transform_string_reference": _with_table({"references": ["0", 1.0], "targets": [-1.0, 1.0]}),
-    "transform_unknown_table_key": _with_table({**GOOD_TABLE, "n_quantiles": 2}),
-    "transform_missing_table": _with_table(GOOD_TABLE, names=("x1",)),
-    "transform_extra_table": _with_table(GOOD_TABLE, names=("x1", "x2", "x3")),
-    "json_list": lambda header: [header],
+        "ModelConfig holds exactly"),
+    "fractional_batch_size": (
+        _edit_section("train_config", lambda cfg: {**cfg, "batch_size": 64.5}),
+        "TrainConfig.batch_size cannot hold 64.5"),
+    "boolean_alpha": (
+        _edit_section("train_config", lambda cfg: {**cfg, "alpha": True}),
+        "TrainConfig.alpha cannot hold True"),
+    "string_hidden_size": (
+        _edit_section("model_config", lambda cfg: {**cfg, "hidden_size": "8"}),
+        "ModelConfig.hidden_size cannot hold '8'"),
+    "unknown_schema_key": (
+        _edit_section("schema", lambda schema: {**schema, "id_col": "id"}),
+        "FeatureSchema holds exactly"),
+    "unknown_grid_key": (
+        _edit_section("grid", lambda grid: {**grid, "t_min": 0.0}), "TimeGrid holds exactly"),
+    "misspelt_grid_search_key": (lambda header: {**header, "grid_searhc": None}, KEYS),
+    "fractional_seq_len": (lambda header: {**header, "seq_len": 1.0}, "seq_len must be an int"),
+    "boolean_seq_len": (lambda header: {**header, "seq_len": True}, "seq_len must be an int"),
+    "zero_seq_len": (lambda header: {**header, "seq_len": 0}, "must all be positive"),
+    "unknown_split_key": (lambda header: {**header, "split": {"seed": 0}},
+                          "SplitRecord holds exactly"),
+    "string_split_seed": (
+        lambda header: {**header, "split": {"seed": "0", "train_ids_sha256": "ab"}},
+        "SplitRecord.seed cannot hold '0'"),
+    "transform_empty_table": (_with_table([]), MALFORMED_TABLE),
+    "transform_unsorted_references": (_with_table([1.0, 0.0]), BAD_REFERENCES),
+    "transform_non_finite_reference": (_with_table([0.0, float("inf")]), BAD_REFERENCES),
+    "transform_string_reference": (_with_table(["0", 1.0]), MALFORMED_TABLE),
+    "transform_unknown_table_key": (
+        _with_table({"references": GOOD_TABLE, "targets": [-1.0, 1.0]}), MALFORMED_TABLE),
+    "transform_missing_table": (_with_table(GOOD_TABLE, names=("x1",)), OTHER_TABLES),
+    "transform_extra_table": (_with_table(GOOD_TABLE, names=("x1", "x2", "x3")), OTHER_TABLES),
+    "json_list": (lambda header: [header], "header is not a JSON object"),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
 def test_checkpoint_with_an_incomplete_header_is_corrupt(prepared, trained, tmp_path, damage):
-    # valid JSON and the current version, but not a header this loader wrote
+    # valid JSON, the current version and a matching digest, but not a
+    # header this loader wrote
     path = tmp_path / "model.bin"
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid,
-                    train_config=quick_config())
+                    train_config=quick_config(), split=SplitRecord.of(0, prepared.train_ids))
+    edit, message = HEADER_DAMAGE[damage]
     damaged = tmp_path / "damaged.bin"
-    damaged.write_bytes(_rewritten(path.read_bytes(), HEADER_DAMAGE[damage]))
-    with pytest.raises(CheckpointCorruptError):
+    damaged.write_bytes(_rewritten(path.read_bytes(), edit))
+    with pytest.raises(CheckpointCorruptError, match=message):
         load_checkpoint(damaged)
+
+
+@pytest.mark.parametrize("part", ["header", "weights", "trailer"])
+def test_checkpoint_with_a_flipped_byte_is_corrupt(prepared, trained, tmp_path, part):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
+    blob = bytearray(path.read_bytes())
+    # in the header, a digit of t_max: still a well-formed header, with another grid
+    at = {"header": blob.index(b'"t_max": ') + len(b'"t_max": '),
+          "weights": len(blob) - 32 - 8 * 3, "trailer": len(blob) - 1}[part]
+    blob[at] = ord("7") if part == "header" and blob[at] != ord("7") else blob[at] ^ 0x01
+    (tmp_path / "flipped.bin").write_bytes(bytes(blob))
+    with pytest.raises(CheckpointCorruptError, match="does not match its sha256 digest"):
+        load_checkpoint(tmp_path / "flipped.bin")
 
 
 def test_checkpoint_with_a_well_formed_table_loads(prepared, trained, tmp_path):
     # the control for the transform damages above: only the damage is refused
     path = tmp_path / "model.bin"
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
-    table = _with_table({"references": [0.0, 0.0, 1.0], "targets": [-1.0, 0.0, 1.0]})
-    (tmp_path / "table.bin").write_bytes(_rewritten(path.read_bytes(), table))
+    (tmp_path / "table.bin").write_bytes(_rewritten(path.read_bytes(), _with_table([0.0, 0.0, 1.0])))
     transform = load_checkpoint(tmp_path / "table.bin").transform
-    assert transform.transform_values("x0", np.array([0.5])) == 0.5
+    # a 3-entry table's targets are the normal quantiles at 1e-7, 0.5 and 1 - 1e-7
+    assert transform.transform_values("x0", np.array([0.5])) == _table_levels(3)[1][2] / 2
 
 
 def test_checkpoint_header_has_the_documented_keys(prepared, trained, tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid)
-    assert set(load_checkpoint(path).header) == training.HEADER_KEYS == {
-        "version", "schema_hash", "schema", "grid", "dims", "model_config",
-        "train_config", "transform", "shapes", "weights_sha256"}
+    assert set(_header(path.read_bytes())) == training.HEADER_KEYS == {
+        "version", "schema", "grid", "seq_len", "model_config",
+        "train_config", "transform", "split"}
     result = GridSearchResult(best_config=quick_config(), leaderboard=[])
     save_checkpoint(path, trained, schema=prepared.schema, grid=prepared.grid,
                     train_config=quick_config(), grid_search=result)
-    header = load_checkpoint(path).header
+    header = _header(path.read_bytes())
     assert set(header) == training.HEADER_KEYS | {"grid_search"}
     assert header["grid_search"] == result.to_json_dict()
 
