@@ -10,10 +10,12 @@ command.
 
 The flows: ``synth``, ``prepare``, ``train`` with and without ``--grid``,
 ``evaluate --seeds 2 --horizon``, ``predict`` and ``importance
---n-repeats 2`` on a ``--synth`` dataset; ``train``, ``evaluate
---horizon``, ``predict`` and ``importance`` on perfbench's 12-visit cohort
-and on its whole-day cohort (``perfbench/inputs.py::write_cohort``). Both
-trees read the same cohort files, written once by this tree's perfbench.
+--n-repeats 2`` on a ``--synth`` dataset; ``prepare``, ``train``,
+``evaluate --horizon``, ``predict`` and ``importance`` on perfbench's
+12-visit cohort and on its whole-day cohort
+(``perfbench/inputs.py::write_cohort``), so the series quantile transform
+and the series CSV writer are compared too. Both trees read the same
+cohort files, written once by this tree's perfbench.
 ``--size full`` uses 2000 synthetic subjects and cohorts of 4000 and 3000;
 ``--size small`` uses 300, 300 and 250, and only proves that the flows run
 and agree.
@@ -71,6 +73,7 @@ def flows(n_synth: int, cohorts: dict[str, Path]) -> list[tuple[str, list[str]]]
         data = ["--manifest", str(manifest)]
         ckpt = ["--checkpoint", f"{{out}}/{name}_train/checkpoint.bin"]
         steps += [
+            (f"{name}_prepare", ["prepare", *data]),
             (f"{name}_train", ["train", *data, *TRAIN]),
             (f"{name}_evaluate", ["evaluate", *data, "--horizon", "30.0", *ckpt]),
             (f"{name}_predict", ["predict", *data, *ckpt]),

@@ -117,21 +117,23 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _checkpoint_path(args, out: Path) -> Path:
-    if getattr(args, "checkpoint", None):
-        return Path(args.checkpoint)
-    return out / "checkpoint.bin"
+def _load_scored(args) -> tuple[SurvivalDataset, Checkpoint]:
+    """The data and the checkpoint, ``--checkpoint`` or else
+    ``<out>/checkpoint.bin``; read before ``--out`` is created, so a
+    refused run leaves no directory behind."""
+    ds = _load_dataset(args)
+    path = Path(args.checkpoint) if args.checkpoint else Path(args.out) / "checkpoint.bin"
+    return ds, load_checkpoint(path, expected_schema=ds.schema)
 
 
-def _scored_split(args, out: Path) -> tuple[SurvivalDataset, Checkpoint, SurvivalDataset]:
+def _scored_split(args) -> tuple[SurvivalDataset, Checkpoint, SurvivalDataset]:
     """The data, the checkpoint and the test split of ``--seed``. Refuses a
     split whose training subjects are not the ones the checkpoint records:
     its test split would hold training subjects. A checkpoint that records
     no split is scored as it is."""
-    ds = _load_dataset(args)
-    ckpt = load_checkpoint(_checkpoint_path(args, out), expected_schema=ds.schema)
+    ds, ckpt = _load_scored(args)
     train_ds, _, test_ds = split_dataset(ds, args.seed)
-    if ckpt.split not in (None, SplitRecord.of(args.seed, [r.id for r in train_ds.records])):
+    if ckpt.split not in (None, SplitRecord.of(args.seed, train_ds.ids.tolist())):
         raise ConfigError(f"the checkpoint was trained on the split of --seed {ckpt.split.seed}; "
                           f"--seed {args.seed} on this data gives other training subjects")
     return ds, ckpt, test_ds
@@ -234,10 +236,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
-    out = _out_dir(args)
-    ds, ckpt, test_ds = _scored_split(args, out)
+    ds, ckpt, test_ds = _scored_split(args)
     if args.horizon is not None:  # a bad horizon fails before any file is written
         labels, include = horizon_labels(test_ds.durations(), test_ds.events(), args.horizon)
+    out = _out_dir(args)
     artifacts: list[Path] = []
     curves = None
     if args.seeds > 1:
@@ -281,9 +283,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    ds, ckpt = _load_scored(args)
     out = _out_dir(args)
-    ds = _load_dataset(args)
-    ckpt = load_checkpoint(_checkpoint_path(args, out), expected_schema=ds.schema)
     predictor = Predictor.from_checkpoint(ckpt)
     curves = predictor.curves(ds)
     times = np.linspace(0.0, ckpt.grid.t_max, CURVE_POINTS)
@@ -292,10 +293,8 @@ def cmd_predict(args) -> int:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "time", "survival"])
-        for record, row in zip(ds.records, columns):
-            writer.writerows(
-                [record.id, repr(float(t)), repr(float(s))] for t, s in zip(times, row)
-            )
+        for rid, row in zip(ds.ids.tolist(), columns):
+            writer.writerows([rid, repr(float(t)), repr(float(s))] for t, s in zip(times, row))
     config = {"subjects": len(ds), "points": CURVE_POINTS, "t_max": ckpt.grid.t_max}
     _write_meta(args, out, config, [path])
     print(f"wrote {len(ds)} curves ({CURVE_POINTS} points each) to {path}")
@@ -325,8 +324,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_importance(args) -> int:
+    _, ckpt, test_ds = _scored_split(args)
     out = _out_dir(args)
-    _, ckpt, test_ds = _scored_split(args, out)
     predictor = Predictor.from_checkpoint(ckpt)
     baseline = concordance_td(
         predictor.curves(test_ds), test_ds.durations(), test_ds.events()

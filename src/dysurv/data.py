@@ -151,30 +151,92 @@ class SyntheticTruth:
     n_bins: int
 
 
-@dataclass
-class SurvivalDataset:
-    schema: FeatureSchema
-    records: list[SubjectRecord]
-    truth: SyntheticTruth | None = None
+# each column of a dataset and its dtype, in the order ``_dataset`` takes them
+_COLUMNS = {"ids": object, "statics": np.float64, "series": np.float64, "mask": bool,
+            "times": np.float64, "lengths": np.int64, "_durations": np.float64, "_events": np.int64}
 
-    def __post_init__(self):
-        n_static = len(self.schema.static_columns())
-        n_series = len(self.schema.time_varying)
-        for r in self.records:
+
+class SurvivalDataset:
+    """Subjects as read-only columns: ``ids`` ``(n,)``, ``statics`` ``(n, S)``,
+    ``series`` and ``mask`` ``(n, J, M)``, ``times`` ``(n, J)``, ``lengths``
+    ``(n,)``, and the outcomes, copied out by ``durations()`` and ``events()``.
+    Subject i's visits fill its first ``lengths[i]`` rows of the longest
+    history ``J``; the mask is False past them. ``SurvivalDataset(schema,
+    records)`` checks each record and stacks them once, keeping them as
+    ``records``; a dataset built from columns makes ``records`` as read-only
+    views on first read. Changing ``records`` is not supported."""
+
+    def __init__(self, schema: FeatureSchema, records, truth: SyntheticTruth | None = None):
+        records = tuple(records)
+        n_static, n_series = len(schema.static_columns()), len(schema.time_varying)
+        for r in records:
             if r.static_features.shape != (n_static,) or r.series.shape[1] != n_series:
                 raise SchemaError(
                     f"record {r.id} has {r.static_features.size} static values and "
                     f"{r.series.shape[1]} series columns; the schema has {n_static} and {n_series}"
                 )
+        n = len(records)
+        lengths = [r.n_steps for r in records]
+        series = np.full((n, max(lengths, default=0), n_series), np.nan)
+        mask = np.zeros(series.shape, dtype=bool)
+        times = np.zeros(series.shape[:2])
+        for i, (r, k) in enumerate(zip(records, lengths)):
+            series[i, :k], mask[i, :k], times[i, :k] = r.series, r.series_mask, r.series_times
+        self._hold(schema, truth, (
+            np.array([r.id for r in records], dtype=object),
+            np.array([r.static_features for r in records]).reshape(n, n_static),
+            series, mask, times, np.array(lengths, dtype=np.int64),
+            np.array([r.duration for r in records], dtype=np.float64),
+            np.array([r.event for r in records], dtype=np.int64),
+        ), records)
+
+    def _hold(self, schema, truth, columns, records=None) -> None:
+        for column in columns:
+            column.setflags(write=False)
+        self.__dict__.update(zip(_COLUMNS, columns), schema=schema, truth=truth, _records=records)
+
+    @property
+    def records(self) -> tuple[SubjectRecord, ...]:
+        if self._records is None:
+            self._records = tuple(
+                SubjectRecord(rid, statics, series[:k], mask[:k], duration, event, times[:k])
+                for rid, statics, series, mask, times, k, duration, event in zip(
+                    self.ids.tolist(), self.statics, self.series, self.mask, self.times,
+                    self.lengths.tolist(), self._durations.tolist(), self._events.tolist())
+            )
+        return self._records
+
+    def replace(self, **changes) -> "SurvivalDataset":
+        """This dataset with the named columns or ``truth`` changed; the rest are shared."""
+        truth = changes.pop("truth", self.truth)
+        columns = [changes.pop(name, getattr(self, name)) for name in _COLUMNS]
+        if changes:
+            raise TypeError(f"not a dataset column: {sorted(changes)}")
+        return _dataset(self.schema, columns, truth)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def durations(self) -> Array:
-        return np.array([r.duration for r in self.records], dtype=np.float64)
+        return self._durations.copy()
 
     def events(self) -> Array:
-        return np.array([r.event for r in self.records], dtype=np.int64)
+        return self._events.copy()
+
+
+def _dataset(schema: FeatureSchema, columns, truth: SyntheticTruth | None = None) -> SurvivalDataset:
+    """The dataset of ``columns``, in the order of ``_COLUMNS``, each made
+    read-only. Their dtypes and shapes are checked once, against the schema."""
+    columns = [np.asarray(c, dtype) for c, dtype in zip(columns, _COLUMNS.values(), strict=True)]
+    n, j = len(columns[0]), int(columns[5].max(initial=0))
+    s, m = len(schema.static_columns()), len(schema.time_varying)
+    shapes = [(n,), (n, s), (n, j, m), (n, j, m), (n, j), (n,), (n,), (n,)]
+    for name, column, shape in zip(_COLUMNS, columns, shapes):
+        if column.shape != shape:
+            raise SchemaError(f"dataset column {name} has shape {column.shape}, not {shape}")
+    ds = SurvivalDataset.__new__(SurvivalDataset)
+    ds._hold(schema, truth, columns)
+    return ds
 
 
 @dataclass
@@ -342,12 +404,10 @@ def load_csv(path: str | Path) -> SurvivalDataset:
     the file in sorted order. Series columns follow the manifest's
     ``time_varying``, or sorted feature names without it. Each distinct
     series time is a visit, even when all its values are empty; a subject
-    without series rows gets a single fully-missing visit at time 0. The
-    records' statics, series, masks and times are read-only views of shared
-    buffers. An error names the first faulty row as ``file:line``. The
-    static CSV is read row by row; the series CSV is parsed in whole
-    columns, and read row by row only when that parse fails, to name the
-    fault.
+    without series rows gets a single fully-missing visit at time 0. An
+    error names the first faulty row as ``file:line``. The static CSV is
+    read row by row; the series CSV is parsed in whole columns, and read
+    row by row only when that parse fails, to name the fault.
     """
     manifest = load_manifest(path)
     base = Path(path).parent
@@ -435,8 +495,8 @@ def load_csv(path: str | Path) -> SurvivalDataset:
         event_col=evt_col,
     )
     width = len(numeric_cols) + sum(map(len, categories.values()))
-    return _build_dataset(schema, ids, np.array(statics, np.float64).reshape(len(ids), width),
-                          durations, events, buffers)
+    return _dataset(schema, (ids, np.array(statics, np.float64).reshape(len(ids), width),
+                             *buffers, durations, events))
 
 
 def _cell_float(text: str, name: str, lineno: int, col: str) -> float:
@@ -508,50 +568,30 @@ def _series_columns(path: Path, cols: tuple[str, str, str, str], id_pos: dict[st
 
 def _visit_buffers(n_subjects: int, n_features: int, subject: Array, time: Array,
                    feature: Array, observed: Array, value: Array):
-    """Number the visits of the columns ``_series_columns`` returns and fill
-    the shared buffers: ``(series, mask, times, offsets)``, read-only, with
-    subject i's visits at rows ``offsets[i]:offsets[i + 1]``. Each distinct
-    (subject, time) is a visit; a subject without rows gets one empty visit
-    at time 0. None if a (visit, feature) cell is measured twice."""
+    """Number the visits of the columns ``_series_columns`` returns and lay
+    them out as the dataset columns ``(series, mask, times, lengths)``,
+    subject i's visits in time order in its first ``lengths[i]`` rows. Each
+    distinct (subject, time) is a visit; a subject without rows gets one
+    empty visit at time 0. None if a (visit, feature) cell is measured twice."""
     order = np.lexsort((time, subject))
     s, t = subject[order], time[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (s[1:] != s[:-1]) | (t[1:] != t[:-1])
     visits = np.bincount(s[first], minlength=n_subjects)
-    offsets = np.zeros(n_subjects + 1, np.int64)
-    np.cumsum(np.maximum(visits, 1), out=offsets[1:])
-    # a row's buffer row: its visit's number, plus one per empty subject before it
-    row = np.empty(len(order), np.int64)
-    row[order] = np.cumsum(first) - 1 + np.cumsum(visits == 0)[s]
-    times = np.zeros(offsets[-1])
-    times[row[order[first]]] = t[first]
-    series = np.full((offsets[-1], n_features), np.nan)
+    lengths = np.maximum(visits, 1)
+    # a row's step: its visit's number, less the number of its subject's first visit
+    step = np.empty(len(order), np.int64)
+    step[order] = np.cumsum(first) - 1 - (np.cumsum(visits) - visits)[s]
+    times = np.zeros((n_subjects, int(lengths.max(initial=0))))
+    times[s[first], step[order[first]]] = t[first]
+    series = np.full((*times.shape, n_features), np.nan)
     mask = np.zeros(series.shape, dtype=bool)
-    cells = (row[observed], feature[observed])
+    cells = (subject[observed], step[observed], feature[observed])
     series[cells] = value
     mask[cells] = True
     if np.count_nonzero(mask) != value.size:
         return None
-    for buf in (series, mask, times):
-        buf.flags.writeable = False
-    return series, mask, times, offsets
-
-
-def _build_dataset(schema: FeatureSchema, ids: list[str], statics: Array,
-                   durations: list[float], events: list[int], buffers,
-                   truth: SyntheticTruth | None = None) -> SurvivalDataset:
-    """The dataset whose record i is subject ``ids[i]`` with static row
-    ``statics[i]``, its outcome, and its rows of the shared ``buffers``, the
-    ``(series, mask, times, offsets)`` of ``_visit_buffers``. The ``(n, S)``
-    float array ``statics`` is made read-only like the buffers."""
-    series, mask, times, offsets = buffers
-    statics.flags.writeable = False
-    ends = offsets.tolist()
-    records = [
-        SubjectRecord(rid, vec, series[a:b], mask[a:b], dur, evt, times[a:b])
-        for rid, vec, dur, evt, a, b in zip(ids, statics, durations, events, ends, ends[1:])
-    ]
-    return SurvivalDataset(schema=schema, records=records, truth=truth)
+    return series, mask, times, lengths
 
 
 def _check_series_rows(path: Path, name: str, cols: tuple[str, str, str, str],
@@ -616,12 +656,10 @@ def save_dataset_csv(ds: SurvivalDataset, out_dir: str | Path, stem: str = "data
     with open(static_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", *static_cols, ds.schema.duration_col, ds.schema.event_col])
-        for r in ds.records:
-            writer.writerow(
-                [r.id]
-                + [_format_float(v) for v in r.static_features]
-                + [_format_float(r.duration), str(int(r.event))]
-            )
+        writer.writerows(zip(
+            ds.ids.tolist(), *(map(_format_float, col) for col in ds.statics.T.tolist()),
+            map(_format_float, ds._durations.tolist()), map(str, ds._events.tolist()),
+        ))
     manifest = {
         "static_csv": static_path.name,
         "duration_col": ds.schema.duration_col,
@@ -629,27 +667,29 @@ def save_dataset_csv(ds: SurvivalDataset, out_dir: str | Path, stem: str = "data
         "categorical_cols": [],
         "id_col": "id",
     }
-    if ds.schema.time_varying:
+    features = ds.schema.time_varying
+    if features:
         series_path = out_dir / f"{stem}_series.csv"
+        visits = np.arange(ds.series.shape[1]) < ds.lengths[:, None]
+        # cell 0 of a visit stands for its empty-value row when it has no value
+        cells = np.concatenate([(visits & ~ds.mask.any(axis=2))[..., None], ds.mask], axis=2)
+        i, j, k = np.nonzero(cells)
+        values = map(_format_float, ds.series[i, j, k - 1].tolist())
         with open(series_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "time", "feature", "value"])
-            observed = np.zeros(len(ds.schema.time_varying), dtype=bool)
-            for r in ds.records:
-                observed |= r.series_mask.any(axis=0)
-            for i, r in enumerate(ds.records):
-                for j, t in enumerate(map(_format_float, r.series_times)):
-                    if i == 0 and j == 0:
-                        for k in np.flatnonzero(~observed):
-                            writer.writerow([r.id, t, ds.schema.time_varying[k], ""])
-                    if not r.series_mask[j].any():
-                        writer.writerow([r.id, t, ds.schema.time_varying[0], ""])
-                    for k, feat in enumerate(ds.schema.time_varying):
-                        if r.series_mask[j, k]:
-                            writer.writerow([r.id, t, feat, _format_float(r.series[j, k])])
+            if len(ds):
+                first = [ds.ids[0], _format_float(ds.times[0, 0])]
+                unobserved = np.flatnonzero(~ds.mask.any(axis=(0, 1))).tolist()
+                writer.writerows([*first, features[c], ""] for c in unobserved)
+            writer.writerows(zip(
+                ds.ids[i].tolist(), map(_format_float, ds.times[i, j].tolist()),
+                np.array([features[0], *features], dtype=object)[k].tolist(),
+                [value if c else "" for c, value in zip(k.tolist(), values)],
+            ))
         manifest.update(
             series_csv=series_path.name, time_col="time",
-            feature_col="feature", value_col="value", time_varying=ds.schema.time_varying,
+            feature_col="feature", value_col="value", time_varying=features,
         )
     manifest_path = out_dir / f"{stem}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
@@ -745,9 +785,8 @@ def generate_synthetic(
     width = max(6, len(str(n)))
     truth = SyntheticTruth(weights=weights, bin_logits=bin_logits, pmf=pmf,
                            survive_beyond=survive, n_bins=k)
-    return _build_dataset(schema, [f"s{i:0{width}d}" for i in range(n)], x, duration.tolist(),
-                          is_event.astype(int).tolist(), _visit_buffers(n, 0, *_NO_SERIES_ROWS),
-                          truth)
+    return _dataset(schema, ([f"s{i:0{width}d}" for i in range(n)], x,
+                             *_visit_buffers(n, 0, *_NO_SERIES_ROWS), duration, is_event), truth)
 
 
 # ---------------------------------------------------------------------------
@@ -763,37 +802,32 @@ def split_dataset(
     Within each stratum the three quotas come from the largest-remainder
     method, so a 100-record dataset splits exactly 60/20/20. If either
     stratum is empty the split falls back to unstratified with a warning.
+    Each part gathers its columns with one index array per column.
     """
     if len(ds) < 5:
         raise DomainError(f"need at least 5 records to split, got {len(ds)}")
     events = ds.events()
     strata = [np.where(events == 1)[0], np.where(events == 0)[0]]
     if min(len(s) for s in strata) == 0:
-        warnings.warn(
-            "a split stratum is empty; falling back to an unstratified split",
-            stacklevel=2,
-        )
+        warnings.warn("a split stratum is empty; falling back to an unstratified split",
+                      stacklevel=2)
         strata = [np.arange(len(ds))]
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[], [], []]
+    buckets: list[list[Array]] = [[], [], []]
     for stratum in strata:
         order = stratum[rng.permutation(len(stratum))]
         quotas = np.array(SPLIT_FRACTIONS) * len(order)
         counts = np.floor(quotas).astype(int)
-        remainder = quotas - counts
-        for _ in range(len(order) - counts.sum()):
-            j = int(np.argmax(remainder))
-            counts[j] += 1
-            remainder[j] = -1.0
-        start = 0
-        for j in range(3):
-            buckets[j].extend(order[start : start + counts[j]].tolist())
-            start += counts[j]
+        # the subjects left over go to the largest remainders, the earlier part on a tie
+        counts[np.argsort(counts - quotas, kind="stable")[: len(order) - counts.sum()]] += 1
+        for bucket, part in zip(buckets, np.split(order, np.cumsum(counts)[:2])):
+            bucket.append(part)
     parts = []
-    for idx in buckets:
-        parts.append(
-            SurvivalDataset(schema=ds.schema, records=[ds.records[i] for i in idx])
-        )
+    for idx in map(np.concatenate, buckets):
+        j = int(ds.lengths[idx].max(initial=0))
+        parts.append(_dataset(ds.schema, (ds.ids[idx], ds.statics[idx], ds.series[idx, :j],
+                                          ds.mask[idx, :j], ds.times[idx, :j], ds.lengths[idx],
+                                          ds._durations[idx], ds._events[idx])))
     return parts[0], parts[1], parts[2]
 
 
@@ -879,33 +913,20 @@ def fit_quantile_transform(ds: SurvivalDataset) -> QuantileTransform:
     """Fit per-feature quantile tables. Call on the training split only."""
     if len(ds) == 0:
         raise DomainError("cannot fit a quantile transform on an empty dataset")
-    statics = np.array([r.static_features for r in ds.records])
-    rows = np.concatenate([r.series for r in ds.records])
-    mask = np.concatenate([r.series_mask for r in ds.records])
-    tables = {name: _fit_table(statics[:, j]) for j, name in enumerate(ds.schema.numeric_static)}
+    tables = {name: _fit_table(ds.statics[:, j]) for j, name in enumerate(ds.schema.numeric_static)}
     for k, name in enumerate(ds.schema.time_varying):
-        tables[name] = _fit_table(rows[mask[:, k], k])
+        tables[name] = _fit_table(ds.series[..., k][ds.mask[..., k]])
     return QuantileTransform(tables=tables)
 
 
 def apply_quantile_transform(qt: QuantileTransform, ds: SurvivalDataset) -> SurvivalDataset:
     """Return a transformed copy; inputs outside the fitted range clip to
-    the range endpoints (the targets saturate). Records may be ragged: the
-    series rows of all records are transformed as one block."""
-    if not ds.records:
-        return SurvivalDataset(schema=ds.schema, records=[], truth=ds.truth)
-    schema = ds.schema
-    statics = np.array([r.static_features for r in ds.records])
-    rows = np.concatenate([r.series for r in ds.records])
-    mask = np.concatenate([r.series_mask for r in ds.records])
-    qt.apply(schema.numeric_static, statics[:, : len(schema.numeric_static)])
-    qt.apply(schema.time_varying, rows, mask)
-    ends = np.cumsum([r.n_steps for r in ds.records])[:-1]
-    records = [
-        SubjectRecord(r.id, s, x, r.series_mask, r.duration, r.event, r.series_times)
-        for r, s, x in zip(ds.records, statics, np.split(rows, ends))
-    ]
-    return SurvivalDataset(schema=schema, records=records, truth=ds.truth)
+    the range endpoints (the targets saturate). The numeric statics and the
+    observed series cells are transformed as whole arrays; the rest is shared."""
+    statics, series = ds.statics.copy(), ds.series.copy()
+    qt.apply(ds.schema.numeric_static, statics[:, : len(ds.schema.numeric_static)])
+    qt.apply(ds.schema.time_varying, series, ds.mask)
+    return ds.replace(statics=statics, series=series)
 
 
 # ---------------------------------------------------------------------------
@@ -928,11 +949,8 @@ def fill_series(series: Array, mask: Array) -> Array:
 
 
 def fill_dataset(ds: SurvivalDataset) -> SurvivalDataset:
-    """``fill_series`` on each record. Idempotent; the records come back
-    with fully observed masks."""
-    records = [
-        SubjectRecord(r.id, r.static_features, fill_series(r.series, r.series_mask),
-                      np.ones_like(r.series_mask), r.duration, r.event, r.series_times)
-        for r in ds.records
-    ]
-    return SurvivalDataset(schema=ds.schema, records=records, truth=ds.truth)
+    """``fill_series`` on the whole padded series: trailing padding changes
+    no subject's fill. Idempotent; every visit comes back fully observed."""
+    visits = np.arange(ds.series.shape[1]) < ds.lengths[:, None]
+    mask = np.repeat(visits[..., None], ds.mask.shape[2], axis=2)
+    return ds.replace(series=fill_series(ds.series, ds.mask), mask=mask)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import SubjectRecord, SurvivalDataset, TimeGrid
+from .data import SurvivalDataset, TimeGrid
 from .errors import (
     ContractError,
     DomainError,
@@ -402,43 +402,29 @@ def horizon_binary_metrics(risks, labels, horizon: float) -> HorizonReport:
 def _permute_feature(
     ds: SurvivalDataset, feature: str, rng: np.random.Generator
 ) -> SurvivalDataset:
+    """``ds`` with one feature shuffled across subjects: a static block as a
+    whole, a series feature as whole trajectories within each group of equal
+    length, by increasing length. The other columns are shared with ``ds``."""
     schema = ds.schema
-    n = len(ds)
-    records = list(ds.records)
     blocks = [(name, 1) for name in schema.numeric_static]
     blocks += [(name, len(cats)) for name, cats in schema.categorical_static.items()]
     offset = 0
     for name, width in blocks:
         if name == feature:
-            statics = np.stack([r.static_features for r in records])
+            statics = ds.statics.copy()
             cols = slice(offset, offset + width)
-            statics[:, cols] = statics[rng.permutation(n), cols]
-            return SurvivalDataset(
-                schema=schema,
-                records=[SubjectRecord(r.id, s, r.series, r.series_mask, r.duration, r.event,
-                                       r.series_times)
-                         for r, s in zip(records, statics)],
-            )
+            statics[:, cols] = statics[rng.permutation(len(ds)), cols]
+            return ds.replace(statics=statics, truth=None)
         offset += width
     if feature in schema.time_varying:
         col = schema.time_varying.index(feature)
-        # whole trajectories swap only between subjects with equal length
-        by_len: dict[int, list[int]] = {}
-        for i, r in enumerate(records):
-            by_len.setdefault(r.n_steps, []).append(i)
-        new_records = list(records)
-        for _, idxs in sorted(by_len.items()):
-            idxs = np.array(idxs)
+        series, mask = ds.series.copy(), ds.mask.copy()
+        for length in np.unique(ds.lengths):
+            idxs = np.flatnonzero(ds.lengths == length)
             perm = idxs[rng.permutation(len(idxs))]
-            for i, j in zip(idxs, perm):
-                r = new_records[i]
-                series = r.series.copy()
-                mask = r.series_mask.copy()
-                series[:, col] = records[j].series[:, col]
-                mask[:, col] = records[j].series_mask[:, col]
-                new_records[i] = SubjectRecord(r.id, r.static_features, series, mask,
-                                               r.duration, r.event, r.series_times)
-        return SurvivalDataset(schema=schema, records=new_records)
+            series[idxs, :, col] = ds.series[perm, :, col]
+            mask[idxs, :, col] = ds.mask[perm, :, col]
+        return ds.replace(series=series, mask=mask, truth=None)
     raise ContractError(f"unknown feature '{feature}'")
 
 

@@ -305,8 +305,9 @@ def loss_total(l1: float, l2: float, alpha: float) -> float:
 
 @dataclass
 class LossMasks:
-    """Constant 0/1 matrices that express the likelihood as tape primitives.
-    ``build`` takes each subject's last observed bin, -1 where it has none."""
+    """Constant 0/1 matrices over the bins that ``nll_graph``, one fused tape
+    node, sums each subject's likelihood terms over. ``build`` takes each
+    subject's last observed bin, -1 where it has none."""
 
     onehot: Array
     after_last: Array

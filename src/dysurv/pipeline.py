@@ -37,28 +37,24 @@ Array = np.ndarray
 DEFAULT_BINS = 10
 
 
-def _stacked_inputs(ds: SurvivalDataset, transform: QuantileTransform) -> tuple[Array, Array]:
-    """Model inputs ``x (n, J, S + M)`` and the raw series mask ``(n, J, M)``.
+def _stacked_inputs(ds: SurvivalDataset, transform: QuantileTransform) -> Array:
+    """Model inputs ``x (n, J, S + M)``, from copies of the dataset's columns.
 
     All subjects must share a sequence length; resampling ragged series
     into fixed windows is upstream preprocessing.
     """
-    if not ds.records:
+    if len(ds) == 0:
         raise ContractError("dataset is empty; there are no subjects to stack")
-    lengths = {r.n_steps for r in ds.records}
-    if len(lengths) != 1:
+    if (ds.lengths != ds.series.shape[1]).any():
         raise ContractError(
-            f"subjects have mixed sequence lengths {sorted(lengths)}; batching "
+            f"subjects have mixed sequence lengths {np.unique(ds.lengths).tolist()}; batching "
             "needs one shared length per dataset"
         )
-    statics = np.array([r.static_features for r in ds.records])
-    series = np.array([r.series for r in ds.records])
-    mask = np.array([r.series_mask for r in ds.records])
+    statics, series = ds.statics.copy(), ds.series.copy()
     transform.apply(ds.schema.numeric_static, statics[:, : len(ds.schema.numeric_static)])
-    transform.apply(ds.schema.time_varying, series, mask)
-    n, j_steps, _ = series.shape
-    tiled = np.broadcast_to(statics[:, None, :], (n, j_steps, statics.shape[1]))
-    return np.concatenate([tiled, fill_series(series, mask)], axis=2), mask
+    transform.apply(ds.schema.time_varying, series, ds.mask)
+    tiled = np.broadcast_to(statics[:, None, :], (*series.shape[:2], statics.shape[1]))
+    return np.concatenate([tiled, fill_series(series, ds.mask)], axis=2)
 
 
 def dataset_to_arrays(
@@ -68,15 +64,14 @@ def dataset_to_arrays(
     condition_mode: str = "both",
 ) -> tuple[SplitArrays, list[str]]:
     """Transform, fill, and stack one dataset into batchable arrays."""
-    x, mask = _stacked_inputs(ds, transform)
+    x = _stacked_inputs(ds, transform)
     durations = ds.durations()
     events = ds.events()
     bins = discretize(grid, durations)
     # last observed visit per subject
-    seen = mask.any(axis=2)
-    times = np.array([r.series_times for r in ds.records])
+    seen = ds.mask.any(axis=2)
     last = seen.shape[1] - 1 - np.argmax(seen[:, ::-1], axis=1)
-    t_last = times[np.arange(len(ds)), last]
+    t_last = ds.times[np.arange(len(ds)), last]
     window = discretize(grid, np.maximum(t_last, 0.0))
     cap = np.where(events == 1, bins - 1, bins)
     last_obs = np.where(seen.any(axis=1), np.minimum(window, cap), -1)
@@ -85,7 +80,7 @@ def dataset_to_arrays(
         x=x, bins=bins, events=events, last_obs=last_obs, cond=cond,
         durations=durations, n_bins=grid.n_bins,
     )
-    return arrays, [r.id for r in ds.records]
+    return arrays, ds.ids.tolist()
 
 
 @dataclass
@@ -153,7 +148,7 @@ class Predictor:
             raise CheckpointIncompatibleError(
                 "dataset schema does not match the schema this model was trained on"
             )
-        x = _stacked_inputs(ds, self.transform)[0]
+        x = _stacked_inputs(ds, self.transform)
         chunks = [
             predict_risk_batch(self.params, x[s : s + EVAL_CHUNK])
             for s in range(0, len(x), EVAL_CHUNK)

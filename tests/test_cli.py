@@ -196,10 +196,11 @@ def test_gradcheck_command(tmp_path, capsys):
 
 
 def test_missing_checkpoint_reports_error_code(tmp_path, capsys):
-    code = run("evaluate", "--synth", SYNTH, "--out", str(tmp_path))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("E_NO_CHECKPOINT:")
+    out = tmp_path / "ev"
+    for command in ("evaluate", "importance", "predict"):
+        assert run(command, "--synth", SYNTH, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("E_NO_CHECKPOINT:")
+        assert not out.exists()  # a refused run leaves no --out behind
 
 
 def test_config_errors(tmp_path, capsys):
@@ -294,7 +295,7 @@ def test_scoring_another_split_than_the_trained_one_is_refused(leak_run, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("E_CONFIG: the checkpoint was trained on the split of --seed 0;")
     assert err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_the_trained_split_and_an_unrecorded_split_are_scored(leak_run, tmp_path):

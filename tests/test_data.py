@@ -1,11 +1,13 @@
 """Ingestion, synthetic generation, splitting, and the preprocessing
 transforms: frozen hand cases plus the structural properties."""
 
+import ast
 import csv
 import dataclasses
 import io
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,11 +150,13 @@ def test_load_csv_errors_name_the_physical_line(tmp_path, static, series, where)
 
 def _same_datasets(got, want):
     assert got.schema == want.schema
-    for a, b in zip(got.records, want.records, strict=True):
-        assert (a.id, a.duration, a.event) == (b.id, b.duration, b.event)
-        for x, y in [(a.static_features, b.static_features), (a.series, b.series),
-                     (a.series_mask, b.series_mask), (a.series_times, b.series_times)]:
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    # also want's records stacked into columns and viewed back as records
+    for one in (got, want.replace()):
+        for a, b in zip(one.records, want.records, strict=True):
+            assert (a.id, a.duration, a.event) == (b.id, b.duration, b.event)
+            for x, y in [(a.static_features, b.static_features), (a.series, b.series),
+                         (a.series_mask, b.series_mask), (a.series_times, b.series_times)]:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
 _TIME_TEXT = {0.0: ["0", "0.0", "-0.0"], 0.5: ["0.5"], 1.0: ["1", "1.0", " 1e0"],
@@ -227,9 +231,14 @@ def test_load_csv_equals_the_row_by_row_loader(tmp_path_factory, files, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data, "_SERIES_CHUNK", chunk)
         got = load_csv(manifest)
-    _same_datasets(got, load_csv_reference(manifest))
+    want = load_csv_reference(manifest)
+    _same_datasets(got, want)
     if order is not None:
         assert got.schema.time_varying == order
+    # the padded fill equals the fill of each ragged record on its own
+    for a, b in zip(fill_dataset(got).records, want.records, strict=True):
+        assert np.array_equal(a.series, fill_series(b.series, b.series_mask))
+        assert a.series_mask.all() and a.series_mask.shape == b.series_mask.shape
 
 
 def test_load_csv_equals_the_row_by_row_loader_over_many_chunks(tmp_path):
@@ -244,6 +253,12 @@ def test_load_csv_equals_the_row_by_row_loader_over_many_chunks(tmp_path):
     got, want = load_csv(manifest), load_csv_reference(manifest)
     _same_datasets(got, want)
     assert len(got.records[-1].series_times) == 1  # s40 has no rows
+    # each part of the ragged split holds the parent's records of its ids
+    by_id = {r.id: r for r in want.records}
+    with pytest.warns(UserWarning, match="stratum is empty"):  # every subject has an event
+        parts = split_dataset(got, seed=0)
+    for part in parts:
+        _same_datasets(part, SurvivalDataset(want.schema, [by_id[i] for i in part.ids]))
     with pytest.raises(ValueError, match="read-only"):
         got.records[0].series[0, 0] = 1.0
 
@@ -791,3 +806,23 @@ def test_discretize_surjective_when_durations_span_grid():
     bins = discretize(grid, np.linspace(0.0, 10.0, 200))
     assert set(bins.tolist()) == set(range(10))
 
+
+def _layout_reads(path):
+    """``file:line`` of each ``.records`` read and ``SubjectRecord`` call in
+    the module at ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        called = getattr(node, "func", None)
+        if (isinstance(node, ast.Attribute) and node.attr == "records"
+                or isinstance(node, ast.Call)
+                and getattr(called, "id", getattr(called, "attr", None)) == "SubjectRecord"):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_data_module_reads_the_dataset_layout():
+    # the columns are the one layout; records are views data.py makes
+    modules = sorted(Path(data.__file__).parent.glob("*.py"))
+    assert len(modules) >= 9
+    assert _layout_reads(Path(data.__file__))  # the check sees the reads data.py makes
+    assert [hit for path in modules if path.name != "data.py" for hit in _layout_reads(path)] == []

@@ -149,10 +149,12 @@ def test_empty_dataset():
 
 def test_mixed_lengths_keep_their_message():
     ds = visit_cohort(4, seed=1)
-    short = ds.records[0]
-    ds.records[0] = SubjectRecord(short.id, short.static_features, short.series[:3],
-                                  short.series_mask[:3], short.duration, short.event,
-                                  short.series_times[:3])
+    short, *rest = ds.records
+    ds = SurvivalDataset(ds.schema, [
+        SubjectRecord(short.id, short.static_features, short.series[:3], short.series_mask[:3],
+                      short.duration, short.event, short.series_times[:3]),
+        *rest,
+    ])
     qt = fit_quantile_transform(ds)
     with pytest.raises(ContractError, match=r"mixed sequence lengths \[3, 12\]"):
         dataset_to_arrays(ds, qt, build_time_grid(ds.durations(), 4))
