@@ -83,7 +83,7 @@ def main():
     tuned_rep = multi_seed_report(
         prep.train, prep.val, prep.test, prep.grid, tuned, seeds, model_config=model
     )
-    baseline_cfg = replace(tuned, alpha=1.0, deterministic_latent=True)
+    baseline_cfg = replace(tuned, alpha=1.0)
     print("refitting alpha=1 deterministic baseline on the same seeds")
     base_rep = multi_seed_report(
         prep.train, prep.val, prep.test, prep.grid, baseline_cfg, seeds, model_config=model

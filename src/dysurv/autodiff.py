@@ -24,10 +24,10 @@ of its formula:
   values, in the same summation order, as the per-gate composition of
   matmul, add, sigmoid, tanh and mul nodes it replaces.
 - :func:`dense_values` computes ``act(x @ w + b)`` and checks the
-  pre-activation as well as the output, so an overflow that ``tanh`` or
-  ``softmax`` would saturate away still raises. :meth:`Tape.dense` records
-  its output as one node whose vector-Jacobian product runs the
-  activation → add → matmul chain in that order.
+  pre-activation, so an overflow that ``tanh`` or ``softmax`` would
+  saturate away still raises. :meth:`Tape.dense` records its output as one
+  node whose vector-Jacobian product runs the activation → add → matmul
+  chain in that order.
 
 Inference calls the two kernels directly and records nothing: a tape is
 kept only where a reverse sweep will read it. ``model.py`` records the
@@ -35,12 +35,14 @@ reparameterisation, the decoder input, the survival likelihood, the VAE
 loss and the loss blend through :meth:`Tape.record`, one node each, with
 the formulas kept there.
 
-Every value is checked for NaN and ±inf once, where it is computed: by a
-kernel or as a node is recorded. Operands are not checked on their own: a
-non-finite parameter or constant makes the value of the node that reads
-it non-finite, and that check raises naming the node's op. The check sums
-the array first and scans it entry by entry only when the sum is not
-finite, which an overflowing sum of finite entries also makes.
+Every value is checked for NaN and ±inf at most once, where it is
+computed: by a kernel or as a node is recorded. NaN and ±inf carry through
+sums, products and matmuls (IEEE 754), so operands are not checked on
+their own: a non-finite parameter, input or constant makes the value of
+the node that reads it non-finite, and that check raises naming the
+node's op. Nor is a sigmoid, tanh or softmax output, finite whenever its
+checked input is. The check sums the array first and scans it entry by
+entry only when the sum is not finite, as an overflowing sum also is.
 
 Shapes are restricted to what the model uses: 2-D dense layers and
 elementwise ops on equal shapes. General numpy broadcasting is out of
@@ -144,9 +146,10 @@ def dense_values(x: Array, w: Array, b: Array, activation: str) -> Array:
     ``activation`` one of identity, sigmoid, tanh or a row-wise softmax;
     the forward of :meth:`Tape.dense` and of tape-free inference.
 
-    The pre-activation is checked as well as the output, so an overflow
-    that a saturating activation would hide still raises
-    ``NumericalError`` naming ``'dense'``.
+    The pre-activation is checked, so an overflow that a saturating
+    activation would hide still raises ``NumericalError`` naming
+    ``'dense'``. The output is not: each activation maps finite values to
+    finite ones, so its check could never fire first.
     """
     if x.ndim != 2 or w.ndim != 2:
         raise ContractError(f"dense expects 2-D operands, got {x.shape} @ {w.shape}")
@@ -159,11 +162,7 @@ def dense_values(x: Array, w: Array, b: Array, activation: str) -> Array:
     z = x @ w
     z += b
     _check_finite(z, "dense")
-    if activation == "identity":
-        return z
-    out = _ACTIVATIONS[activation][0](z)
-    _check_finite(out, "dense")
-    return out
+    return z if activation == "identity" else _ACTIVATIONS[activation][0](z)
 
 
 def _steps_array(steps, d_in: int) -> Array:
@@ -198,11 +197,12 @@ def lstm_values(steps, wx: Array, wh: Array, b: Array, keep: bool = False):
     or a list of (batch, d_in) arrays, stacked once (see
     :func:`_steps_array`). Gate weights are stacked in the order i, f, o,
     g: ``wx`` is (d_in, 4 hidden), ``wh`` (hidden, 4 hidden) and ``b`` (4
-    hidden). h and c start at zero, so the first step has no recurrent
-    term and its forget gate multiplies nothing. The input is checked once
-    as a whole, then every step's pre-activation and the final h are
-    checked, and a non-finite one raises ``NumericalError`` naming
-    ``'lstm'``.
+    hidden). h and c start at zero, so the first step has no recurrent term
+    and its forget gate multiplies nothing. Every step's pre-activation is
+    checked, and a non-finite one raises ``NumericalError`` naming ``'lstm'``.
+    Neither the input nor h is checked on its own. Each input entry enters
+    every gate column of its step's pre-activation, so a non-finite one fails
+    that step's check. Once every gate is finite, |c_t| <= t and |h| <= 1.
 
     Returns the final hidden state (batch, hidden). With ``keep`` it
     returns ``(h, gates, cells, tanh_cells)``, what backpropagation through
@@ -222,7 +222,6 @@ def lstm_values(steps, wx: Array, wh: Array, b: Array, keep: bool = False):
             f"(d_in, 4h), (h, 4h), (4h,)"
         )
     x = _steps_array(steps, wx.shape[0])
-    _check_finite(x, "lstm")
     n, batch = x.shape[:2]
     gi, gf, go, gg = (slice(k * hid, (k + 1) * hid) for k in range(4))
     ifo = slice(0, 3 * hid)  # i, f and o are one contiguous column block
@@ -254,7 +253,6 @@ def lstm_values(steps, wx: Array, wh: Array, b: Array, keep: bool = False):
             np.multiply(z[:, gi], z[:, gg], out=c)
         np.tanh(c, out=tc)
         np.multiply(z[:, go], tc, out=h)
-    _check_finite(h, "lstm")
     return (h, gates, cells, tanh_cells) if keep else h
 
 
@@ -358,13 +356,14 @@ class Tape:
         the weight layout.
 
         The steps are constants: the node's parents are the three weights
-        and backward computes no input gradient. The node holds the
-        (T, batch, d_in) input, a strided view when given one, and the
-        kernel's gate, cell and tanh-cell buffers. Its vector-Jacobian
-        product allocates its buffers once per call: the (T, batch, 4
-        hidden) gate gradients, two dc buffers it alternates between, four
-        (batch, hidden) work buffers, one of which holds h_{t-1} for the
-        weight gradients, and one per weight-gradient term.
+        and backward computes no input gradient. A non-finite step entry or
+        weight fails the check of the first step pre-activation it reaches.
+        The node holds the (T, batch, d_in) input, a strided view when given
+        one, and the kernel's gate, cell and tanh-cell buffers. Its
+        vector-Jacobian product allocates its buffers once per call: the (T,
+        batch, 4 hidden) gate gradients, two dc buffers it alternates
+        between, four (batch, hidden) work buffers, one of which holds
+        h_{t-1} for the weight gradients, and one per weight-gradient term.
         """
         (wx, w_x), (wh, w_h), (bv, b) = _operand(w_x), _operand(w_h), _operand(b)
         x = _steps_array(steps, wx.shape[0])

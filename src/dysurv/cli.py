@@ -288,7 +288,7 @@ def cmd_predict(args) -> int:
     predictor = Predictor.from_checkpoint(ckpt)
     curves = predictor.curves(ds)
     times = np.linspace(0.0, ckpt.grid.t_max, CURVE_POINTS)
-    columns = np.stack([curves.at(t) for t in times], axis=1)
+    columns = curves.at(times).T
     path = out / "curves.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

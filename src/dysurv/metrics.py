@@ -12,7 +12,6 @@ on shared knots and extend as constants outside the knot range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,8 +28,8 @@ Array = np.ndarray
 
 EVAL_TIMES = 100  # equally spaced times behind IBS and INBLL
 LOG_CLAMP = 1e-12
-# most (event subject, other) pairs that concordance compares in one array
-CONCORDANCE_BLOCK = 1 << 16
+# most entries of one working array in concordance and in the IPCW scores
+CONCORDANCE_BLOCK = 1 << 15
 
 
 def _validate_outcomes(durations, events, curves=None) -> tuple[Array, Array]:
@@ -121,19 +120,23 @@ class SurvivalCurves:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def at(self, t: float) -> Array:
-        """All curves evaluated at scalar time t, shape (n,)."""
-        t = float(t)
-        if math.isnan(t):
+    def at(self, t) -> Array:
+        """All curves at time t, (n,) for a scalar t and (len(t), n) for a 1-D
+        array: left + w * (right - left) inside the knots, end columns outside."""
+        ts = np.asarray(t, dtype=np.float64)
+        if np.isnan(ts).any():
             raise DomainError("cannot evaluate survival curves at NaN")
-        if t <= self.times[0]:
-            return self.values[:, 0].copy()
-        if t >= self.times[-1]:
-            return self.values[:, -1].copy()
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
-        left = self.values[:, k]
-        return left + w * (self.values[:, k + 1] - left)
+        knots, cols = self.times, self.values.T
+        inside = np.minimum(np.maximum(ts, knots[0]), knots[-1])  # so ±inf makes no inf * 0
+        k = np.searchsorted(knots[:-1], inside, side="right") - 1
+        w = (inside - knots[k]) / (knots[k + 1] - knots[k])
+        left = cols[k]
+        rows = cols[k + 1] - left
+        rows *= w[..., None]
+        rows += left
+        rows[ts <= knots[0]] = cols[0]
+        rows[ts >= knots[-1]] = cols[-1]
+        return rows
 
     @staticmethod
     def from_bin_probs(probs: Array, grid: TimeGrid) -> "SurvivalCurves":
@@ -166,20 +169,11 @@ def _concordance(curves: SurvivalCurves, durations: Array, events: Array) -> flo
     # duration moved up by one float turns that into the one test later > t
     lone = event_idx[counts[inverse] == 1]
     later = np.where(is_event, durations, np.nextafter(durations, np.inf))
-    knots, values = curves.times, curves.values
-    # SurvivalCurves.at for a block of times, in its arithmetic: left + w *
-    # (right - left) inside the knot range, the end columns copied outside
-    lefts = np.ascontiguousarray(values[:, :-1].T)
-    rises = np.ascontiguousarray((values[:, 1:] - values[:, :-1]).T)
     step = max(1, CONCORDANCE_BLOCK // durations.size)
     for lo in range(0, lone.size, step):
         idx = lone[lo : lo + step]
         ts = durations[idx]
-        k = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 2)
-        w = (ts - knots[k]) / (knots[k + 1] - knots[k])
-        rows = lefts[k] + w[:, None] * rises[k]
-        rows[ts <= knots[0]] = values[:, 0]
-        rows[ts >= knots[-1]] = values[:, -1]
+        rows = curves.at(ts)
         own = rows[np.arange(idx.size), idx][:, None]
         pairs = later > ts[:, None]
         comparable += int(np.count_nonzero(pairs))
@@ -187,18 +181,20 @@ def _concordance(curves: SurvivalCurves, durations: Array, events: Array) -> flo
         tied += int(np.count_nonzero((own == rows) & pairs))
     # every event subject at a shared time t reads the same curve column and
     # the same comparable set, so those pairs are counted once per such time
-    for t in times[counts > 1]:
-        row = curves.at(t)
-        own = row[(durations == t) & is_event]
-        others = row[later > t]
-        if others.size == 0:
-            continue
-        comparable += own.size * others.size
-        step = max(1, CONCORDANCE_BLOCK // others.size)
-        for lo in range(0, own.size, step):
-            block = own[lo : lo + step, None]
-            concordant += int(np.count_nonzero(block < others))
-            tied += int(np.count_nonzero(block == others))
+    shared = times[counts > 1]
+    for lo in range(0, shared.size, step):
+        block = shared[lo : lo + step]
+        for t, row in zip(block, curves.at(block)):
+            own = row[(durations == t) & is_event]
+            others = row[later > t]
+            if others.size == 0:
+                continue
+            comparable += own.size * others.size
+            per = max(1, CONCORDANCE_BLOCK // others.size)
+            for first in range(0, own.size, per):
+                part = own[first : first + per, None]
+                concordant += int(np.count_nonzero(part < others))
+                tied += int(np.count_nonzero(part == others))
     if comparable == 0:
         raise MetricUndefinedError("no comparable pairs; concordance is undefined")
     return (concordant + 0.5 * tied) / comparable
@@ -222,16 +218,19 @@ def concordance_td(curves: SurvivalCurves, durations, events) -> float:
 
 def _ipcw_scores(curves, durations, events, times, censor_sf: StepFunction | None):
     """Brier scores and binomial log likelihoods at each of ``times``; the
-    censoring curve G (Kaplan-Meier unless given) is read once per subject
-    at T- and once per time. Raises if a needed weight degenerates to 0."""
+    censoring curve G (Kaplan-Meier unless given) is read at each T- and
+    time, the curves per block of times. Raises if a needed weight is 0."""
     if censor_sf is None:
         censor_sf = km_estimator(durations, 1 - events)
     g_own = censor_sf.left(durations)
     g_times = censor_sf.at(np.asarray(times, dtype=np.float64))
     is_event = events == 1
     brier, loglik = np.empty((2, len(times)))
+    step = max(1, CONCORDANCE_BLOCK // durations.size)
     for k, t in enumerate(times):
-        s_t = curves.at(t)
+        if k % step == 0:
+            surv = curves.at(times[k : k + step])
+        s_t = surv[k % step]
         had_event = (durations <= t) & is_event
         still_alive = durations > t
         g_event = g_own[had_event]

@@ -245,9 +245,11 @@ def reparameterize_graph(tape: Tape, mu: Tensor, logvar: Tensor, eps: Array) -> 
     over mu and logvar; the standard-normal draw ``eps`` is a constant.
 
     Values and gradients follow the order of the composed ``mul``/``exp``/
-    ``add`` nodes: d mu = g and d logvar = ((g * eps) * sigma) * 0.5. eps
-    and sigma are checked as well as z, so an overflowing sigma raises
-    naming ``'reparameterize'``.
+    ``add`` nodes: d mu = g and d logvar = ((g * eps) * sigma) * 0.5. Only
+    z is checked, and a non-finite one raises naming ``'reparameterize'``.
+    mu is a checked value, so z is non-finite whenever sigma or eps is: an
+    overflowing sigma, a sigma that underflows to 0 against an infinite
+    eps, and a NaN eps all make sigma * eps NaN or ±inf.
     """
     eps = np.asarray(eps, dtype=np.float64)
     if not (mu.shape == logvar.shape == eps.shape):
@@ -257,8 +259,7 @@ def reparameterize_graph(tape: Tape, mu: Tensor, logvar: Tensor, eps: Array) -> 
     def vjp(g):
         return g, ((g * eps) * sigma) * 0.5
 
-    return tape.record("reparameterize", mu.value + sigma * eps, (mu, logvar), vjp,
-                       intermediates=(sigma, eps))
+    return tape.record("reparameterize", mu.value + sigma * eps, (mu, logvar), vjp)
 
 
 def decoder_input_graph(tape: Tape, z: Tensor, cond: Array) -> Tensor:

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Param, Tape, Tensor
+from .autodiff import _ACTIVATIONS, Param, Tape, Tensor
 from .errors import ContractError
 
 Array = np.ndarray
 
-ACTIVATIONS = ("identity", "sigmoid", "tanh", "softmax")
+ACTIVATIONS = ("identity", *_ACTIVATIONS)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Array:

@@ -180,7 +180,7 @@ def heavy():
     report = multi_seed_report(
         prep.train, prep.val, prep.test, prep.grid, tuned, model_config=HEAVY_MODEL
     )
-    baseline_cfg = replace(tuned, alpha=1.0, deterministic_latent=True)
+    baseline_cfg = replace(tuned, alpha=1.0)
     baseline = multi_seed_report(
         prep.train, prep.val, prep.test, prep.grid, baseline_cfg,
         model_config=HEAVY_MODEL,

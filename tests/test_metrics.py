@@ -3,6 +3,7 @@ and slow brute-force implementations written independently of the fast
 paths (different formulation, same definition)."""
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -118,6 +119,14 @@ def test_curves_at_nan_is_a_domain_error():
         curves.at(float("nan"))
     assert curves.at(-math.inf).tolist() == [1.0]
     assert curves.at(math.inf).tolist() == [0.1]
+    # a 1-D array of times gives one row per time, each the scalar call's
+    times = np.array([-math.inf, -1.0, 0.0, 0.5, 1.0, 2.75, 3.0, 4.0, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = curves.at(times)
+    assert np.array_equal(rows, np.stack([curves.at(t) for t in times]))
+    with pytest.raises(DomainError, match="NaN"):
+        curves.at(np.array([1.0, float("nan")]))
 
 
 def test_concordance_identical_predictions_is_half():

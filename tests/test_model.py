@@ -337,6 +337,16 @@ def test_fused_latent_nodes_name_themselves_on_non_finite_values():
     mu, logvar = computed(tape, np.zeros((2, 3))), computed(tape, np.full((2, 3), 1500.0))
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'reparameterize'"):
         reparameterize_graph(tape, mu, logvar, np.ones((2, 3)))
+    # only z is checked: sigma = inf against eps = 0, a sigma that underflows
+    # to 0 against an infinite eps, and a non-finite eps all make z non-finite
+    message = r"^non-finite value produced by op 'reparameterize'$"
+    for logvar_entry, eps_entry in [(1500.0, 0.0), (-1500.0, np.inf), (0.0, np.nan),
+                                    (0.0, np.inf), (0.0, -np.inf)]:
+        logvar, eps = computed(tape, np.zeros((2, 3))), np.ones((2, 3))
+        logvar.value[1, 2], eps[1, 2] = logvar_entry, eps_entry
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match=message):
+            reparameterize_graph(tape, mu, logvar, eps)
     with pytest.raises(NumericalError, match="'decoder_input'"):
         decoder_input_graph(tape, mu, np.full((2, 4), np.nan))
 

@@ -1,6 +1,8 @@
 """Dense and LSTM building blocks: initialization contracts, forward
 values on frozen inputs, and gradient agreement through time."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -230,11 +232,25 @@ def test_lstm_steps_that_do_not_stack_raise_contract_error(steps):
 
 
 def test_lstm_non_finite_step_input_raises():
+    # the input is not checked on its own: a bad entry at any (step, row,
+    # feature) reaches every gate column of its step's pre-activation, even
+    # through an all-zero row of w_x (inf * 0 is NaN), for the gemv path at
+    # batch 1 and the gemm path above it
     cell = init_lstm(np.random.default_rng(9), 3, 4, "enc")
-    x = np.ones((2, 3))
-    x[1, 2] = np.nan
-    with pytest.raises(NumericalError, match="lstm"):
-        lstm_forward(Tape(), cell, [np.ones((2, 3)), x])
+    zeroed = cell.w_x.value.copy()
+    zeroed[1] = 0.0
+    message = r"^non-finite value produced by op 'lstm'$"
+    cases = itertools.product((cell.w_x, Param("enc.w_x", zeroed)), (1, 3),
+                              (np.nan, np.inf, -np.inf))
+    with np.errstate(invalid="ignore"):
+        for w_x, batch, bad in cases:
+            for pos in np.ndindex(3, batch, 3):
+                x = np.ones((3, batch, 3))
+                x[pos] = bad
+                with pytest.raises(NumericalError, match=message):
+                    lstm_values(x, w_x.value, cell.w_h.value, cell.b.value)
+                with pytest.raises(NumericalError, match=message):
+                    Tape().lstm(list(x), w_x, cell.w_h, cell.b)
 
 
 def test_lstm_pre_activation_overflow_raises():
@@ -256,16 +272,17 @@ def test_dense_node_checks_each_value_once(monkeypatch, activation):
     layer = init_dense(np.random.default_rng(12), 3, 4, activation, "head")
     calls = count_checks(monkeypatch)
     Tape().dense(np.ones((2, 3)), layer.weight, layer.bias, activation)
-    # the pre-activation, then the output unless identity makes them one
-    assert calls == [(2, 4)] * (1 if activation == "identity" else 2)
+    # the pre-activation only: every activation maps finite to finite
+    assert calls == [(2, 4)]
 
 
 def test_lstm_node_checks_each_value_once(monkeypatch):
     cell = init_lstm(np.random.default_rng(13), 3, 4, "enc")
     calls = count_checks(monkeypatch)
     Tape().lstm([np.ones((2, 3))] * 5, *cell.parameters())
-    # the stacked input once, each step's pre-activation, then h
-    assert calls == [(5, 2, 3)] + [(2, 16)] * 5 + [(2, 4)]
+    # each step's pre-activation, which every input entry reaches; once
+    # the gates are finite, so is h
+    assert calls == [(2, 16)] * 5
 
 
 # the encoder kernel against its frozen pre-buffer form, bit for bit

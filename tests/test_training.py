@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from dysurv import training
+from dysurv import autodiff, training
 from dysurv.autodiff import Param, Tape
 from dysurv.data import TimeGrid, _table_levels, generate_synthetic
 from dysurv.errors import (
@@ -142,10 +142,42 @@ def test_training_batch_checks_computed_values_only(prepared, monkeypatch):
                                quick_config(alpha=0.8, dropout_keep=0.9),
                                np.random.default_rng(0))
     tape.mul(total, 1.0 / 64)
-    # lstm 3, the encoder's dropout 1, mu and logvar 1 each, reparameterize
-    # 3, each tanh layer 2 and its dropout 1, sur_out 2, decoder_input 1,
+    # lstm 1, the encoder's dropout 1, mu and logvar 1 each, reparameterize
+    # 1, each tanh layer 1 and its dropout 1, sur_out 1, decoder_input 1,
     # dec_out 1, nll 4, vae, total and the batch mean 1 each
-    assert len(calls) == 26
+    assert len(calls) == 19
+
+
+@pytest.mark.parametrize("seq_len,per_batch,per_prediction", [(1, 20, 4), (12, 31, 15)])
+def test_finiteness_checks_per_batch_and_per_prediction(monkeypatch, seq_len, per_batch,
+                                                        per_prediction):
+    # the benchmark's shape: one training batch checks each step's
+    # pre-activation, the 18 other computed values above and, in adam_step,
+    # the gradient; a one-subject prediction checks each step's
+    # pre-activation and those of mu and the two survival layers
+    model = ModelConfig(hidden_size=24, z_dim=8, decoder_hidden=(24,), survival_hidden=(24,))
+    rng = np.random.default_rng(0)
+    n, n_bins = 64, 10
+    bins = rng.integers(0, n_bins, size=n)
+    events = rng.integers(0, 2, size=n)
+    data = SplitArrays(
+        x=rng.standard_normal((n, seq_len, 5)), bins=bins, events=events,
+        last_obs=np.full(n, -1), cond=condition_matrix(events, bins, n_bins, "both"),
+        durations=bins + 0.5, n_bins=n_bins,
+    )
+    params = init_dysurv_params(rng, 5, seq_len, n_bins, model)
+    plist = params.parameters()
+    calls = count_checks(monkeypatch)
+    monkeypatch.setattr(training, "all_finite", autodiff.all_finite)  # adam_step's
+    tape = Tape()
+    total, _, _ = _batch_graph(tape, params, data, np.arange(n),
+                               quick_config(alpha=0.8, dropout_keep=0.9), rng)
+    grads = tape.backward(tape.mul(total, 1.0 / n), plist)
+    adam_step(AdamState.init(plist), plist, grads, 1e-3)
+    assert len(calls) == per_batch
+    calls.clear()
+    predict_risk_batch(params, data.x[:1])
+    assert len(calls) == per_prediction
 
 
 @pytest.mark.parametrize("name,op", [
