@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .autodiff import all_finite
 from .data import SurvivalDataset, TimeGrid
 from .errors import (
     ContractError,
@@ -102,6 +103,7 @@ class SurvivalCurves:
     ``values[i]`` are subject i's survival probabilities at ``times``.
     Queries clamp to the knot range, so the curve extends as a constant
     beyond the last knot (the mass past the horizon sits in the extra bin).
+    A NaN or ±inf value raises DomainError.
     """
 
     times: Array
@@ -116,6 +118,8 @@ class SurvivalCurves:
             raise ContractError("values must have one column per knot")
         if self.times.size < 2 or np.any(np.diff(self.times) <= 0):
             raise ContractError("need at least two strictly increasing knots")
+        if not all_finite(self.values):
+            raise DomainError("survival values must be finite")
 
     def __len__(self) -> int:
         return self.values.shape[0]

@@ -93,10 +93,6 @@ class DySurvParams:
     def condition_mode(self) -> str:
         return self.config.condition_mode
 
-    @property
-    def cond_dim(self) -> int:
-        return condition_dim(self.condition_mode, self.n_bins)
-
     def parameters(self) -> list[Param]:
         out = self.encoder.parameters()
         out += self.mu_head.parameters() + self.logvar_head.parameters()
@@ -149,8 +145,10 @@ def init_dysurv_params(
 
 
 def condition_matrix(events: Array, bins: Array, n_bins: int, mode: str) -> Array:
-    """Outcome conditioning for the decoder: event one-hot [censored, event]
-    and/or a duration-bin one-hot of width n_bins + 1."""
+    """Outcome conditioning for the decoder, one row per subject: event
+    one-hot [censored, event] and/or a duration-bin one-hot of width
+    n_bins + 1. An event other than 0 or 1 or a bin outside [0, n_bins]
+    is a DomainError."""
     if mode not in CONDITION_MODES:
         raise ContractError(f"condition mode '{mode}' not one of {CONDITION_MODES}")
     events = np.asarray(events, dtype=np.int64)
@@ -158,6 +156,8 @@ def condition_matrix(events: Array, bins: Array, n_bins: int, mode: str) -> Arra
     n = events.shape[0]
     parts = []
     if mode in ("labels", "both"):
+        if np.any((events != 0) & (events != 1)):
+            raise DomainError("events must be 0 or 1")
         lab = np.zeros((n, 2))
         lab[np.arange(n), events] = 1.0
         parts.append(lab)

@@ -29,7 +29,7 @@ from .data import (
 )
 from .errors import CheckpointIncompatibleError, ContractError
 from .metrics import SurvivalCurves
-from .model import DySurvParams, condition_matrix, predict_risk_batch
+from .model import DySurvParams, predict_risk_batch
 from .training import EVAL_CHUNK, Checkpoint, SplitArrays
 
 Array = np.ndarray
@@ -63,7 +63,8 @@ def dataset_to_arrays(
     grid: TimeGrid,
     condition_mode: str = "both",
 ) -> tuple[SplitArrays, list[str]]:
-    """Transform, fill, and stack one dataset into batchable arrays."""
+    """Transform, fill, and stack one dataset into batchable arrays; each
+    batch builds the decoder's condition from its own bins and events."""
     x = _stacked_inputs(ds, transform)
     durations = ds.durations()
     events = ds.events()
@@ -75,10 +76,9 @@ def dataset_to_arrays(
     window = discretize(grid, np.maximum(t_last, 0.0))
     cap = np.where(events == 1, bins - 1, bins)
     last_obs = np.where(seen.any(axis=1), np.minimum(window, cap), -1)
-    cond = condition_matrix(events, bins, grid.n_bins, condition_mode)
     arrays = SplitArrays(
-        x=x, bins=bins, events=events, last_obs=last_obs, cond=cond,
-        durations=durations, n_bins=grid.n_bins,
+        x=x, bins=bins, events=events, last_obs=last_obs,
+        durations=durations, n_bins=grid.n_bins, condition_mode=condition_mode,
     )
     return arrays, ds.ids.tolist()
 

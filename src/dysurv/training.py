@@ -94,23 +94,23 @@ class TrainConfig:
 @dataclass
 class SplitArrays:
     """One split, stacked for batching: inputs (n, seq_len, d_in), outcome
-    bins/events, decoder conditioning, and the raw durations for metrics.
-    ``last_obs`` is -1 where the likelihood conditions on nothing."""
+    bins and 0/1 events, and the raw durations for metrics. ``last_obs`` is
+    -1 where the likelihood conditions on nothing. Each alpha < 1 batch
+    builds its ``condition_mode`` condition from its bins and events."""
 
     x: Array
     bins: Array
     events: Array
     last_obs: Array
-    cond: Array
     durations: Array
     n_bins: int
+    condition_mode: str
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
         self.bins = np.asarray(self.bins, dtype=np.int64)
         self.events = np.asarray(self.events, dtype=np.int64)
         self.last_obs = np.asarray(self.last_obs, dtype=np.int64)
-        self.cond = np.asarray(self.cond, dtype=np.float64)
         self.durations = np.asarray(self.durations, dtype=np.float64)
         n = self.x.shape[0]
         if self.x.ndim != 3:
@@ -123,10 +123,10 @@ class SplitArrays:
         ):
             if arr.shape != (n,):
                 raise ContractError(f"{name} must be shape ({n},), got {arr.shape}")
-        if self.cond.ndim != 2 or self.cond.shape[0] != n:
-            raise ContractError(f"cond must be (n, cond_dim), got {self.cond.shape}")
         if np.any(self.bins < 0) or np.any(self.bins >= self.n_bins):
             raise ContractError(f"bins must lie in [0, {self.n_bins - 1}]")
+        if np.any((self.events != 0) & (self.events != 1)):
+            raise ContractError("events must be 0 or 1")
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -138,6 +138,13 @@ class SplitArrays:
     @property
     def d_in(self) -> int:
         return self.x.shape[2]
+
+    @property
+    def cond(self) -> Array:
+        """The whole split's decoder condition, built on each read and not
+        stored. Only perfbench's traced replay reads it; the property goes
+        once perfbench builds the matrix itself (ROADMAP direction 1)."""
+        return condition_matrix(self.events, self.bins, self.n_bins, self.condition_mode)
 
 
 @dataclass
@@ -228,9 +235,10 @@ def _batch_graph(
     config: TrainConfig,
     rng: np.random.Generator | None,
 ):
-    """Forward + loss for one batch. ``rng`` None means deterministic
-    evaluation: z = mu, dropout off. Returns (total, l1, l2) tensors."""
-    xb = data.x[idx]
+    """Forward + loss for one batch, the decoder's condition built from its
+    bins and events. ``rng`` None means deterministic evaluation: z = mu,
+    dropout off. Returns (total, l1, l2) tensors."""
+    xb, bins, events = data.x[idx], data.bins[idx], data.events[idx]
     batch = xb.shape[0]
     steps = xb.transpose(1, 0, 2)
     use_vae = config.alpha < 1.0
@@ -244,12 +252,10 @@ def _batch_graph(
             eps = rng.standard_normal((batch, params.z_dim))
     mu, logvar, _, a_hat, x_recon = forward_graph(
         tape, params, steps,
-        cond=data.cond[idx] if use_vae else None,
+        cond=condition_matrix(events, bins, data.n_bins, data.condition_mode) if use_vae else None,
         eps=eps, keep=config.dropout_keep, masks=masks, training=training,
     )
-    loss_masks = LossMasks.build(
-        data.bins[idx], data.events[idx], data.last_obs[idx], data.n_bins
-    )
+    loss_masks = LossMasks.build(bins, events, data.last_obs[idx], data.n_bins)
     l1 = nll_graph(tape, a_hat, loss_masks)
     l2 = None
     if use_vae:
@@ -294,11 +300,10 @@ def fit(
         raise ContractError("train and val arrays disagree on bin count")
     rng = np.random.default_rng(config.seed)
     params = init_dysurv_params(rng, train.d_in, train.seq_len, train.n_bins, model_config)
-    if config.alpha < 1.0 and train.cond.shape[1] != params.cond_dim:
-        raise ContractError(
-            f"conditioning width {train.cond.shape[1]} does not match the "
-            f"decoder's expected {params.cond_dim}"
-        )
+    for name, split in (("train", train), ("val", val)):
+        if config.alpha < 1.0 and split.condition_mode != params.condition_mode:
+            raise ContractError(f"the {name} split conditions on '{split.condition_mode}', "
+                                f"the decoder on '{params.condition_mode}'")
     plist = params.parameters()
     adam = AdamState.init(plist)
     n = len(train)
@@ -641,8 +646,7 @@ def gradient_check(seed: int = 0) -> float:
     events[-1] = 0
     data = SplitArrays(
         x=x, bins=bins, events=events, last_obs=np.where(bins > 0, bins - 1, -1),
-        cond=condition_matrix(events, bins, n_bins, "both"),
-        durations=bins + 0.5, n_bins=n_bins,
+        durations=bins + 0.5, n_bins=n_bins, condition_mode="both",
     )
     config = TrainConfig(alpha=0.5, dropout_keep=1.0)
 

@@ -57,7 +57,7 @@ from dysurv.metrics import (
     evaluate_all,
     km_estimator,
 )
-from dysurv.model import PROB_FLOOR, condition_matrix, forward_graph, predict_risk_batch
+from dysurv.model import PROB_FLOOR, forward_graph, predict_risk_batch
 from dysurv.nn import glorot_uniform
 from dysurv.training import (
     GridSearchResult,
@@ -1019,9 +1019,20 @@ def dataset_to_arrays_reference(ds, qt, grid, condition_mode="both"):
         mats.append(np.concatenate([tiled, filled], axis=1))
     return SplitArrays(
         x=np.stack(mats), bins=bins, events=events, last_obs=last_obs,
-        cond=condition_matrix(events, bins, grid.n_bins, condition_mode),
-        durations=ds.durations(), n_bins=grid.n_bins,
+        durations=ds.durations(), n_bins=grid.n_bins, condition_mode=condition_mode,
     )
+
+
+def condition_matrix_reference(events, bins, n_bins, mode):
+    """The decoder's outcome condition one subject at a time: [censored,
+    event] for "labels", the bin one-hot over n_bins + 1 for "times", both
+    in that order for "both"."""
+    rows = []
+    for event, b in zip(events, bins):
+        labels = [float(event == 0), float(event == 1)]
+        times = [float(k == b) for k in range(n_bins + 1)]
+        rows.append({"labels": labels, "times": times, "both": labels + times}[mode])
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

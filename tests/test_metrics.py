@@ -129,6 +129,33 @@ def test_curves_at_nan_is_a_domain_error():
         curves.at(np.array([1.0, float("nan")]))
 
 
+KNOTS = [0.0, 5.0, 10.0]
+FINITE = [[1.0, 0.6, 0.2], [1.0, 0.5, 0.3], [1.0, 0.7, 0.4]]
+
+
+@pytest.mark.parametrize("values,durations,events,error,message", [
+    ([[1.0, math.nan, 0.2], *FINITE[1:]], [2, 6, 8], [1, 1, 0], DomainError,
+     "^survival values must be finite$"),
+    ([[1.0, math.inf, 0.2], *FINITE[1:]], [2, 6, 8], [1, 1, 0], DomainError,
+     "^survival values must be finite$"),
+    ([*FINITE[:2], [1.0, 0.5, -math.inf]], [2, 6, 8], [1, 1, 0], DomainError,
+     "^survival values must be finite$"),
+    (FINITE, [2, 6], [1, 1, 0], ContractError, "^durations and events must be matching 1-D"),
+    (FINITE, [[2, 6, 8]], [[1, 1, 0]], ContractError, "^durations and events must be matching"),
+    (FINITE, [2, -6, 8], [1, 1, 0], DomainError, "^durations must be finite and nonnegative$"),
+    (FINITE, [2, math.nan, 8], [1, 1, 0], DomainError, "^durations must be finite"),
+    (FINITE, [2, math.inf, 8], [1, 1, 0], DomainError, "^durations must be finite"),
+    (FINITE, [2, 6, 8], [1, 2, 0], DomainError, "^events must be 0 or 1$"),
+    (FINITE, [2, 6, 8], [1, -1, 0], DomainError, "^events must be 0 or 1$"),
+], ids=["nan-value", "inf-value", "minus-inf-value", "shorter-durations", "2-d-outcomes",
+        "negative-duration", "nan-duration", "inf-duration", "event-code-2",
+        "event-code-minus-1"])
+def test_metrics_refuse_non_finite_curves_and_bad_outcomes(values, durations, events, error,
+                                                           message):
+    with pytest.raises(error, match=message):
+        evaluate_all(SurvivalCurves(KNOTS, values), durations, events)
+
+
 def test_concordance_identical_predictions_is_half():
     curves = constant_curves(0.5, 6, 10.0)
     rng = np.random.default_rng(0)

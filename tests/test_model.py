@@ -428,6 +428,9 @@ def test_condition_matrix_layout():
         condition_matrix([0], [4], n_bins=3, mode="times")
     with pytest.raises(ContractError):
         condition_matrix([0], [0], n_bins=3, mode="full")
+    for bad in ([2], [-1]):
+        with pytest.raises(DomainError, match="^events must be 0 or 1$"):
+            condition_matrix(bad, [0], n_bins=3, mode="labels")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Stacked data preparation against the record-by-record reference, and
 the predictor reading the same inputs training reads."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from dysurv.pipeline import Predictor, dataset_to_arrays, prepare_splits
 from dysurv.training import EVAL_CHUNK
 
 from oracles import (
+    condition_matrix_reference,
     dataset_to_arrays_reference,
     fit_quantile_transform_reference,
     predict_risk_batch_reference,
@@ -58,8 +61,11 @@ def visit_cohort(n, seed, n_visits=12):
 def assert_arrays_equal(ds, qt, grid):
     arrays, ids = dataset_to_arrays(ds, qt, grid)
     ref = dataset_to_arrays_reference(ds, qt, grid)
-    for name in ("x", "bins", "events", "last_obs", "cond", "durations"):
+    for name in ("x", "bins", "events", "last_obs", "durations"):
         assert np.array_equal(getattr(arrays, name), getattr(ref, name)), name
+    assert arrays.condition_mode == ref.condition_mode
+    want = condition_matrix_reference(ref.events, ref.bins, ref.n_bins, ref.condition_mode)
+    assert np.array_equal(arrays.cond, want)
     assert arrays.x.dtype == ref.x.dtype and arrays.last_obs.dtype == ref.last_obs.dtype
     assert ids == [r.id for r in ds.records]
     return arrays
@@ -130,6 +136,16 @@ def test_stacked_prep_hand_cases():
     assert arrays.x[0, :, 1].tolist() == [gap_u[0], gap_u[0], gap_u[1]]
     assert arrays.x[0, :, 2].tolist() == [0.0, 0.0, 0.0]
     assert arrays.x[1, 2, 1:].tolist() == arrays.x[1, 1, 1:].tolist()
+
+
+def test_a_prepared_split_stores_only_the_subjects_data():
+    # the decoder's condition is built per batch from bins and events
+    prep = prepare_splits(generate_synthetic(200, 3, 0.3, seed=2), split_seed=0, n_bins=6)
+    for split in (prep.train, prep.val, prep.test):
+        arrays = [f.name for f in dataclasses.fields(split)
+                  if isinstance(getattr(split, f.name), np.ndarray)]
+        assert arrays == ["x", "bins", "events", "last_obs", "durations"]
+        assert split.condition_mode == prep.condition_mode == "both"
 
 
 def test_empty_dataset():

@@ -19,11 +19,12 @@ from dysurv.errors import (
     CheckpointCorruptError,
     CheckpointIncompatibleError,
     ContractError,
+    DomainError,
     NoCheckpointError,
     NumericalError,
     SearchFailureError,
 )
-from dysurv.model import ModelConfig, condition_matrix, init_dysurv_params, predict_risk_batch
+from dysurv.model import ModelConfig, init_dysurv_params, predict_risk_batch
 from dysurv.pipeline import prepare_splits
 from dysurv.training import (
     AdamState,
@@ -162,8 +163,7 @@ def test_finiteness_checks_per_batch_and_per_prediction(monkeypatch, seq_len, pe
     events = rng.integers(0, 2, size=n)
     data = SplitArrays(
         x=rng.standard_normal((n, seq_len, 5)), bins=bins, events=events,
-        last_obs=np.full(n, -1), cond=condition_matrix(events, bins, n_bins, "both"),
-        durations=bins + 0.5, n_bins=n_bins,
+        last_obs=np.full(n, -1), durations=bins + 0.5, n_bins=n_bins, condition_mode="both",
     )
     params = init_dysurv_params(rng, 5, seq_len, n_bins, model)
     plist = params.parameters()
@@ -191,8 +191,7 @@ def test_non_finite_parameter_raises_at_its_first_use(monkeypatch, name, op):
     events = rng.integers(0, 2, size=n)
     data = SplitArrays(  # two steps, so the recurrent weights are read
         x=rng.standard_normal((n, 2, 3)), bins=bins, events=events,
-        last_obs=np.full(n, -1), cond=condition_matrix(events, bins, n_bins, "both"),
-        durations=bins + 0.5, n_bins=n_bins,
+        last_obs=np.full(n, -1), durations=bins + 0.5, n_bins=n_bins, condition_mode="both",
     )
     init = training.init_dysurv_params
 
@@ -278,17 +277,61 @@ def test_alpha_one_never_touches_the_decoder(prepared):
     assert history.val_total == history.val_l1
 
 
-def test_fit_shape_contracts(prepared):
-    bad_val = dataclasses.replace(prepared.val, cond=prepared.val.cond[:, :3])
-    with pytest.raises(ContractError):
-        fit(prepared.train, bad_val, quick_config(), model_config=TINY_MODEL)
-    bad_cond = dataclasses.replace(prepared.train, cond=prepared.train.cond[:, :3])
-    with pytest.raises(ContractError):
-        fit(bad_cond, prepared.val, quick_config(), model_config=TINY_MODEL)
+def test_fit_shape_contracts(prepared, monkeypatch):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran before the condition modes were checked")
+
+    bad_val = dataclasses.replace(prepared.val, condition_mode="labels")
+    bad_train = dataclasses.replace(prepared.train, condition_mode="times")
+    with monkeypatch.context() as patched:
+        patched.setattr(training, "_batch_graph", no_batch)
+        with pytest.raises(ContractError,
+                           match="^the val split conditions on 'labels', the decoder on 'both'$"):
+            fit(prepared.train, bad_val, quick_config(), model_config=TINY_MODEL)
+        with pytest.raises(ContractError,
+                           match="^the train split conditions on 'times', the decoder on 'both'$"):
+            fit(bad_train, prepared.val, quick_config(), model_config=TINY_MODEL)
     # alpha = 1 ignores the conditioning entirely
-    params, _ = fit(bad_cond, bad_val, quick_config(alpha=1.0, max_epochs=1),
+    params, _ = fit(bad_train, bad_val, quick_config(alpha=1.0, max_epochs=1),
                     model_config=TINY_MODEL)
     assert params is not None
+
+
+def _split(**overrides):
+    """A valid three-subject split, with ``overrides`` replacing its fields."""
+    fields = dict(x=np.zeros((3, 2, 4)), bins=[0, 1, 2], events=[1, 0, 1],
+                  last_obs=[-1, -1, 0], durations=[0.5, 1.5, 2.5], n_bins=3,
+                  condition_mode="both")
+    return SplitArrays(**{**fields, **overrides})
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(x=np.zeros((3, 8))), r"^x must be \(n, seq_len, d_in\), got shape \(3, 8\)$"),
+    (dict(x=np.zeros((0, 2, 4))), "^a split needs at least one subject$"),
+    (dict(durations=[0.5, 1.5]), r"^durations must be shape \(3,\), got \(2,\)$"),
+    (dict(bins=[0, 1, 3]), r"^bins must lie in \[0, 2\]$"),
+    (dict(bins=[0, -1, 2]), r"^bins must lie in \[0, 2\]$"),
+    (dict(events=[1, 2, 0]), "^events must be 0 or 1$"),
+    (dict(events=[1, -1, 0]), "^events must be 0 or 1$"),
+], ids=["x-not-3d", "empty", "wrong-length", "bin-past-the-grid", "negative-bin",
+        "event-code-2", "event-code-minus-1"])
+def test_split_arrays_refusals(overrides, message):
+    _split()  # the base split is valid
+    with pytest.raises(ContractError, match=message):
+        _split(**overrides)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("learning_rate", 0.0, "^learning_rate must be positive, got 0.0$"),
+    ("batch_size", 0, "^batch_size must be >= 1, got 0$"),
+    ("alpha", 1.5, r"^alpha must lie in \[0, 1\], got 1.5$"),
+    ("dropout_keep", 0.0, r"^dropout_keep must lie in \(0, 1\], got 0.0$"),
+    ("max_epochs", 0, "^max_epochs must be >= 1, got 0$"),
+    ("patience", 0, "^patience must be >= 1, got 0$"),
+])
+def test_train_config_refusals(field, value, message):
+    with pytest.raises(DomainError, match=message):
+        TrainConfig(**{field: value})
 
 
 def test_history_csv_layout(prepared, tmp_path):
@@ -312,10 +355,10 @@ def test_history_csv_layout(prepared, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _mismatched_cond(prepared):
-    """Splits whose cond is too narrow for the decoder: every alpha < 1 trial fails."""
-    return (dataclasses.replace(prepared.train, cond=prepared.train.cond[:, :3]),
-            dataclasses.replace(prepared.val, cond=prepared.val.cond[:, :3]))
+def _mismatched_mode(prepared):
+    """Splits whose condition mode is not the decoder's: every alpha < 1 trial fails."""
+    return (dataclasses.replace(prepared.train, condition_mode="labels"),
+            dataclasses.replace(prepared.val, condition_mode="labels"))
 
 
 def test_grid_search_exhaustive_and_ranked(prepared):
@@ -347,7 +390,7 @@ def test_grid_search_single_point(prepared):
 
 
 def test_grid_search_all_failures(prepared):
-    broken, broken_val = _mismatched_cond(prepared)
+    broken, broken_val = _mismatched_mode(prepared)
     space = GridSearchSpace(learning_rates=(1e-2,), batch_sizes=(64,),
                             alphas=(0.5, 0.2), dropout_keeps=(1.0,))
     base = quick_config(max_epochs=1)
@@ -460,7 +503,7 @@ def test_pool_runs_inline_beside_another_thread(monkeypatch):
 
 
 def test_grid_search_matches_the_serial_loop(prepared, cpus):
-    train, val = _mismatched_cond(prepared)
+    train, val = _mismatched_mode(prepared)
     space = GridSearchSpace(learning_rates=(1e-2, 1e-3), batch_sizes=(64,),
                             alphas=(1.0, 0.5), dropout_keeps=(1.0,))
     base = quick_config(max_epochs=2)
@@ -470,7 +513,7 @@ def test_grid_search_matches_the_serial_loop(prepared, cpus):
     assert _json(got) == _json(want)
     board = got.to_json_dict()["leaderboard"]
     assert [t["status"] for t in board] == ["ok", "failed", "ok", "failed"]
-    assert "conditioning width 3" in board[1]["error"]
+    assert "the train split conditions on 'labels', the decoder on 'both'" in board[1]["error"]
 
 
 def test_multi_seed_report_matches_the_serial_loop(prepared, cpus, monkeypatch):
@@ -592,6 +635,18 @@ def test_checkpoint_error_contracts(prepared, trained, tmp_path):
     with pytest.raises(CheckpointCorruptError):
         load_checkpoint(tmp_path / "short.bin")
 
+    # framing faults, each named by its own message
+    framing = [
+        ("is truncated", blob[:15]),  # shorter than the magic and the length
+        ("header is truncated", blob[:8] + struct.pack("<Q", len(blob)) + blob[16:]),
+        ("header is unreadable", blob[:16] + b"\xff" + blob[17:]),  # not UTF-8
+        ("header is unreadable", blob[:16] + b"[" + blob[17:]),  # not JSON
+    ]
+    for message, damaged in framing:
+        (tmp_path / "framed.bin").write_bytes(damaged)
+        with pytest.raises(CheckpointCorruptError, match=f"framed.bin {message}"):
+            load_checkpoint(tmp_path / "framed.bin")
+
     flipped = bytearray(blob)
     flipped[-1] ^= 0xFF  # corrupt the digest, header stays valid
     (tmp_path / "bits.bin").write_bytes(bytes(flipped))
@@ -611,7 +666,7 @@ def test_checkpoint_rebuilds_the_stored_architecture(prepared, tmp_path):
     save_checkpoint(path, params, schema=prepared.schema, grid=prepared.grid)
     ckpt = load_checkpoint(path)
     assert ckpt.params.config == config
-    assert ckpt.params.cond_dim == 2
+    assert ckpt.params.decoder[0].weight.value.shape[0] == config.z_dim + 2  # [z | labels]
     assert np.array_equal(predict_risk_batch(params, prepared.test.x),
                           predict_risk_batch(ckpt.params, prepared.test.x))
 
