@@ -40,8 +40,9 @@ import itertools
 import json
 import math
 import operator
-import warnings
 import typing
+import warnings
+import weakref
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from statistics import NormalDist
@@ -163,8 +164,9 @@ class SurvivalDataset:
     Subject i's visits fill its first ``lengths[i]`` rows of the longest
     history ``J``; the mask is False past them. ``SurvivalDataset(schema,
     records)`` checks each record and stacks them once, keeping them as
-    ``records``; a dataset built from columns makes ``records`` as read-only
-    views on first read. Changing ``records`` is not supported."""
+    ``records``; a dataset built from columns keeps no record and makes
+    ``records`` as read-only views when read. Changing ``records`` is not
+    supported."""
 
     def __init__(self, schema: FeatureSchema, records, truth: SyntheticTruth | None = None):
         records = tuple(records)
@@ -193,18 +195,26 @@ class SurvivalDataset:
     def _hold(self, schema, truth, columns, records=None) -> None:
         for column in columns:
             column.setflags(write=False)
-        self.__dict__.update(zip(_COLUMNS, columns), schema=schema, truth=truth, _records=records)
+        self.__dict__.update(zip(_COLUMNS, columns), schema=schema, truth=truth,
+                             _records=records, _views=())
 
     @property
     def records(self) -> tuple[SubjectRecord, ...]:
-        if self._records is None:
-            self._records = tuple(
-                SubjectRecord(rid, statics, series[:k], mask[:k], duration, event, times[:k])
-                for rid, statics, series, mask, times, k, duration, event in zip(
-                    self.ids.tolist(), self.statics, self.series, self.mask, self.times,
-                    self.lengths.tolist(), self._durations.tolist(), self._events.tolist())
-            )
-        return self._records
+        """One ``SubjectRecord`` per subject. On a dataset built from columns
+        each read makes a new tuple: a subject's view is the one a caller
+        still holds, else a new one. The dataset holds each view by a weak
+        reference only, so views nobody holds are freed."""
+        if self._records is not None:
+            return self._records
+        held = [ref() for ref in self._views] or itertools.repeat(None)
+        records = tuple(
+            r or SubjectRecord(rid, statics, series[:k], mask[:k], duration, event, times[:k])
+            for r, rid, statics, series, mask, times, k, duration, event in zip(
+                held, self.ids.tolist(), self.statics, self.series, self.mask, self.times,
+                self.lengths.tolist(), self._durations.tolist(), self._events.tolist())
+        )
+        self._views = list(map(weakref.ref, records))
+        return records
 
     def replace(self, **changes) -> "SurvivalDataset":
         """This dataset with the named columns or ``truth`` changed; the rest are shared."""
@@ -358,7 +368,13 @@ def load_manifest(path: str | Path) -> dict:
     return raw
 
 
-_SERIES_CHUNK = 8192  # series CSV rows parsed at a time; bounds the loader's transient memory
+# CSV rows parsed at a time. A chunk of row lists must be freed before the
+# cyclic collector's generation-0 count reaches its threshold (700 live
+# container allocations by default): a larger chunk crosses it many times,
+# and each time it moves its rows into the older generations, whose
+# collections then walk the whole heap. It also bounds the loader's
+# transient memory.
+_CSV_CHUNK = 512
 
 
 def _csv_rows(path: Path):
@@ -387,6 +403,23 @@ def _csv_rows(path: Path):
         raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
 
 
+def _csv_chunks(fh):
+    """Yield the header of the CSV open at ``fh``, None when it is empty,
+    then its non-blank rows in lists of at most ``_CSV_CHUNK``. A ragged
+    row is a ValueError, as bad UTF-8 is."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    yield header
+    while chunk := list(itertools.islice(reader, _CSV_CHUNK)):
+        widths = set(map(len, chunk))
+        if widths - {0, len(header)}:
+            raise ValueError("ragged row")
+        if 0 in widths:
+            chunk = [row for row in chunk if row]
+        if chunk:
+            yield chunk
+
+
 def _parse_float(text: str, where: str) -> float:
     try:
         value = float(text)
@@ -405,81 +438,26 @@ def load_csv(path: str | Path) -> SurvivalDataset:
     ``time_varying``, or sorted feature names without it. Each distinct
     series time is a visit, even when all its values are empty; a subject
     without series rows gets a single fully-missing visit at time 0. An
-    error names the first faulty row as ``file:line``. The static CSV is
-    read row by row; the series CSV is parsed in whole columns, and read
-    row by row only when that parse fails, to name the fault.
+    error names the first faulty row as ``file:line``. Both CSVs are
+    streamed, ``_CSV_CHUNK`` rows at a time, into whole columns; a file is
+    read row by row only when that parse fails, to name the fault.
     """
     manifest = load_manifest(path)
     base = Path(path).parent
-    static_name = manifest["static_csv"]
-    id_col = manifest["id_col"]
-    dur_col = manifest["duration_col"]
-    evt_col = manifest["event_col"]
-    cat_cols = list(manifest["categorical_cols"])
-
-    lines = _csv_rows(base / static_name)
-    header = next(lines)
-    rows = list(lines)
-    col_index = {name: i for i, name in enumerate(header)}
-    for col in (dur_col, evt_col, *cat_cols):
-        if col not in col_index:
-            raise SchemaError(f"static CSV lacks column '{col}'")
-    has_id = id_col in col_index
-    if manifest.get("series_csv") and not has_id:
-        raise SchemaError(
-            f"series join requires id column '{id_col}' in the static CSV"
-        )
-
-    reserved = {dur_col, evt_col, id_col}
-    numeric_cols = [c for c in header if c not in reserved and c not in cat_cols]
-
-    # collect categories from the data, sorted for a stable encoding
-    categories: dict[str, list[str]] = {}
-    for col in cat_cols:
-        seen = sorted({row[col_index[col]] for _, row in rows})
-        categories[col] = seen
-
-    numeric_at = [(col_index[c], c) for c in numeric_cols]
-    categories_at = [(col_index[c], cats) for c, cats in categories.items()]
-    i_dur, i_evt = col_index[dur_col], col_index[evt_col]
-
-    ids: list[str] = []
-    statics: list[list[float]] = []
-    durations: list[float] = []
-    events: list[int] = []
-    seen_ids: set[str] = set()
-    for k, (lineno, row) in enumerate(rows, start=1):
-        rid = row[col_index[id_col]] if has_id else f"row{k}"
-        if rid in seen_ids:
-            raise SchemaError(f"{static_name}:{lineno}: duplicate subject id '{rid}'")
-        seen_ids.add(rid)
-        vec = [_cell_float(row[i], static_name, lineno, c) for i, c in numeric_at]
-        for i, cats in categories_at:
-            vec.extend(1.0 if row[i] == cat else 0.0 for cat in cats)
-        dur = _cell_float(row[i_dur], static_name, lineno, dur_col)
-        evt_raw = row[i_evt].strip()
-        if evt_raw in ("0", "1"):
-            evt = int(evt_raw)
-        else:
-            evt_f = _cell_float(evt_raw, static_name, lineno, evt_col)
-            if evt_f not in (0.0, 1.0):
-                raise SchemaError(
-                    f"{static_name}:{lineno}: event code must be 0 or 1, got '{evt_raw}'"
-                )
-            evt = int(evt_f)
-        if dur < 0:
-            raise SchemaError(f"{static_name}:{lineno}: negative duration {dur}")
-        ids.append(rid)
-        statics.append(vec)
-        durations.append(dur)
-        events.append(evt)
+    static_path = base / manifest["static_csv"]
+    parsed = _static_columns(static_path, manifest)
+    if parsed is None:
+        _check_static_rows(static_path, manifest)
+        raise AssertionError(f"{static_path}: the column parse failed where the row check passes")
+    numeric_cols, categories, ids, statics, durations, events = parsed
 
     order = manifest.get("time_varying")
     if not manifest.get("series_csv"):
         feature_names, buffers = [], _visit_buffers(len(ids), 0, *_NO_SERIES_ROWS)
     else:
         series_path = base / manifest["series_csv"]
-        cols = (id_col, manifest["time_col"], manifest["feature_col"], manifest["value_col"])
+        cols = (manifest["id_col"], manifest["time_col"], manifest["feature_col"],
+                manifest["value_col"])
         id_pos = {rid: i for i, rid in enumerate(ids)}
         parsed = _series_columns(series_path, cols, id_pos, order)
         buffers = parsed and _visit_buffers(len(ids), len(parsed[0]), *parsed[1])
@@ -491,22 +469,103 @@ def load_csv(path: str | Path) -> SurvivalDataset:
         numeric_static=numeric_cols,
         categorical_static=categories,
         time_varying=feature_names,
-        duration_col=dur_col,
-        event_col=evt_col,
+        duration_col=manifest["duration_col"],
+        event_col=manifest["event_col"],
     )
-    width = len(numeric_cols) + sum(map(len, categories.values()))
-    return _dataset(schema, (ids, np.array(statics, np.float64).reshape(len(ids), width),
-                             *buffers, durations, events))
+    return _dataset(schema, (ids, statics, *buffers, durations, events))
 
 
-def _cell_float(text: str, name: str, lineno: int, col: str) -> float:
-    """``_parse_float`` of a static cell; its ``name:lineno column 'col'``
-    location is built only when the cell is faulty."""
+def _static_columns(path: Path, manifest: dict):
+    """Parse the static CSV at ``path`` into whole columns, ``_CSV_CHUNK``
+    rows at a time. Returns the numeric column names, each categorical
+    column's categories in sorted order, the ids (``row<k>`` for the k-th
+    row without an id column), the ``(n, S)`` encoded statics, the
+    durations and the events. None if the file, a column, a row or a cell
+    is faulty; ``_check_static_rows`` then names the first fault."""
+    id_col, dur_col, evt_col = manifest["id_col"], manifest["duration_col"], manifest["event_col"]
+    cat_cols = manifest["categorical_cols"]
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    return value if math.isfinite(value) else _parse_float(text, f"{name}:{lineno} column '{col}'")
+        with open(path, newline="", encoding="utf-8") as fh:
+            chunks = _csv_chunks(fh)
+            header = next(chunks)
+            index = {name: i for i, name in enumerate(header or ())}
+            has_id = id_col in index
+            if not (index.keys() >= {dur_col, evt_col, *cat_cols}
+                    and (has_id or not manifest.get("series_csv"))):
+                return None
+            numeric_cols = [c for c in header if c not in {dur_col, evt_col, id_col, *cat_cols}]
+            # the numeric cells, then the duration and the event, one row per column
+            getters = [operator.itemgetter(index[c]) for c in (*numeric_cols, dur_col, evt_col)]
+            parts = [np.zeros((len(getters), 0))]
+            labels = [[] for _ in cat_cols]
+            ids: list[str] = []
+            for chunk in chunks:
+                n = len(chunk)
+                if has_id:
+                    ids.extend(map(operator.itemgetter(index[id_col]), chunk))
+                for cells, col in zip(labels, cat_cols):
+                    cells.extend(map(operator.itemgetter(index[col]), chunk))
+                numbers = np.empty((len(getters), n))
+                for row, get in zip(numbers, getters):
+                    row[:] = np.fromiter(map(float, map(get, chunk)), np.float64, n)
+                parts.append(numbers)
+    except (OSError, ValueError, csv.Error):  # ValueError covers float(), bad UTF-8, ragged rows
+        return None
+    numbers = np.concatenate(parts, axis=1)
+    statics, durations, events = numbers[:-2].T, numbers[-2], numbers[-1]
+    n = len(durations)
+    if not has_id:
+        ids = [f"row{k}" for k in range(1, n + 1)]
+    if (len(set(ids)) != n or not all_finite(numbers) or np.any(durations < 0)
+            or np.any((events != 0) & (events != 1))):
+        return None
+    categories, blocks = {}, [statics]
+    for col, cells in zip(cat_cols, labels):
+        cats = categories[col] = sorted(set(cells))
+        code = np.fromiter(map({c: k for k, c in enumerate(cats)}.__getitem__, cells), np.int64, n)
+        blocks.append((code[:, None] == np.arange(len(cats))).astype(np.float64))
+    return (numeric_cols, categories, ids, np.concatenate(blocks, axis=1), durations,
+            events.astype(np.int64))
+
+
+def _check_static_rows(path: Path, manifest: dict) -> None:
+    """Raise the error of the first fault in the static CSV at ``path``, in
+    the order a row-by-row read meets them: a missing file, bad UTF-8 or a
+    ragged row anywhere; then a missing column; then, row by row, a
+    repeated id, a bad number, a bad event code or a negative duration.
+    Builds nothing; ``load_csv`` calls it only when the column parse fails."""
+    name, id_col, cat_cols = manifest["static_csv"], manifest["id_col"], manifest["categorical_cols"]
+    dur_col, evt_col = manifest["duration_col"], manifest["event_col"]
+    lines = _csv_rows(path)
+    header = next(lines)
+    rows = list(lines)
+    col_index = {col: i for i, col in enumerate(header)}
+    for col in (dur_col, evt_col, *cat_cols):
+        if col not in col_index:
+            raise SchemaError(f"static CSV lacks column '{col}'")
+    has_id = id_col in col_index
+    if manifest.get("series_csv") and not has_id:
+        raise SchemaError(
+            f"series join requires id column '{id_col}' in the static CSV"
+        )
+    reserved = {dur_col, evt_col, id_col, *cat_cols}
+    numeric_at = [(col_index[c], c) for c in header if c not in reserved]
+    seen_ids: set[str] = set()
+    for k, (lineno, row) in enumerate(rows, start=1):
+        where = f"{name}:{lineno}"
+        rid = row[col_index[id_col]] if has_id else f"row{k}"
+        if rid in seen_ids:
+            raise SchemaError(f"{where}: duplicate subject id '{rid}'")
+        seen_ids.add(rid)
+        for i, col in numeric_at:
+            _parse_float(row[i], f"{where} column '{col}'")
+        dur = _parse_float(row[col_index[dur_col]], f"{where} column '{dur_col}'")
+        evt_raw = row[col_index[evt_col]].strip()
+        if evt_raw not in ("0", "1"):
+            if _parse_float(evt_raw, f"{where} column '{evt_col}'") not in (0.0, 1.0):
+                raise SchemaError(f"{where}: event code must be 0 or 1, got '{evt_raw}'")
+        if dur < 0:
+            raise SchemaError(f"{where}: negative duration {dur}")
 
 
 _NO_SERIES_ROWS = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64),
@@ -515,7 +574,7 @@ _NO_SERIES_ROWS = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64),
 
 def _series_columns(path: Path, cols: tuple[str, str, str, str], id_pos: dict[str, int],
                     order: list[str] | None):
-    """Parse the series CSV at ``path`` into whole columns, ``_SERIES_CHUNK``
+    """Parse the series CSV at ``path`` into whole columns, ``_CSV_CHUNK``
     rows at a time. ``cols`` names its id, time, feature and value columns.
     Returns the feature names, ``order`` or else sorted, and ``(subject,
     time, feature, observed, value)``: per row the subject's position in
@@ -527,20 +586,12 @@ def _series_columns(path: Path, cols: tuple[str, str, str, str], id_pos: dict[st
     codes: dict[str, int] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            index = {name: i for i, name in enumerate(header or ())}
+            chunks = _csv_chunks(fh)
+            index = {name: i for i, name in enumerate(next(chunks) or ())}
             if not index.keys() >= set(cols):
                 return None
             get_id, get_time, get_feat, get_value = (operator.itemgetter(index[c]) for c in cols)
-            while chunk := list(itertools.islice(reader, _SERIES_CHUNK)):
-                widths = set(map(len, chunk))
-                if widths - {0, len(header)}:
-                    return None
-                if 0 in widths:
-                    chunk = [row for row in chunk if row]
-                    if not chunk:
-                        continue
+            for chunk in chunks:
                 n = len(chunk)
                 subject = np.fromiter(map(id_pos.get, map(get_id, chunk), itertools.repeat(-1)),
                                       np.int64, n)
@@ -555,7 +606,7 @@ def _series_columns(path: Path, cols: tuple[str, str, str, str], id_pos: dict[st
                     codes[f] = len(codes)
                 feature = np.fromiter(map(codes.__getitem__, feat), np.int64, n)
                 parts.append((subject, time, feature, observed, value))
-    except (OSError, ValueError, csv.Error):  # ValueError covers float() and bad UTF-8
+    except (OSError, ValueError, csv.Error):  # ValueError covers float(), bad UTF-8, ragged rows
         return None
     names = sorted(codes) if order is None else order
     if codes.keys() != set(names):

@@ -156,18 +156,26 @@ def condition_matrix(events: Array, bins: Array, n_bins: int, mode: str) -> Arra
     n = events.shape[0]
     parts = []
     if mode in ("labels", "both"):
-        if np.any((events != 0) & (events != 1)):
-            raise DomainError("events must be 0 or 1")
+        _check_events(events)
         lab = np.zeros((n, 2))
         lab[np.arange(n), events] = 1.0
         parts.append(lab)
     if mode in ("times", "both"):
-        if np.any(bins < 0) or np.any(bins > n_bins):
-            raise DomainError("duration bins outside [0, n_bins]")
+        _check_bins(bins, n_bins)
         tim = np.zeros((n, n_bins + 1))
         tim[np.arange(n), bins] = 1.0
         parts.append(tim)
     return np.concatenate(parts, axis=1)
+
+
+def _check_events(events: Array) -> None:
+    if np.any((events != 0) & (events != 1)):
+        raise DomainError("events must be 0 or 1")
+
+
+def _check_bins(bins: Array, n_bins: int) -> None:
+    if np.any(bins < 0) or np.any(bins > n_bins):
+        raise DomainError("duration bins outside [0, n_bins]")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +316,9 @@ def loss_total(l1: float, l2: float, alpha: float) -> float:
 class LossMasks:
     """Constant 0/1 matrices over the bins that ``nll_graph``, one fused tape
     node, sums each subject's likelihood terms over. ``build`` takes each
-    subject's last observed bin, -1 where it has none."""
+    subject's last observed bin, -1 where it has none. An event other than
+    0 or 1 or a bin outside [0, n_bins] is a DomainError, as in
+    ``condition_matrix``."""
 
     onehot: Array
     after_last: Array
@@ -321,6 +331,8 @@ class LossMasks:
         bins = np.asarray(bins, dtype=np.int64)
         events = np.asarray(events, dtype=np.int64)
         last_obs = np.asarray(last_obs_bins, dtype=np.int64)
+        _check_events(events)
+        _check_bins(bins, n_bins)
         cols = np.arange(n_bins + 1)
         onehot = (cols[None, :] == bins[:, None]).astype(np.float64)
         after_last = (cols[None, :] > last_obs[:, None]).astype(np.float64)

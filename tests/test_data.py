@@ -4,9 +4,11 @@ transforms: frozen hand cases plus the structural properties."""
 import ast
 import csv
 import dataclasses
+import gc
 import io
 import itertools
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -211,7 +213,7 @@ def _cohort_files(draw):
             "".join(line + end for line in ["id,t,feat,val", *lines]), order, categorical)
 
 
-@given(_cohort_files(), st.sampled_from([1, 2, 3, 7, data._SERIES_CHUNK]))
+@given(_cohort_files(), st.sampled_from([1, 2, 3, 7, data._CSV_CHUNK]))
 @example(  # s2 has no rows, lac is observed nowhere, s0's visit at 1 has no value
     files=("id,age,duration,event\ns1,2,5,1\ns0,1,4.5,0\ns2,3,6,1\n",
      "id,t,feat,val\ns1,2,hr,7\n\ns0,1,lac,\ns0,-0.0,hr,3\ns1,2.0,sbp,8\ns0,0,sbp,1\n"
@@ -229,7 +231,7 @@ def test_load_csv_equals_the_row_by_row_loader(tmp_path_factory, files, chunk):
     manifest = make_manifest(tmp_path_factory.mktemp("cohort"), static, series,
                              categorical=categorical, order=order)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "_SERIES_CHUNK", chunk)
+        mp.setattr(data, "_CSV_CHUNK", chunk)
         got = load_csv(manifest)
     want = load_csv_reference(manifest)
     _same_datasets(got, want)
@@ -243,7 +245,7 @@ def test_load_csv_equals_the_row_by_row_loader(tmp_path_factory, files, chunk):
 
 def test_load_csv_equals_the_row_by_row_loader_over_many_chunks(tmp_path):
     rng = np.random.default_rng(0)
-    n_rows = 2 * data._SERIES_CHUNK + 5
+    n_rows = 2 * data._CSV_CHUNK + 5
     subjects = rng.integers(0, 40, n_rows)
     static = "id,age,duration,event\n" + "".join(f"s{i},{i},{i + 1},1\n" for i in range(41))
     series = "id,t,feat,val\n" + "".join(
@@ -289,7 +291,7 @@ def _faulty_series(first, second, gap):
     return text.encode("utf-8", "surrogateescape")
 
 
-@pytest.mark.parametrize("chunk", [2, data._SERIES_CHUNK])
+@pytest.mark.parametrize("chunk", [2, data._CSV_CHUNK])
 def test_load_csv_raises_the_first_fault_of_the_row_by_row_loader(tmp_path, chunk):
     kinds = [*_SERIES_FAULTS, "missing_column"]
     cases = [*itertools.permutations(kinds, 2), *((kind, None) for kind in kinds)]
@@ -299,7 +301,7 @@ def test_load_csv_raises_the_first_fault_of_the_row_by_row_loader(tmp_path, chun
         with pytest.raises(DySurvError) as want:
             load_csv_reference(manifest)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "_SERIES_CHUNK", chunk)
+            mp.setattr(data, "_CSV_CHUNK", chunk)
             with pytest.raises(DySurvError) as got:
                 load_csv(manifest)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), (
@@ -335,10 +337,50 @@ def test_load_csv_raises_the_first_static_fault_of_the_row_by_row_loader(tmp_pat
         (tmp_path / "static.csv").write_bytes(_faulty_static(first, second, gap))
         with pytest.raises(DySurvError) as want:
             load_csv_reference(manifest)
-        with pytest.raises(DySurvError) as got:
-            load_csv(manifest)
-        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), (
-            first, second, gap)
+        for chunk in (1, 2, 3, data._CSV_CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_CSV_CHUNK", chunk)
+                with pytest.raises(DySurvError) as got:
+                    load_csv(manifest)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), (
+                first, second, gap, chunk)
+
+
+def test_load_csv_keeps_the_cyclic_collector_idle(tmp_path):
+    # each chunk of row lists is freed before it makes a generation-0 collection due
+    rng = np.random.default_rng(0)
+    static = "id,age,sex,duration,event\n" + "".join(
+        f"s{i},{i},{'fm'[i % 2]},{i + 1},{i % 2}\n" for i in range(40))
+    series = "id,t,feat,val\n" + "".join(
+        f"s{j % 40},{j // 40},{'hr' if j % 3 else 'sbp'},{rng.random()}\n" for j in range(20_000))
+    manifest = make_manifest(tmp_path, static, series, categorical=["sex"])
+    collections = [0, 0, 0]
+
+    def count(phase, info):
+        collections[info["generation"]] += phase == "start"
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        ds = load_csv(manifest)
+    finally:
+        gc.callbacks.remove(count)
+    assert ds.series.shape == (40, 500, 2)
+    assert sum(collections) <= 2, collections
+
+
+def test_records_of_a_column_dataset_are_views_nobody_else_holds(tmp_path):
+    ds = load_csv(make_manifest(tmp_path, STATIC, SERIES, categorical=["sex"]))
+    held = ds.records
+    assert ds.records is not held and ds.records[0] is held[0]
+    view = weakref.ref(held[1])
+    del held
+    assert view() is None  # the dataset holds no view
+    assert ds.records[1].series_times.tolist() == [0.5, 2.0]
+    # a dataset built from records keeps them
+    want = load_csv_reference(make_manifest(tmp_path, STATIC, SERIES, categorical=["sex"]))
+    built = SurvivalDataset(want.schema, want.records)
+    assert built.records is built.records and built.records[0] is want.records[0]
 
 
 def test_manifest_with_an_unknown_key_is_refused(tmp_path):

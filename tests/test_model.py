@@ -259,6 +259,19 @@ def test_loss_node_overflows_raise():
         nll_graph(tape, Param("a", np.full((2, 3), 1e308)), masks)
 
 
+@pytest.mark.parametrize("bins, events, error", [
+    ([1, 0], [1, 2], "^events must be 0 or 1$"),  # would be neither an event nor censored
+    ([1, 0], [1, -1], "^events must be 0 or 1$"),
+    ([-1, 0], [1, 0], r"^duration bins outside \[0, n_bins\]$"),
+    ([1, 4], [1, 0], r"^duration bins outside \[0, n_bins\]$"),  # n_bins + 1
+], ids=["event_2", "event_minus_1", "bin_minus_1", "bin_past_the_grid"])
+def test_loss_masks_refuse_what_condition_matrix_refuses(bins, events, error):
+    with pytest.raises(DomainError, match=error):
+        LossMasks.build(bins, events, [-1, -1], 3)
+    # bin n_bins, the beyond-horizon column, is in range
+    assert LossMasks.build([3, 0], [0, 1], [-1, -1], 3).after_bin[0].tolist() == [0, 0, 0, 0]
+
+
 def test_total_loss_graph_contracts():
     tape = Tape()
     l1 = Param("l1", np.array(2.0))
