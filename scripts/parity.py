@@ -10,7 +10,9 @@ command.
 
 The flows: ``synth``, ``prepare``, ``train`` with and without ``--grid``,
 ``evaluate --seeds 2 --horizon``, ``predict`` and ``importance
---n-repeats 2`` on a ``--synth`` dataset; ``prepare``, ``train``,
+--n-repeats 2`` on a ``--synth`` dataset; ``predict`` of a one-subject
+``--synth`` dataset with that checkpoint, so the single-row path that
+serves requests is compared too; ``prepare``, ``train``,
 ``evaluate --horizon``, ``predict`` and ``importance`` on perfbench's
 12-visit cohort and on its whole-day cohort
 (``perfbench/inputs.py::write_cohort``), so the series quantile transform
@@ -68,6 +70,9 @@ def flows(n_synth: int, cohorts: dict[str, Path]) -> list[tuple[str, list[str]]]
         ("predict", ["predict", "--manifest", synth, "--checkpoint", "{out}/train/checkpoint.bin"]),
         ("importance", ["importance", "--manifest", synth, "--n-repeats", "2",
                         "--checkpoint", "{out}/train/checkpoint.bin"]),
+        ("one_synth", ["synth", "--synth", "1,5,0.37", "--seed", "7"]),
+        ("one_predict", ["predict", "--manifest", "{out}/one_synth/synthetic_manifest.json",
+                         "--checkpoint", "{out}/train/checkpoint.bin"]),
     ]
     for name, manifest in cohorts.items():
         data = ["--manifest", str(manifest)]

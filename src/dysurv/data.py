@@ -164,9 +164,10 @@ class SurvivalDataset:
     Subject i's visits fill its first ``lengths[i]`` rows of the longest
     history ``J``; the mask is False past them. ``SurvivalDataset(schema,
     records)`` checks each record and stacks them once, keeping them as
-    ``records``; a dataset built from columns keeps no record and makes
-    ``records`` as read-only views when read. Changing ``records`` is not
-    supported."""
+    ``records``; like ``load_csv``, it refuses a NaN or ±inf static value
+    or observed series cell (SchemaError). A dataset built from columns
+    keeps no record and makes ``records`` as read-only views when read.
+    Changing ``records`` is not supported."""
 
     def __init__(self, schema: FeatureSchema, records, truth: SyntheticTruth | None = None):
         records = tuple(records)
@@ -184,9 +185,15 @@ class SurvivalDataset:
         times = np.zeros(series.shape[:2])
         for i, (r, k) in enumerate(zip(records, lengths)):
             series[i, :k], mask[i, :k], times[i, :k] = r.series, r.series_mask, r.series_times
+        statics = np.array([r.static_features for r in records]).reshape(n, n_static)
+        # one check per stacked array, not per record: views of a dataset
+        # built from columns are records too, and would pay it on every read
+        if not (all_finite(statics) and all_finite(series[mask])):
+            bad = ~np.isfinite(statics).all(axis=1) | (mask & ~np.isfinite(series)).any(axis=(1, 2))
+            raise SchemaError(f"record {records[np.argmax(bad)].id} has a non-finite static "
+                              "or observed series value")
         self._hold(schema, truth, (
-            np.array([r.id for r in records], dtype=object),
-            np.array([r.static_features for r in records]).reshape(n, n_static),
+            np.array([r.id for r in records], dtype=object), statics,
             series, mask, times, np.array(lengths, dtype=np.int64),
             np.array([r.duration for r in records], dtype=np.float64),
             np.array([r.event for r in records], dtype=np.int64),
@@ -990,12 +997,15 @@ def fill_series(series: Array, mask: Array) -> Array:
     new array: forward fill each column, backfill a leading gap from the
     first observation, and zero-fill columns with no observation (zero is
     the standardized training mean after the quantile transform)."""
-    steps = np.arange(series.shape[-2])[:, None]
-    idx = np.where(mask, steps, -1)
+    *lead, j, m = series.shape
+    idx = np.where(mask, np.arange(j)[:, None], -1)
     np.maximum.accumulate(idx, axis=-2, out=idx)
-    first = np.argmax(mask, axis=-2)[..., None, :]
-    idx = np.where(idx < 0, first, idx)
-    filled = np.take_along_axis(series, idx, axis=-2)
+    # a step before the first observation (-1) takes the first observation
+    np.maximum(idx, np.argmax(mask, axis=-2)[..., None, :], out=idx)
+    # one flat gather: the step of each cell becomes its offset in ``series``;
+    # the leading dims are folded by their product, since -1 is ambiguous at m = 0
+    idx += np.arange(math.prod(lead)).reshape(*lead, 1, 1) * j
+    filled = np.take(series, idx * m + np.arange(m))
     return np.where(mask.any(axis=-2, keepdims=True), filled, 0.0)
 
 

@@ -116,7 +116,7 @@ class SurvivalCurves:
             raise ContractError("times must be 1-D and values 2-D")
         if self.values.shape[1] != self.times.size:
             raise ContractError("values must have one column per knot")
-        if self.times.size < 2 or np.any(np.diff(self.times) <= 0):
+        if self.times.size < 2 or not (self.times[1:] > self.times[:-1]).all():  # a NaN fails too
             raise ContractError("need at least two strictly increasing knots")
         if not all_finite(self.values):
             raise DomainError("survival values must be finite")
@@ -150,8 +150,10 @@ class SurvivalCurves:
             raise ContractError(
                 f"probs must be (n, {grid.n_bins + 1}) for this grid, got {probs.shape}"
             )
-        surv = 1.0 - np.cumsum(probs[:, :-1], axis=1)
-        values = np.concatenate([np.ones((probs.shape[0], 1)), surv], axis=1)
+        values = np.empty(probs.shape)
+        values[:, 0] = 0.0  # 1 - 0 below: S(0) = 1
+        np.cumsum(probs[:, :-1], axis=1, out=values[:, 1:])
+        np.subtract(1.0, values, out=values)
         return SurvivalCurves(grid.boundaries, values)
 
 

@@ -38,7 +38,8 @@ DEFAULT_BINS = 10
 
 
 def _stacked_inputs(ds: SurvivalDataset, transform: QuantileTransform) -> Array:
-    """Model inputs ``x (n, J, S + M)``, from copies of the dataset's columns.
+    """Model inputs ``x (n, J, S + M)``, written into one new array: the
+    transformed statics at every step, then the transformed, filled series.
 
     All subjects must share a sequence length; resampling ragged series
     into fixed windows is upstream preprocessing.
@@ -50,11 +51,16 @@ def _stacked_inputs(ds: SurvivalDataset, transform: QuantileTransform) -> Array:
             f"subjects have mixed sequence lengths {np.unique(ds.lengths).tolist()}; batching "
             "needs one shared length per dataset"
         )
-    statics, series = ds.statics.copy(), ds.series.copy()
-    transform.apply(ds.schema.numeric_static, statics[:, : len(ds.schema.numeric_static)])
-    transform.apply(ds.schema.time_varying, series, ds.mask)
-    tiled = np.broadcast_to(statics[:, None, :], (*series.shape[:2], statics.shape[1]))
-    return np.concatenate([tiled, fill_series(series, ds.mask)], axis=2)
+    (n, j, m), s = ds.series.shape, ds.statics.shape[1]
+    x = np.empty((n, j, s + m))
+    x[:, 0, :s] = ds.statics
+    transform.apply(ds.schema.numeric_static, x[:, 0, : len(ds.schema.numeric_static)])
+    x[:, 1:, :s] = x[:, :1, :s]
+    if m:
+        series = ds.series.copy()
+        transform.apply(ds.schema.time_varying, series, ds.mask)
+        x[:, :, s:] = fill_series(series, ds.mask)
+    return x
 
 
 def dataset_to_arrays(
@@ -153,7 +159,7 @@ class Predictor:
             predict_risk_batch(self.params, x[s : s + EVAL_CHUNK])
             for s in range(0, len(x), EVAL_CHUNK)
         ]
-        return np.concatenate(chunks, axis=0)
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
     def curves(self, ds: SurvivalDataset) -> SurvivalCurves:
         return SurvivalCurves.from_bin_probs(self.bin_probs(ds), self.grid)

@@ -7,8 +7,8 @@ that the forward-only one replaces, the fused LSTM kernel and its
 backpropagation through time as they ran before their buffers were
 reused, the per-parameter Adam loop that the
 flat update replaces, the serial grid search and seed refits that the
-worker pool replaces, the record-by-record data preparation and quantile
-fit that the stacked ones replace, the row-by-row CSV loader that the
+worker pool replaces, the record-by-record data preparation, gap fill and
+quantile fit that the stacked ones replace, the row-by-row CSV loader that the
 column parse replaces, the ``dataclasses.replace`` shuffle of permutation
 importance, and the synthetic generator's true cumulative incidence. Kept deliberately naive: different formulation, same
 definition as the fast paths. ``static_record`` builds a hand-made record
@@ -991,6 +991,14 @@ def _fill_record(series, mask):
             before = obs[obs <= j]
             series[j, k] = series[before[-1] if before.size else obs[0], k]
     return series
+
+
+def fill_series_reference(series, mask):
+    """``_fill_record`` on each ``(J, M)`` series of a ``(..., J, M)`` stack."""
+    out = np.empty(series.shape)
+    for lead in np.ndindex(series.shape[:-2]):
+        out[lead] = _fill_record(series[lead], mask[lead])
+    return out
 
 
 def _last_observed_time(record):

@@ -38,7 +38,7 @@ from dysurv.data import (
 )
 from dysurv.errors import DomainError, DySurvError, ParseError, ReferentialError, SchemaError
 from dysurv.pipeline import dataset_to_arrays
-from oracles import load_csv_reference, static_record, true_cif
+from oracles import fill_series_reference, load_csv_reference, static_record, true_cif
 
 
 def write(path, text):
@@ -767,6 +767,31 @@ def test_fill_series_idempotent_and_preserves_observed(seed):
     filled = fill_dataset(ds).records[0]
     assert np.array_equal(filled.series, once) and filled.series_mask.all()
     assert np.array_equal(fill_dataset(fill_dataset(ds)).records[0].series, once)
+
+
+@st.composite
+def _series_stacks(draw):
+    """A ``(..., J, M)`` series with NaN in its unobserved cells, and its
+    mask: no to two leading dims (some empty), zero-width or wider rows,
+    and masks from all-missing to fully observed, so that all-missing
+    columns and leading gaps are common."""
+    shape = (*draw(st.lists(st.integers(0, 3), max_size=2)),
+             draw(st.integers(1, 6)), draw(st.integers(0, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    series = np.where(mask, rng.standard_normal(shape), np.nan)
+    return series, mask
+
+
+@given(_series_stacks())
+@example((np.full((3, 0), np.nan), np.zeros((3, 0), dtype=bool)))
+@example((np.array([[np.nan, np.nan], [2.0, np.nan], [np.nan, np.nan]]),
+          np.array([[False, False], [True, False], [False, False]])))
+def test_fill_series_equals_the_per_cell_fill(stack):
+    series, mask = stack
+    got, want = fill_series(series, mask), fill_series_reference(series, mask)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 class IdentityTransform(QuantileTransform):

@@ -156,6 +156,13 @@ def test_metrics_refuse_non_finite_curves_and_bad_outcomes(values, durations, ev
         evaluate_all(SurvivalCurves(KNOTS, values), durations, events)
 
 
+@pytest.mark.parametrize("times", [[0.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nan, 2.0]],
+                         ids=["one", "tied", "decreasing", "nan"])
+def test_survival_curves_refuse_knots_that_do_not_increase(times):
+    with pytest.raises(ContractError, match="at least two strictly increasing knots"):
+        SurvivalCurves(np.array(times), np.full((2, len(times)), 0.5))
+
+
 def test_concordance_identical_predictions_is_half():
     curves = constant_curves(0.5, 6, 10.0)
     rng = np.random.default_rng(0)

@@ -16,7 +16,7 @@ from dysurv.data import (
     fit_quantile_transform,
     generate_synthetic,
 )
-from dysurv.errors import CheckpointIncompatibleError, ContractError
+from dysurv.errors import CheckpointIncompatibleError, ContractError, SchemaError
 from dysurv.model import ModelConfig, init_dysurv_params, predict_risk_batch
 from dysurv.pipeline import Predictor, dataset_to_arrays, prepare_splits
 from dysurv.training import EVAL_CHUNK
@@ -221,6 +221,39 @@ def test_serving_equals_the_recorded_forward_chunk_by_chunk():
         for s in range(0, len(x), EVAL_CHUNK)
     ])
     assert np.array_equal(predictor.bin_probs(ds), want)
+
+
+@pytest.mark.parametrize("ds", [generate_synthetic(300, 4, 0.3, 8), visit_cohort(300, seed=8)],
+                         ids=["static", "12_visits"])
+def test_a_one_subject_request_equals_the_forward_of_its_stacked_row(ds):
+    prep = prepare_splits(ds, split_seed=0)
+    predictor = predictor_for(ds, prep)
+    for record in ds.records[:25]:
+        one = SurvivalDataset(ds.schema, [record])
+        want = predict_risk_batch(predictor.params,
+                                  dataset_to_arrays_reference(one, prep.transform, prep.grid).x)
+        assert predictor.bin_probs(one).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("where, value", [
+    ("static", np.inf), ("static", np.nan),
+    ("series", np.inf), ("series", -np.inf), ("series", np.nan),
+])
+def test_a_record_with_a_non_finite_value_is_refused(where, value):
+    # these were served as finite curves (±inf is clipped by the quantile
+    # table), or failed later in the model's forward pass (NaN)
+    ds = visit_cohort(300, seed=9)
+    records = list(ds.records)
+    for i in (7, 21):
+        r = records[i]
+        statics, series = r.static_features.copy(), r.series.copy()
+        if where == "static":
+            statics[0] = value  # age
+        else:
+            series[tuple(np.argwhere(r.series_mask)[0])] = value
+        records[i] = dataclasses.replace(r, static_features=statics, series=series)
+    with pytest.raises(SchemaError, match="record p0007 has a non-finite static or observed"):
+        SurvivalDataset(ds.schema, records)
 
 
 def test_serving_refuses_another_schema():

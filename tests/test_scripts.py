@@ -36,7 +36,8 @@ def test_parity_finds_the_tree_identical_to_itself(tmp_path):
     assert len(artifacts) > 40
     assert all(line.startswith("identical") for line in artifacts), done.stdout
     for name in ("train_grid/grid.json", "evaluate/horizon_report.json",
-                 "cohort_predict/curves.csv", "days_importance/importance.json",
+                 "cohort_predict/curves.csv", "one_predict/curves.csv",
+                 "days_importance/importance.json",
                  "cohort_prepare/train_series.csv",
                  "stdout/evaluate.txt"):
         assert any(line.endswith(name) for line in artifacts), name
